@@ -81,8 +81,8 @@ class Scenario:
     base_dir: str = "."
 
     def validate(self) -> None:
-        if self.budget <= 0.0:
-            raise ValidationError(f"budget must be positive, got {self.budget}")
+        if not (math.isfinite(self.budget) and self.budget > 0.0):
+            raise ValidationError(f"budget must be positive and finite, got {self.budget}")
         for name in (
             "demand_multiplier",
             "opex_multiplier",
@@ -102,8 +102,10 @@ class Scenario:
             raise ValidationError("population must be at least 2")
         if self.elites < 0 or self.elites >= self.population:
             raise ValidationError("elites must fit inside the population")
-        if self.gap_tolerance <= 0.0:
-            raise ValidationError("gap tolerance must be positive")
+        if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0.0):
+            raise ValidationError(f"gap tolerance must be positive and finite, got {self.gap_tolerance}")
+        if self.max_iterations < 1:
+            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def path(self, name: str) -> Path:
         return Path(self.base_dir) / name
@@ -430,7 +432,9 @@ def write_gap_trace(path: str | Path, metrics: GapMetrics) -> None:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "beckmann", "relative_gap", "seconds"])
         for it, beck, gap, secs in metrics.trace:
-            writer.writerow([it, repr(float(beck)), repr(float(gap)), repr(float(secs))])
+            # an empty gap cell marks an iteration whose gap was not computed
+            gap_cell = "" if gap is None else repr(float(gap))
+            writer.writerow([it, repr(float(beck)), gap_cell, repr(float(secs))])
 
 
 def write_generations(path: str | Path, history: Iterable[tuple]) -> None:

@@ -1,0 +1,171 @@
+"""Scalar reference versions of the bush machinery in railplan.equilibrium.
+
+These are the straightforward forms of the solver's array-native hot path:
+a push-style label pass over `out_arcs`, per-arc keep and add rules for the
+bush update, a node-by-node Wardrop spread, and a sweep that recomputes
+every cost and every label after each flow shift.  The property tests
+require the solver to agree with them exactly, bit for bit.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+
+from railplan.equilibrium import BushSolver, _trace_segments, newton_flow_shift
+
+
+def oracle_labels(expanded, bush, costs):
+    """(L, U, pred_min, pred_max) by one forward push pass in bush.order;
+    cost ties keep the lowest arc id."""
+    n = expanded.n_nodes
+    L = np.full(n, math.inf)
+    U = np.full(n, -math.inf)
+    pmin = np.full(n, -1, dtype=np.int64)
+    pmax = np.full(n, -1, dtype=np.int64)
+    L[bush.origin] = 0.0
+    U[bush.origin] = 0.0
+    for u in bush.order:
+        lu, uu = L[u], U[u]
+        if not math.isfinite(lu):
+            continue
+        for a in expanded.out_arcs[u]:
+            if a not in bush.arcs:
+                continue
+            v = expanded.head[a]
+            c = costs[a]
+            nl = lu + c
+            if nl < L[v] or (nl == L[v] and a < pmin[v]):
+                L[v] = nl
+                pmin[v] = a
+            if bush.flow[a] > 0.0 and uu > -math.inf:
+                nu = uu + c
+                if nu > U[v] or (nu == U[v] and a < pmax[v]):
+                    U[v] = nu
+                    pmax[v] = a
+    return L, U, pmin, pmax
+
+
+def oracle_toposort(expanded, arcs, origin):
+    """Kahn's algorithm on dicts, smallest ready node first; raises on a cycle."""
+    nodes = {origin}
+    for a in arcs:
+        nodes.add(int(expanded.tail[a]))
+        nodes.add(int(expanded.head[a]))
+    indeg = {u: 0 for u in nodes}
+    out = {u: [] for u in nodes}
+    for a in arcs:
+        t, h = int(expanded.tail[a]), int(expanded.head[a])
+        indeg[h] += 1
+        out[t].append(h)
+    ready = [u for u, k in sorted(indeg.items()) if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for h in out[u]:
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                heapq.heappush(ready, h)
+    if len(order) != len(nodes):
+        raise ValueError("bush contains a cycle")
+    return order
+
+
+def oracle_update(expanded, bush, costs, usable):
+    """(arc set, order) that update_bush should leave on the bush; the bush
+    itself is not modified.  Raises ValueError where update_bush must."""
+    L, _, pmin, _ = oracle_labels(expanded, bush, costs)
+    keep = {a for a in bush.arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
+    adds = set()
+    for a in range(expanded.n_arcs):
+        if not usable[a] or a in bush.arcs:
+            continue
+        t, h = int(expanded.tail[a]), int(expanded.head[a])
+        if not (math.isfinite(L[t]) and math.isfinite(L[h])):
+            continue
+        if L[t] + costs[a] < L[h] and L[t] < L[h]:
+            adds.add(a)
+    new_arcs = keep | adds
+    if new_arcs == bush.arcs:
+        return set(bush.arcs), list(bush.order)
+    try:
+        order = oracle_toposort(expanded, new_arcs, bush.origin)
+    except ValueError:
+        pos = {u: i for i, u in enumerate(bush.order)}
+        adds = {
+            a
+            for a in adds
+            if pos.get(int(expanded.tail[a]), -1) < pos.get(int(expanded.head[a]), -1)
+        }
+        new_arcs = keep | adds
+        order = oracle_toposort(expanded, new_arcs, bush.origin)
+    return new_arcs, order
+
+
+def oracle_wardrop(solver):
+    """Max relative L/U spread over flow-carrying nodes of all the solver's
+    bushes, node by node."""
+    worst = 0.0
+    for bush in solver.bushes:
+        L, U, _, _ = oracle_labels(solver.expanded, bush, solver.cost)
+        for v in bush.order:
+            if v == bush.origin or U[v] <= -math.inf or not math.isfinite(L[v]):
+                continue
+            scale = max(abs(L[v]), 1.0e-12)
+            worst = max(worst, (U[v] - L[v]) / scale)
+    return worst
+
+
+class FullRelabelSolver(BushSolver):
+    """BushSolver whose sweep recomputes all costs, all derivatives and a
+    full scalar label pass after every applied shift."""
+
+    def _equilibrate_bush(self, bush, labels):
+        engine = self.engine
+        eps = self._flow_eps(bush)
+        L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)
+        for v in reversed(bush.order):
+            if pmax[v] < 0 or pmin[v] == pmax[v]:
+                continue
+            if not (math.isfinite(L[v]) and U[v] > -math.inf):
+                continue
+            if U[v] - L[v] <= 0.0:
+                continue
+            min_path, max_path = _trace_segments(self._tail, v, pmin.tolist(), pmax.tolist())
+            if not max_path:
+                continue
+            max_shift = min(float(bush.flow[a]) for a in max_path)
+            if max_shift <= 0.0:
+                continue
+            dx = newton_flow_shift(
+                self.cost,
+                engine.derivatives(self.x),
+                min_path,
+                max_path,
+                max_shift,
+                engine.partner,
+                self.interactions,
+            )
+            applied = self._apply_shift(bush, min_path, max_path, dx)
+            if applied > 0.0:
+                remainder = max_shift - applied
+                if 0.0 < remainder <= eps:
+                    deltas = {a: remainder for a in min_path}
+                    deltas.update({a: -remainder for a in max_path})
+                    df = engine.shift_delta(self.x, deltas)
+                    if df <= 0.0:
+                        for a in min_path:
+                            bush.flow[a] += remainder
+                            self.x[a] += remainder
+                        for a in max_path:
+                            bush.flow[a] -= remainder
+                            self.x[a] -= remainder
+                        self._beckmann += df
+                        if self.record:
+                            self.shift_beckmann.append(self._beckmann)
+                self.cost = engine.costs(self.x)
+                L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)

@@ -1,0 +1,127 @@
+"""The array-native bush hot path agrees bit for bit with the scalar oracles
+of oracles.py on random and overloaded networks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from railplan.equilibrium import (
+    BushSolver,
+    CostEngine,
+    _initial_bush,
+    shortest_longest_labels,
+    update_bush,
+)
+from railplan.network import apply_design
+
+from oracles import FullRelabelSolver, oracle_labels, oracle_update, oracle_wardrop
+from synth import assembled_instance, random_network, random_od
+
+CAPACITY = {"moderate": (2.0e4, 8.0e4), "overloaded": (1.0e3, 5.0e3)}
+
+seeds = st.integers(0, 2**32 - 1)
+loads = st.sampled_from(sorted(CAPACITY))
+electrified_shares = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def instance(seed, load, electrified_share):
+    rng = np.random.default_rng(seed)
+    net = random_network(
+        rng,
+        n_nodes=int(rng.integers(4, 11)),
+        extra_links=int(rng.integers(0, 12)),
+        yard_count=int(rng.integers(0, 4)),
+        capacity_range=CAPACITY[load],
+    )
+    od = random_od(rng, net, pairs=int(rng.integers(1, 6)))
+    expanded, profiles = assembled_instance(net)
+    electrified = {lid for lid in sorted(net.links) if rng.random() < electrified_share}
+    return rng, expanded, profiles, apply_design(expanded, electrified), od
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares, tied_costs=st.booleans())
+def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_share, tied_costs):
+    rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    engine = CostEngine(expanded, profiles, usable)
+    free_flow = engine.costs(np.zeros(expanded.n_arcs))
+    for origin, dests in od.by_origin().items():
+        bush = _initial_bush(expanded, free_flow, engine.usable, origin, dests)
+        for _ in range(4):
+            # few distinct cost values make label ties common
+            if tied_costs:
+                costs = rng.integers(1, 4, expanded.n_arcs).astype(float)
+            else:
+                costs = rng.uniform(0.5, 5.0, expanded.n_arcs)
+            arcs = np.array(sorted(bush.arcs))
+            bush.flow[:] = 0.0
+            bush.flow[arcs] = np.where(rng.random(arcs.size) < 0.6, rng.uniform(0.0, 1.0e4, arcs.size), 0.0)
+
+            got = shortest_longest_labels(expanded, bush, costs)
+            for want, have in zip(oracle_labels(expanded, bush, costs), got):
+                assert want.tolist() == have
+
+            before = set(bush.arcs)
+            want_arcs, want_order = oracle_update(expanded, bush, costs, engine.usable)
+            changed = update_bush(expanded, bush, costs, engine.usable)
+            assert bush.arcs == want_arcs
+            assert bush.order == want_order
+            assert changed == (want_arcs != before)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares)
+def test_incremental_relabel_matches_full_relabel(seed, load, electrified_share):
+    _, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    runs = [
+        cls(expanded, usable, od, profiles, tol=1.0e-10, max_iter=25, record_shift_beckmann=True).solve()
+        for cls in (BushSolver, FullRelabelSolver)
+    ]
+    (state, metrics), (full_state, full_metrics) = runs
+    assert state.x.tolist() == full_state.x.tolist()
+    assert state.cost.tolist() == full_state.cost.tolist()
+    assert metrics.iteration == full_metrics.iteration
+    assert metrics.shift_beckmann == full_metrics.shift_beckmann
+    assert [row[:3] for row in metrics.trace] == [row[:3] for row in full_metrics.trace]
+    assert metrics.relative_gap == full_metrics.relative_gap
+    assert metrics.wardrop_max == full_metrics.wardrop_max
+    # the last row's gap is always computed
+    assert metrics.trace[-1][2] == metrics.relative_gap
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, electrified_share=electrified_shares, iterations=st.integers(1, 4))
+def test_wardrop_spread_matches_oracle_and_stops_above_bound(seed, electrified_share, iterations):
+    _, expanded, profiles, usable, od = instance(seed, "overloaded", electrified_share)
+    solver = BushSolver(expanded, usable, od, profiles, max_iter=iterations)
+    solver.solve()
+    full = oracle_wardrop(solver)
+    assert solver.wardrop_violation() == full
+    for bound in (0.0, 0.5 * full, full):
+        spread = solver.wardrop_violation(bound)
+        if full <= bound:
+            assert spread == full
+        else:
+            assert bound < spread <= full
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares)
+def test_skipped_gap_checks_keep_every_stop_decision(seed, load, electrified_share):
+    # A solve cut at max_iter=j computes the spread and the gap of iteration j
+    # in full, so it tells whether the full stopping rule would stop there.
+    _, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    tol, max_iter = 1.0e-6, 30
+
+    def solve(iterations):
+        return BushSolver(expanded, usable, od, profiles, tol=tol, max_iter=iterations).solve()[1]
+
+    metrics = solve(max_iter)
+    for j in range(1, metrics.iteration + 1):
+        cut = solve(j)
+        stops = cut.relative_gap <= tol and cut.wardrop_max <= tol
+        if j < metrics.iteration:
+            assert not stops
+        else:
+            assert stops or j == max_iter
+            assert (cut.relative_gap, cut.wardrop_max) == (metrics.relative_gap, metrics.wardrop_max)

@@ -62,6 +62,12 @@ def test_od_matrix_validation():
     assert by[0] == [(1, 1.0), (2, 7.0)]
 
 
+@pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf])
+def test_od_matrix_rejects_non_finite_demand(demand):
+    with pytest.raises(ValueError, match="non-finite"):
+        ODMatrix({(0, 1): 5.0, (1, 0): demand})
+
+
 # --- cost engine ---------------------------------------------------------------------
 
 

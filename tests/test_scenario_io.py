@@ -121,6 +121,22 @@ def test_scenario_validation_bounds():
         Scenario(elites=64, population=8).validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_budget_and_tolerance(value):
+    with pytest.raises(ValidationError, match="budget"):
+        Scenario(budget=value).validate()
+    with pytest.raises(ValidationError, match="gap tolerance"):
+        Scenario(gap_tolerance=value).validate()
+
+
+def test_scenario_rejects_max_iterations_below_one(tmp_path):
+    with pytest.raises(ValidationError, match="max_iterations"):
+        Scenario(max_iterations=0).validate()
+    cfg = write_toy(tmp_path, extra_cfg="max_iterations = 0\n")
+    with pytest.raises(ValidationError, match="max_iterations"):
+        load_scenario(cfg)
+
+
 def test_ga_config_mapping():
     s = Scenario(population=12, generations=7, mutation=0.2, workers=3)
     cfg = s.ga_config()
@@ -480,6 +496,13 @@ def test_gap_trace_and_flow_writers(tmp_path):
         trows = list(csv.DictReader(fh))
     assert len(trows) == metrics.iteration
     assert float(trows[-1]["relative_gap"]) == metrics.relative_gap
+    # iterations whose gap was not computed get an empty cell
+    assert [r["relative_gap"] == "" for r in trows] == [gap is None for _, _, gap, _ in metrics.trace]
+
+    metrics.trace = [(1, 2.0, None, 0.1), (2, 1.5, 3.0e-7, 0.2)]
+    write_gap_trace(tmp_path / "trace.csv", metrics)
+    with open(tmp_path / "trace.csv") as fh:
+        assert [r["relative_gap"] for r in csv.DictReader(fh)] == ["", repr(3.0e-7)]
 
 
 # --- cli -----------------------------------------------------------------------------
