@@ -141,9 +141,10 @@ def _cmd_corridors(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_assign(scenario: Scenario, args: argparse.Namespace) -> int:
     ids = scenario_io.load_design(args.design) if args.design else None
     state, metrics = scenario_io.assign_run(scenario, ids, args.out_dir)
+    status = "" if metrics.converged else " (not converged)"
     print(
-        f"equilibrium: gap {metrics.relative_gap:.3e} after {metrics.iteration} iterations, "
-        f"objective {metrics.beckmann:.6e}"
+        f"equilibrium: gap {metrics.relative_gap:.3e}, Wardrop spread {metrics.wardrop_max:.3e} "
+        f"after {metrics.iteration} iterations{status}, objective {metrics.beckmann:.6e}"
     )
     return EXIT_OK
 

@@ -24,6 +24,18 @@ were recomputed after each shift.  After a bush update only added arcs can
 move a label (a dropped arc carried no flow and was no min predecessor), so
 the relabel starts at the earliest head of an added arc.
 
+A shift is safeguarded by its exact objective change: the step is halved
+while that change is positive.  The change is a sum over the segment arcs,
+in segment order, of the fixed cost times the arc's flow change and, for the
+first arc met of each traction pair, the pair's congestion integral at the
+total after the shift minus the integral at the total before it.  Everything
+but the amount moved is gathered once per shift, so a halving only evaluates
+the integrals after.  The result has the bits of summing every term afresh:
+the terms are added in the same order, every power is a scalar libm `pow`
+(a vectorized numpy power can round differently), and the integral before
+is the same expression on the same inputs whether it is evaluated once or
+at every halving.
+
 The relative gap costs one Dijkstra per origin.  It is computed only where
 the Wardrop spread is within tolerance, or on the last iteration; a stop
 needs both within tolerance, so every stop decision is unchanged.
@@ -93,6 +105,8 @@ class GapMetrics:
     beckmann: float
     seconds: float
     wardrop_max: float = math.inf
+    # both the relative gap and the Wardrop spread within tolerance
+    converged: bool = False
     # (iteration, beckmann, relative gap or None where it was not computed, seconds)
     trace: list[tuple[int, float, float | None, float]] = field(default_factory=list)
     shift_beckmann: list[float] = field(default_factory=list)
@@ -190,28 +204,6 @@ class CostEngine:
         b1 = self.beta + 1.0
         congestion = self.kc[d] * (total + total**b1 / (b1 * self.cap[d] ** self.beta))
         return float(congestion.sum() + self.fixed @ x)
-
-    def _pair_integral(self, arc: int, total: float) -> float:
-        b1 = self.beta + 1.0
-        return self.kc[arc] * (total + total**b1 / (b1 * self.cap[arc] ** self.beta))
-
-    def shift_delta(self, x: np.ndarray, deltas: dict[int, float]) -> float:
-        """Exact objective change if arc flows move by `deltas`; O(|deltas|)."""
-        out = 0.0
-        seen_pairs: set[int] = set()
-        for a, da in deltas.items():
-            out += self.fixed[a] * da
-            if not self.is_traction[a]:
-                continue
-            p = int(self.partner[a])
-            key = min(a, p)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            before = x[a] + x[p]
-            after = before + da + deltas.get(p, 0.0)
-            out += self._pair_integral(a, after) - self._pair_integral(a, before)
-        return out
 
 
 # --- shortest paths -----------------------------------------------------------
@@ -542,6 +534,15 @@ class BushSolver:
         self._tail = expanded.tail.tolist()
         self._head = expanded.head.tolist()
         self._partner = self.engine.partner.tolist()
+        # the safeguard's per-arc constants, as Python floats; cap ** beta is
+        # a numpy scalar power, the same libm pow as Python's, but one that
+        # overflows to inf on a huge capacity instead of raising
+        beta = self.engine.beta
+        self._b1 = b1 = beta + 1.0
+        self._fixed = self.engine.fixed.tolist()
+        self._kc = self.engine.kc.tolist()
+        self._scale = [float(b1 * c**beta) for c in self.engine.cap]
+        self._traction = self.engine.is_traction.tolist()
         self.x = np.zeros(expanded.n_arcs)
         self.cost = self.engine.costs(self.x)
         self.shift_beckmann: list[float] = []
@@ -549,6 +550,47 @@ class BushSolver:
 
     def _flow_eps(self, bush: Bush) -> float:
         return 1.0e-12 * max(1.0, bush.demand)
+
+    def _shift_terms(self, min_path: list[int], max_path: list[int]) -> list[tuple]:
+        """The objective change of moving flow from `max_path` to `min_path`,
+        split into its parts that do not depend on the amount moved.
+
+        One term per segment arc, min segment first: (side, fixed cost, pair),
+        side +1 on the min and -1 on the max segment.  pair is None for a
+        switch arc and for the second arc of a traction pair met; otherwise
+        (kc, b1 * cap ** beta, pair total before, integral at that total,
+        side of the partner or 0.0 when it is off the segments).
+        """
+        x = self.x
+        fixed, kc, scale, b1 = self._fixed, self._kc, self._scale, self._b1
+        traction, partner = self._traction, self._partner
+        side = dict.fromkeys(min_path, 1.0)
+        side.update(dict.fromkeys(max_path, -1.0))
+        terms = []
+        met: set[int] = set()
+        for a, s in side.items():
+            pair = None
+            p = partner[a]
+            if traction[a] and p not in met:
+                before = x.item(a) + x.item(p)
+                k, c = kc[a], scale[a]
+                pair = (k, c, before, k * (before + before**b1 / c), side.get(p, 0.0))
+            met.add(a)
+            terms.append((s, fixed[a], pair))
+        return terms
+
+    def _objective_change(self, terms: list[tuple], dx: float) -> float:
+        """Exact objective change of moving dx along the segments of `terms`."""
+        b1 = self._b1
+        out = 0.0
+        for s, f, pair in terms:
+            da = s * dx
+            out += f * da
+            if pair is not None:
+                k, c, before, integral, ps = pair
+                after = before + da + ps * dx
+                out += k * (after + after**b1 / c) - integral
+        return out
 
     def _apply_shift(
         self,
@@ -563,15 +605,12 @@ class BushSolver:
         returns the applied dx (0 when the objective would still rise)."""
         if dx <= 0.0:
             return 0.0
-        deltas = {a: dx for a in min_path}
-        deltas.update({a: -dx for a in max_path})
-        df = self.engine.shift_delta(self.x, deltas)
+        terms = self._shift_terms(min_path, max_path)
+        df = self._objective_change(terms, dx)
         halvings = 0
         while df > 0.0 and halvings < max_halvings:
             dx *= 0.5
-            deltas = {a: dx for a in min_path}
-            deltas.update({a: -dx for a in max_path})
-            df = self.engine.shift_delta(self.x, deltas)
+            df = self._objective_change(terms, dx)
             halvings += 1
         if df > 0.0:
             return 0.0
@@ -718,6 +757,7 @@ class BushSolver:
             beckmann=prev_beckmann,
             seconds=time.perf_counter() - started,
             wardrop_max=wardrop,
+            converged=gap <= self.tol and wardrop <= self.tol,
             trace=trace,
             shift_beckmann=self.shift_beckmann,
         )

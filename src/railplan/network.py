@@ -140,11 +140,12 @@ class RailNetwork:
                 raise ValueError(f"duplicate link id {l.id}")
             if l.tail not in node_map or l.head not in node_map:
                 raise ValueError(f"link {l.id}: dangling endpoint reference")
-            if l.length_km <= 0.0:
-                raise ValueError(f"link {l.id}: nonpositive length")
-            if l.capacity_tpd <= 0.0:
-                raise ValueError(f"link {l.id}: nonpositive capacity")
-            if abs(l.grade) >= 0.1:
+            # written so that NaN fails every test
+            if not 0.0 < l.length_km < math.inf:
+                raise ValueError(f"link {l.id}: nonpositive or non-finite length {l.length_km}")
+            if not 0.0 < l.capacity_tpd < math.inf:
+                raise ValueError(f"link {l.id}: nonpositive or non-finite capacity {l.capacity_tpd}")
+            if not abs(l.grade) < 0.1:
                 raise ValueError(f"link {l.id}: grade {l.grade} out of range")
             link_map[l.id] = l
 
@@ -164,7 +165,7 @@ class RailNetwork:
         for l in link_map.values():
             if l.curve_radius_m is None:
                 l.curve_radius_m = curve_radius_from_alpha(l.alpha, a_lo, a_hi)
-            if l.curve_radius_m <= MIN_CURVE_RADIUS_M:
+            if not l.curve_radius_m > MIN_CURVE_RADIUS_M:  # NaN fails too
                 raise ValueError(
                     f"link {l.id}: curve radius {l.curve_radius_m} m must exceed "
                     f"{MIN_CURVE_RADIUS_M} m"

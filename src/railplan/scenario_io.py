@@ -216,6 +216,13 @@ _SIGNAL_KEYS = {
 _PPI_KEYS = ("ppi_capital", "ppi_operations", "ppi_fuel", "ppi_switching")
 
 
+def _parse_rate(conv, text: str):
+    value = conv(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, ElectrificationRates]:
     """Rates/constants from a key=value file; missing file means defaults.
 
@@ -233,15 +240,15 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
         try:
             if key in _CONSIST_KEYS:
                 attr, conv = _CONSIST_KEYS[key]
-                consist_args[attr] = conv(text)
+                consist_args[attr] = _parse_rate(conv, text)
             elif key in _RATE_KEYS:
-                rate_args[key] = _RATE_KEYS[key](text)
+                rate_args[key] = _parse_rate(_RATE_KEYS[key], text)
             elif key in _ELEC_KEYS:
-                elec_args[key] = _ELEC_KEYS[key](text)
+                elec_args[key] = _parse_rate(_ELEC_KEYS[key], text)
             elif key in _SIGNAL_KEYS:
-                signal[_SIGNAL_KEYS[key]] = float(text)
+                signal[_SIGNAL_KEYS[key]] = _parse_rate(float, text)
             elif key in _PPI_KEYS:
-                ppi[key] = float(text)
+                ppi[key] = _parse_rate(float, text)
             else:
                 raise ValidationError(f"unknown rates key {key!r}")
         except ValueError as exc:

@@ -2,8 +2,9 @@
 
 These are the straightforward forms of the solver's array-native hot path:
 a push-style label pass over `out_arcs`, per-arc keep and add rules for the
-bush update, a node-by-node Wardrop spread, and a sweep that recomputes
-every cost and every label after each flow shift.  The property tests
+bush update, a node-by-node Wardrop spread, a dict-based objective change
+of a flow shift, and a sweep that recomputes every cost and every label
+after each flow shift.  The property tests
 require the solver to agree with them exactly, bit for bit.
 """
 
@@ -106,6 +107,31 @@ def oracle_update(expanded, bush, costs, usable):
     return new_arcs, order
 
 
+def pair_integral(engine, arc, total):
+    """Congestion integral of the traction pair of `arc` at pair total `total`."""
+    b1 = engine.beta + 1.0
+    return engine.kc[arc] * (total + total**b1 / (b1 * engine.cap[arc] ** engine.beta))
+
+
+def shift_delta(engine, x, deltas):
+    """Exact objective change if arc flows move by `deltas` (arc -> change)."""
+    out = 0.0
+    seen_pairs = set()
+    for a, da in deltas.items():
+        out += engine.fixed[a] * da
+        if not engine.is_traction[a]:
+            continue
+        p = int(engine.partner[a])
+        key = min(a, p)
+        if key in seen_pairs:
+            continue
+        seen_pairs.add(key)
+        before = x[a] + x[p]
+        after = before + da + deltas.get(p, 0.0)
+        out += pair_integral(engine, a, after) - pair_integral(engine, a, before)
+    return out
+
+
 def oracle_wardrop(solver):
     """Max relative L/U spread over flow-carrying nodes of all the solver's
     bushes, node by node."""
@@ -122,7 +148,34 @@ def oracle_wardrop(solver):
 
 class FullRelabelSolver(BushSolver):
     """BushSolver whose sweep recomputes all costs, all derivatives and a
-    full scalar label pass after every applied shift."""
+    full scalar label pass after every applied shift, and whose safeguard
+    evaluates the dict-based `shift_delta` at every halving."""
+
+    def _apply_shift(self, bush, min_path, max_path, dx, max_halvings=60):
+        if dx <= 0.0:
+            return 0.0
+        deltas = {a: dx for a in min_path}
+        deltas.update({a: -dx for a in max_path})
+        df = shift_delta(self.engine, self.x, deltas)
+        halvings = 0
+        while df > 0.0 and halvings < max_halvings:
+            dx *= 0.5
+            deltas = {a: dx for a in min_path}
+            deltas.update({a: -dx for a in max_path})
+            df = shift_delta(self.engine, self.x, deltas)
+            halvings += 1
+        if df > 0.0:
+            return 0.0
+        for a in min_path:
+            bush.flow[a] += dx
+            self.x[a] += dx
+        for a in max_path:
+            bush.flow[a] -= dx
+            self.x[a] -= dx
+        self._beckmann += df
+        if self.record:
+            self.shift_beckmann.append(self._beckmann)
+        return dx
 
     def _equilibrate_bush(self, bush, labels):
         engine = self.engine
@@ -154,18 +207,6 @@ class FullRelabelSolver(BushSolver):
             if applied > 0.0:
                 remainder = max_shift - applied
                 if 0.0 < remainder <= eps:
-                    deltas = {a: remainder for a in min_path}
-                    deltas.update({a: -remainder for a in max_path})
-                    df = engine.shift_delta(self.x, deltas)
-                    if df <= 0.0:
-                        for a in min_path:
-                            bush.flow[a] += remainder
-                            self.x[a] += remainder
-                        for a in max_path:
-                            bush.flow[a] -= remainder
-                            self.x[a] -= remainder
-                        self._beckmann += df
-                        if self.record:
-                            self.shift_beckmann.append(self._beckmann)
+                    self._apply_shift(bush, min_path, max_path, remainder, max_halvings=0)
                 self.cost = engine.costs(self.x)
                 L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)

@@ -14,7 +14,13 @@ from railplan.equilibrium import (
 )
 from railplan.network import apply_design
 
-from oracles import FullRelabelSolver, oracle_labels, oracle_update, oracle_wardrop
+from oracles import (
+    FullRelabelSolver,
+    oracle_labels,
+    oracle_update,
+    oracle_wardrop,
+    shift_delta,
+)
 from synth import assembled_instance, random_network, random_od
 
 CAPACITY = {"moderate": (2.0e4, 8.0e4), "overloaded": (1.0e3, 5.0e3)}
@@ -69,6 +75,56 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             assert changed == (want_arcs != before)
 
 
+# where the arcs of one traction pair go: "min"/"max" puts one arc on that
+# segment with its partner off the segments, "same-*" both on one segment,
+# "split" one on each
+PLACEMENTS = ("min", "max", "same-min", "same-max", "split")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    load=loads,
+    placements=st.lists(st.sampled_from(PLACEMENTS), min_size=1, max_size=8),
+    switch_arcs=st.integers(0, 3),
+)
+def test_safeguard_matches_dict_shift_delta(seed, load, placements, switch_arcs):
+    rng, expanded, profiles, usable, od = instance(seed, load, 0.5)
+    solver = BushSolver(expanded, usable, od, profiles)
+    pairs = list(expanded.pair_of.values())
+    rng.shuffle(pairs)
+    min_path, max_path = [], []
+    for placement, pair in zip(placements, pairs):
+        a, p = pair if rng.random() < 0.5 else pair[::-1]
+        if placement in ("min", "same-min", "split"):
+            min_path.append(a)
+        if placement in ("max", "same-max"):
+            max_path.append(a)
+        if placement == "same-min":
+            min_path.append(p)
+        if placement in ("same-max", "split"):
+            max_path.append(p)
+    switches = [a for pair in expanded.switch_arcs_at.values() for a in pair]
+    rng.shuffle(switches)
+    for a in switches[:switch_arcs]:
+        (min_path if rng.random() < 0.5 else max_path).append(a)
+    rng.shuffle(min_path)
+    rng.shuffle(max_path)
+    # flows up to twice the capacity, some arcs empty; dx fits the max segment
+    cap = solver.engine.cap
+    x = np.where(rng.random(expanded.n_arcs) < 0.2, 0.0, rng.uniform(0.0, 2.0, expanded.n_arcs) * cap)
+    solver.x = x
+    room = min((x[a] for a in max_path), default=cap.max())
+    dx = float(rng.uniform(0.0, 1.0) * room)
+
+    terms = solver._shift_terms(min_path, max_path)
+    for _ in range(3):  # dx, dx/2, dx/4: the first halvings of the safeguard
+        deltas = {a: dx for a in min_path}
+        deltas.update({a: -dx for a in max_path})
+        assert solver._objective_change(terms, dx) == shift_delta(solver.engine, x, deltas)
+        dx *= 0.5
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=seeds, load=loads, electrified_share=electrified_shares)
 def test_incremental_relabel_matches_full_relabel(seed, load, electrified_share):
@@ -120,6 +176,7 @@ def test_skipped_gap_checks_keep_every_stop_decision(seed, load, electrified_sha
     for j in range(1, metrics.iteration + 1):
         cut = solve(j)
         stops = cut.relative_gap <= tol and cut.wardrop_max <= tol
+        assert cut.converged == stops
         if j < metrics.iteration:
             assert not stops
         else:

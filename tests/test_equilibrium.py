@@ -130,16 +130,18 @@ def test_beckmann_gradient_is_cost(two_path_net):
 
 
 def test_shift_delta_matches_full_recompute(two_path_net):
+    # the safeguard's objective change of a shift against two full objectives
     expanded, profiles = assembled_instance(two_path_net)
-    engine = CostEngine(expanded, profiles)
+    solver = BushSolver(expanded, None, ODMatrix({}), profiles)
     rng = np.random.default_rng(6)
-    x = rng.uniform(0.0, 2.0e4, size=expanded.n_arcs)
-    deltas = {0: 500.0, 1: -250.0, 4: 125.0, expanded.n_arcs - 1: 60.0}
+    solver.x = x = rng.uniform(0.0, 2.0e4, size=expanded.n_arcs)
+    min_path, max_path, dx = [0, 4], [1, expanded.n_arcs - 1], 250.0
+    terms = solver._shift_terms(min_path, max_path)
     x2 = x.copy()
-    for a, da in deltas.items():
-        x2[a] += da
-    exact = engine.beckmann(x2) - engine.beckmann(x)
-    assert engine.shift_delta(x, deltas) == pytest.approx(exact, rel=1e-9)
+    x2[min_path] += dx
+    x2[max_path] -= dx
+    exact = solver.engine.beckmann(x2) - solver.engine.beckmann(x)
+    assert solver._objective_change(terms, dx) == pytest.approx(exact, rel=1e-9)
 
 
 def test_cost_engine_rejects_mixed_beta(two_path_net):
@@ -392,6 +394,17 @@ def test_zero_demand_and_infeasible():
     usable = apply_design(expanded, set())
     with pytest.raises(InfeasibleAssignmentError):
         solve_equilibrium(expanded, usable, ODMatrix({(1, 0): 5.0e3}), profiles)
+
+
+def test_effectively_uncapacitated_links_solve():
+    # cap ** beta overflows to inf: no congestion, every demand on the
+    # cheapest route, and no OverflowError from the safeguard's constants
+    net = two_path_network(capacity_tpd=1.0e80)
+    expanded, profiles = assembled_instance(net)
+    with np.errstate(over="ignore"):
+        state, metrics = solve_equilibrium(expanded, None, ODMatrix({(0, 1): 2.0e4}), profiles)
+    assert metrics.converged
+    assert math.isfinite(state.beckmann)
 
 
 def test_relative_gap_definition(two_path_net):

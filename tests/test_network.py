@@ -123,6 +123,23 @@ def test_build_rejects_bad_inputs():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("length_km", math.nan, "length"),
+        ("length_km", math.inf, "length"),
+        ("capacity_tpd", math.nan, "capacity"),
+        ("capacity_tpd", math.inf, "capacity"),
+        ("grade", math.nan, "grade"),
+        ("curve_radius_m", math.nan, "radius"),
+    ],
+)
+def test_build_rejects_non_finite_link_inputs(field, value, message):
+    nodes = [Node(0, 40.0, -100.0), Node(1, 40.0, -99.0)]
+    with pytest.raises(ValueError, match=message):
+        RailNetwork.build(nodes, [simple_link(0, **{field: value})])
+
+
 def test_twins_and_reverse_closure(line_net):
     # line pair k: forward 2k, reverse 2k+1
     assert line_net.twins_of(0) == [1]

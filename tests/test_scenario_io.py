@@ -187,6 +187,14 @@ def test_load_rates_rejects_unknown(tmp_path):
         load_rates(f)
 
 
+@pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
+def test_load_rates_rejects_non_finite(tmp_path, line):
+    f = tmp_path / "rates.cfg"
+    f.write_text(line + "\n")
+    with pytest.raises(ValidationError, match="non-finite"):
+        load_rates(f)
+
+
 # --- csv loaders ----------------------------------------------------------------------
 
 
@@ -572,6 +580,24 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")])
     assert rc == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_cli_assign_reports_spread_and_non_convergence(tmp_path, capsys):
+    # a short direct link of low capacity next to the two-link route: one
+    # iteration leaves the two routes far apart in cost
+    cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
+    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "o1")])
+    out = capsys.readouterr().out
+    assert rc == 0  # the exit code does not depend on convergence
+    assert "Wardrop spread" in out
+    assert "after 1 iterations (not converged)" in out
+
+    cfg.write_text(SCENARIO_CFG)
+    rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "o2")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "Wardrop spread" in out and "not converged" not in out
 
 
 def test_cli_seed_and_tol_overrides(tmp_path):
