@@ -9,6 +9,7 @@ Fitness is the total system cost of the resulting user equilibrium.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -19,6 +20,7 @@ from .corridors import Corridor
 from .costmodel import LinkCostProfile
 from .equilibrium import (
     FlowState,
+    GapMetrics,
     InfeasibleAssignmentError,
     ODMatrix,
     solve_equilibrium,
@@ -69,11 +71,28 @@ class EvaluatedDesign:
     gap: float
     budget_used: float
     electrified_km: float
+    converged: bool  # the equilibrium met its gap and Wardrop tolerances
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One solve of a design: its scalars, flows and solver metrics."""
+
+    evaluated: EvaluatedDesign
+    state: FlowState
+    metrics: GapMetrics
 
 
 @dataclass
 class DesignProblem:
-    """Everything fitness needs, plus memoization of solved genomes."""
+    """Everything fitness needs, plus memoization of solved genomes.
+
+    The cache keeps the scalars of every solved design.  Full solutions are
+    kept for two designs only: the all-diesel one, and the best one solved
+    while `generation` is set.  Best is the least (total cost, generation,
+    bits), which is the design `evolve` returns: the cheapest, from the first
+    generation that has it, the lowest genome among its ties there.
+    """
 
     expanded: ExpandedNetwork
     profiles: dict[int, LinkCostProfile]
@@ -84,8 +103,12 @@ class DesignProblem:
     tol: float = 1.0e-6
     max_iter: int = 500
     interactions: bool = True
+    generation: int | None = None  # the GA generation being evaluated
     _cache: dict[Bits, EvaluatedDesign] = field(default_factory=dict, repr=False)
-    _baseline_flows: FlowState | None = field(default=None, repr=False)
+    _baseline: Solution | None = field(default=None, repr=False)
+    _best: Solution | None = field(default=None, repr=False)
+    _best_key: tuple | None = field(default=None, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def _check(self, bits: Bits) -> None:
         if len(bits) != len(self.corridors):
@@ -117,6 +140,19 @@ class DesignProblem:
         hit = self._cache.get(bits)
         if hit is not None:
             return hit
+        solution = self._solve(bits)
+        result = solution.evaluated
+        self._cache[bits] = result
+        with self._lock:  # evaluate runs on worker threads
+            if not any(bits):
+                self._baseline = solution
+            if self.generation is not None:
+                key = (result.total_cost, self.generation, bits)
+                if self._best_key is None or key < self._best_key:
+                    self._best, self._best_key = solution, key
+        return result
+
+    def _solve(self, bits: Bits) -> Solution:
         usable = apply_design(self.expanded, self.electrified_links(bits))
         state, metrics = solve_equilibrium(
             self.expanded,
@@ -134,29 +170,33 @@ class DesignProblem:
             gap=metrics.relative_gap,
             budget_used=self.union_cost(bits),
             electrified_km=self.electrified_km(bits),
+            converged=metrics.converged,
         )
-        self._cache[bits] = result
-        return result
+        return Solution(result, state, metrics)
+
+    @property
+    def solved(self) -> list[EvaluatedDesign]:
+        """Every design solved so far, once each."""
+        return list(self._cache.values())
 
     def baseline(self) -> EvaluatedDesign:
         """All-diesel reference equilibrium."""
         return self.evaluate(tuple([0] * len(self.corridors)))
 
     def baseline_state(self) -> FlowState:
-        """All-diesel flow state; solved once (evaluate keeps only scalars)."""
-        if self._baseline_flows is None:
-            usable = apply_design(self.expanded, set())
-            state, _ = solve_equilibrium(
-                self.expanded,
-                usable,
-                self.od,
-                self.profiles,
-                tol=self.tol,
-                max_iter=self.max_iter,
-                interactions=self.interactions,
-            )
-            self._baseline_flows = state
-        return self._baseline_flows
+        """All-diesel flow state."""
+        self.baseline()
+        return self._baseline.state
+
+    def solution(self, bits: Bits) -> Solution:
+        """Full solution of a design: the kept one for the all-diesel and the
+        best design, otherwise a fresh solve, which is not kept."""
+        bits = tuple(bits)
+        for kept in (self._best, self._baseline):
+            if kept is not None and kept.evaluated.design.bits == bits:
+                return kept
+        self._check(bits)
+        return self._solve(bits)
 
 
 def electric_tonnage_share(expanded: ExpandedNetwork, state: FlowState) -> float:
@@ -308,7 +348,9 @@ def evolve(
     history: list[tuple[int, float, float, float, float]] = []
     best: EvaluatedDesign | None = None
     for gen in range(config.generations + 1):
+        problem.generation = gen
         evals = _evaluate_all(genomes, problem, config.workers)
+        problem.generation = None
         ranked = sorted(range(len(genomes)), key=lambda i: (evals[i].total_cost, genomes[i]))
         gen_best = evals[ranked[0]]
         if best is None or gen_best.total_cost < best.total_cost:

@@ -36,6 +36,17 @@ the terms are added in the same order, every power is a scalar libm `pow`
 is the same expression on the same inputs whether it is evaluated once or
 at every halving.
 
+Numerically dead flow is drained instead: when a segment pair's bottleneck
+flow is at or below the bush's flow eps (1e-12 of its demand) and the max
+segment costs more, that flow moves whole, without the safeguard, and so
+does the remainder an accepted shift leaves on the bottleneck.  Moving so
+little flow can leave every pair total as it was, so the exact change is
+rounding noise plus the fixed-cost terms, and it can stay positive at every
+halving; the flow would then never leave the dearer segment, and the
+Wardrop spread, which counts any flow above 0, would never close.  To first
+order the change is -diff * dx, with diff > 0 the segment cost difference,
+so that is the change booked, and the recorded objective never rises.
+
 The relative gap costs one Dijkstra per origin.  It is computed only where
 the Wardrop spread is within tolerance, or on the last iteration; a stop
 needs both within tolerance, so every stop decision is unchanged.
@@ -543,6 +554,12 @@ class BushSolver:
         self._kc = self.engine.kc.tolist()
         self._scale = [float(b1 * c**beta) for c in self.engine.cap]
         self._traction = self.engine.is_traction.tolist()
+        # no pair total exceeds the total demand, and the safeguard raises
+        # its totals to b1 on Python floats, which raise OverflowError
+        try:
+            od.total**b1
+        except OverflowError:
+            raise ValueError(f"total demand {od.total:.3e} t/day overflows the objective") from None
         self.x = np.zeros(expanded.n_arcs)
         self.cost = self.engine.costs(self.x)
         self.shift_beckmann: list[float] = []
@@ -593,27 +610,42 @@ class BushSolver:
         return out
 
     def _apply_shift(
-        self,
-        bush: Bush,
-        min_path: list[int],
-        max_path: list[int],
-        dx: float,
-        max_halvings: int = 60,
+        self, bush: Bush, min_path: list[int], max_path: list[int], dx: float
     ) -> float:
-        """Move dx from the max to the min segment, halving it up to
-        `max_halvings` times while the exact objective change is positive;
-        returns the applied dx (0 when the objective would still rise)."""
+        """Move dx from the max to the min segment, halving it up to 60 times
+        while the exact objective change is positive; returns the applied dx
+        (0 when the objective would still rise)."""
         if dx <= 0.0:
             return 0.0
         terms = self._shift_terms(min_path, max_path)
         df = self._objective_change(terms, dx)
         halvings = 0
-        while df > 0.0 and halvings < max_halvings:
+        while df > 0.0 and halvings < 60:
             dx *= 0.5
             df = self._objective_change(terms, dx)
             halvings += 1
         if df > 0.0:
             return 0.0
+        self._move(bush, min_path, max_path, dx, df)
+        return dx
+
+    def _drain(self, bush: Bush, min_path: list[int], max_path: list[int], dx: float) -> bool:
+        """Move numerically dead flow dx (at most the bush's flow eps) from
+        the max to the min segment whole, without the safeguard, and book
+        the first-order objective change -diff * dx; returns False, with
+        nothing moved, unless dx > 0 and the max segment costs more."""
+        if dx <= 0.0:
+            return False
+        diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
+        if diff <= 0.0:
+            return False
+        self._move(bush, min_path, max_path, dx, -diff * dx)
+        return True
+
+    def _move(
+        self, bush: Bush, min_path: list[int], max_path: list[int], dx: float, df: float
+    ) -> None:
+        """Move dx from the max to the min segment and book df."""
         for a in min_path:
             bush.flow[a] += dx
             self.x[a] += dx
@@ -623,7 +655,6 @@ class BushSolver:
         self._beckmann += df
         if self.record:
             self.shift_beckmann.append(self._beckmann)
-        return dx
 
     def _equilibrate_bush(self, bush: Bush, labels: Labels) -> None:
         """One sweep over the bush in reverse topological order, at most one
@@ -656,28 +687,31 @@ class BushSolver:
             if max_shift <= 0.0:
                 continue
             segments = min_path + max_path
-            derivs = dict(zip(segments, engine.derivatives(self.x, np.array(segments)).tolist()))
-            dx = newton_flow_shift(
-                self.cost,
-                derivs,
-                min_path,
-                max_path,
-                max_shift,
-                engine.partner,
-                self.interactions,
-            )
-            applied = self._apply_shift(bush, min_path, max_path, dx)
-            if applied > 0.0:
-                remainder = max_shift - applied
-                if 0.0 < remainder <= eps:
-                    # drain the numerically dead residual so max labels close
-                    self._apply_shift(bush, min_path, max_path, remainder, max_halvings=0)
-                touched = segments + [partner[a] for a in segments]
-                self.cost[touched] = engine.costs(self.x, np.array(touched))
-                if pos is None:
-                    pos = {u: k for k, u in enumerate(order)}
-                first = min(pos[head[a]] for a in touched if a in bush.arcs)
-                shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
+            if max_shift <= eps:
+                if not self._drain(bush, min_path, max_path, max_shift):
+                    continue
+            else:
+                derivs = dict(zip(segments, engine.derivatives(self.x, np.array(segments)).tolist()))
+                dx = newton_flow_shift(
+                    self.cost,
+                    derivs,
+                    min_path,
+                    max_path,
+                    max_shift,
+                    engine.partner,
+                    self.interactions,
+                )
+                applied = self._apply_shift(bush, min_path, max_path, dx)
+                if applied <= 0.0:
+                    continue
+                if max_shift - applied <= eps:
+                    self._drain(bush, min_path, max_path, max_shift - applied)
+            touched = segments + [partner[a] for a in segments]
+            self.cost[touched] = engine.costs(self.x, np.array(touched))
+            if pos is None:
+                pos = {u: k for k, u in enumerate(order)}
+            first = min(pos[head[a]] for a in touched if a in bush.arcs)
+            shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
 
     def wardrop_violation(self, bound: float = math.inf) -> float:
         """Max relative L/U spread over flow-carrying nodes, all bushes.

@@ -637,6 +637,8 @@ class RunReport:
     tonnage_share: float
     selected_corridors: tuple[int, ...]
     gap: float
+    solves: int  # distinct designs solved in the run
+    unconverged_solves: int
 
 
 def _candidate_km(assembled: Assembled) -> float:
@@ -649,6 +651,7 @@ def summarize_design(assembled: Assembled, bits: design.Bits) -> RunReport:
     baseline = problem.baseline()
     best = problem.evaluate(bits)
     candidate_km = _candidate_km(assembled)
+    solved = problem.solved
     return RunReport(
         scenario={f.name: getattr(assembled.scenario, f.name) for f in dataclasses.fields(Scenario)},
         baseline_cost=baseline.total_cost,
@@ -662,6 +665,8 @@ def summarize_design(assembled: Assembled, bits: design.Bits) -> RunReport:
         tonnage_share=best.electric_share,
         selected_corridors=best.design.selected,
         gap=best.gap,
+        solves=len(solved),
+        unconverged_solves=sum(not e.converged for e in solved),
     )
 
 
@@ -681,22 +686,13 @@ def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
         save_corridors(out / "corridors.csv", assembled.corridors)
         write_generations(out / "generations.csv", history)
         write_design(out / "best_design.csv", best.design.selected)
-        usable = apply_design(assembled.expanded, problem.electrified_links(best.design.bits))
-        state, metrics = solve_equilibrium(
-            assembled.expanded,
-            usable,
-            assembled.od,
-            assembled.profiles,
-            tol=scenario.gap_tolerance,
-            max_iter=scenario.max_iterations,
-            interactions=scenario.newton_interactions,
-        )
-        write_flows(out / "flows.csv", assembled.expanded, state)
-        write_gap_trace(out / "gap_trace.csv", metrics)
+        solution = problem.solution(best.design.bits)
+        write_flows(out / "flows.csv", assembled.expanded, solution.state)
+        write_gap_trace(out / "gap_trace.csv", solution.metrics)
         emit_geojson(
             problem.electrified_links(best.design.bits),
             assembled.network,
-            state.physical_flows(assembled.expanded),
+            solution.state.physical_flows(assembled.expanded),
             out / "electrified.geojson",
         )
         write_report(report, out)
@@ -716,6 +712,7 @@ def format_report(report: RunReport) -> str:
         f"  tonnage share:     {100.0 * report.tonnage_share:.1f}%",
         f"  corridors:         {list(report.selected_corridors)}",
         f"  equilibrium gap:   {report.gap:.2e}",
+        f"  unconverged equilibrium solves: {report.unconverged_solves} of {report.solves}",
     ]
     return "\n".join(lines)
 

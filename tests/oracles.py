@@ -4,7 +4,7 @@ These are the straightforward forms of the solver's array-native hot path:
 a push-style label pass over `out_arcs`, per-arc keep and add rules for the
 bush update, a node-by-node Wardrop spread, a dict-based objective change
 of a flow shift, and a sweep that recomputes every cost and every label
-after each flow shift.  The property tests
+after each flow shift or drain.  The property tests
 require the solver to agree with them exactly, bit for bit.
 """
 
@@ -149,16 +149,17 @@ def oracle_wardrop(solver):
 class FullRelabelSolver(BushSolver):
     """BushSolver whose sweep recomputes all costs, all derivatives and a
     full scalar label pass after every applied shift, and whose safeguard
-    evaluates the dict-based `shift_delta` at every halving."""
+    evaluates the dict-based `shift_delta` at every halving.  Flow at or
+    below the bush's flow eps is drained whole, booked at -diff * dx."""
 
-    def _apply_shift(self, bush, min_path, max_path, dx, max_halvings=60):
+    def _apply_shift(self, bush, min_path, max_path, dx):
         if dx <= 0.0:
             return 0.0
         deltas = {a: dx for a in min_path}
         deltas.update({a: -dx for a in max_path})
         df = shift_delta(self.engine, self.x, deltas)
         halvings = 0
-        while df > 0.0 and halvings < max_halvings:
+        while df > 0.0 and halvings < 60:
             dx *= 0.5
             deltas = {a: dx for a in min_path}
             deltas.update({a: -dx for a in max_path})
@@ -177,6 +178,21 @@ class FullRelabelSolver(BushSolver):
             self.shift_beckmann.append(self._beckmann)
         return dx
 
+    def _drain(self, bush, min_path, max_path, dx):
+        diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
+        if dx <= 0.0 or diff <= 0.0:
+            return False
+        for a in min_path:
+            bush.flow[a] += dx
+            self.x[a] += dx
+        for a in max_path:
+            bush.flow[a] -= dx
+            self.x[a] -= dx
+        self._beckmann += -diff * dx
+        if self.record:
+            self.shift_beckmann.append(self._beckmann)
+        return True
+
     def _equilibrate_bush(self, bush, labels):
         engine = self.engine
         eps = self._flow_eps(bush)
@@ -194,19 +210,24 @@ class FullRelabelSolver(BushSolver):
             max_shift = min(float(bush.flow[a]) for a in max_path)
             if max_shift <= 0.0:
                 continue
-            dx = newton_flow_shift(
-                self.cost,
-                engine.derivatives(self.x),
-                min_path,
-                max_path,
-                max_shift,
-                engine.partner,
-                self.interactions,
-            )
-            applied = self._apply_shift(bush, min_path, max_path, dx)
-            if applied > 0.0:
+            if max_shift <= eps:
+                if not self._drain(bush, min_path, max_path, max_shift):
+                    continue
+            else:
+                dx = newton_flow_shift(
+                    self.cost,
+                    engine.derivatives(self.x),
+                    min_path,
+                    max_path,
+                    max_shift,
+                    engine.partner,
+                    self.interactions,
+                )
+                applied = self._apply_shift(bush, min_path, max_path, dx)
+                if applied <= 0.0:
+                    continue
                 remainder = max_shift - applied
                 if 0.0 < remainder <= eps:
-                    self._apply_shift(bush, min_path, max_path, remainder, max_halvings=0)
-                self.cost = engine.costs(self.x)
-                L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)
+                    self._drain(bush, min_path, max_path, remainder)
+            self.cost = engine.costs(self.x)
+            L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)

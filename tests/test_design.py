@@ -26,7 +26,7 @@ from railplan.design import (
     seed_population,
 )
 from railplan.equilibrium import FlowState, ODMatrix
-from railplan.network import Node, PhysicalLink, RailNetwork, expand
+from railplan.network import Node, PhysicalLink, RailNetwork, apply_design, expand
 
 from synth import grid3x3_network, line_network
 
@@ -243,6 +243,46 @@ def test_evolve_reaches_brute_force_optimum():
     best_costs = [row[1] for row in history]
     assert all(a >= b for a, b in zip(best_costs, best_costs[1:]))
     assert problem.union_cost(best.design.bits) <= problem.budget
+
+
+@pytest.mark.parametrize("electric_fuel", [None, 1.0])
+def test_each_design_solved_once_and_winner_kept(monkeypatch, electric_fuel):
+    # at 1 $/J electric traction is never used, so every design ties with
+    # the all-diesel one and the winner is decided by the GA's tie rule
+    import railplan.design as design_module
+
+    net = line_network(n_nodes=5, yards=(0, 1, 2, 3, 4))
+    rates = RateTable() if electric_fuel is None else RateTable(fuel_cost_electric=electric_fuel)
+    problem = build_problem(net, ODMatrix({(0, 4): 4.0e4, (1, 3): 1.0e4}), budget=1.0, rates=rates)
+    problem.budget = 0.5 * sum(c.cost_usd for c in problem.corridors)
+    solve = design_module.solve_equilibrium
+    solves = []
+    monkeypatch.setattr(design_module, "solve_equilibrium",
+                        lambda *args, **kwargs: solves.append(args[1]) or solve(*args, **kwargs))
+    config = GAConfig(population=8, generations=6, seed=3)
+    rng = np.random.default_rng(3)
+    best, _ = evolve(seed_population(config, problem, rng), config, problem, rng)
+    assert any(best.design.bits)  # the winner is not the all-diesel design
+    if electric_fuel is not None:
+        assert len({e.total_cost for e in problem.solved}) == 1
+    assert len(solves) == len(problem.solved)
+
+    winner = problem.solution(best.design.bits)
+    baseline = problem.solution((0,) * len(problem.corridors))
+    assert len(solves) == len(problem.solved)  # both were kept
+    assert winner.evaluated == best
+    assert baseline.evaluated == problem.baseline()
+    assert problem.baseline_state() is baseline.state
+    usable = apply_design(problem.expanded, problem.electrified_links(best.design.bits))
+    state, metrics = solve(problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol)
+    assert winner.state.x.tolist() == state.x.tolist()
+    assert [row[:3] for row in winner.metrics.trace] == [row[:3] for row in metrics.trace]
+
+    # any other design is solved afresh, to the same numbers
+    kept = (best.design.bits, baseline.evaluated.design.bits)
+    other = next(e for e in problem.solved if e.design.bits not in kept)
+    assert problem.solution(other.design.bits).evaluated == other
+    assert len(solves) == len(problem.solved) + 1
 
 
 def test_evolve_parallel_matches_serial():

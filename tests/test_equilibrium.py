@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from railplan.costmodel import RateTable, build_profiles, yard_switch_costs
 from railplan.equilibrium import (
+    Bush,
     BushSolver,
     CostEngine,
     InfeasibleAssignmentError,
@@ -20,6 +21,7 @@ from railplan.equilibrium import (
     shortest_longest_labels,
     solve_equilibrium,
     update_bush,
+    _toposort,
 )
 from railplan.network import (
     ArcKind,
@@ -442,6 +444,66 @@ def test_shift_objective_never_increases():
     assert len(seq) > 1
     rises = np.diff(seq)
     assert rises.max() <= 1e-12 * max(1.0, np.abs(seq).max())
+
+
+def test_dead_flow_on_dearer_segment_is_drained_in_one_sweep():
+    # The dogleg burns less fuel than the direct link but is dearer through
+    # congestion that other origins' flow causes.  This bush keeps 1e-13
+    # t/day on it: adding that to either pair total leaves the total as it
+    # is, so the exact objective change of moving it is the fuel part alone,
+    # which is positive at every halving.  It is drained whole instead.
+    net = two_path_network(capacity_tpd=5.0e3, long_km=95.0, short_km=45.0)
+    expanded, profiles = assembled_instance(net)
+    demand = 1.0e4
+    solver = BushSolver(expanded, apply_design(expanded, set()), ODMatrix({(0, 1): demand}),
+                        profiles, record_shift_beckmann=True)
+    direct = expanded.pair_of[0][0]
+    dogleg = [expanded.pair_of[2][0], expanded.pair_of[4][0]]
+    origin = expanded.diesel_node(0)
+    arcs = np.array(sorted([direct, *dogleg]))
+    flow = np.zeros(expanded.n_arcs)
+    flow[direct] = demand  # demand - 1e-13 rounds to demand
+    flow[dogleg] = 1.0e-13
+    bush = Bush(origin=origin, arcs=set(), order=[], flow=flow, demand=demand)
+    bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, origin))
+    solver.bushes = [bush]
+    solver.x = flow.copy()
+    solver.x[dogleg] += 1.5e4  # other origins' flow
+    solver.cost = solver.engine.costs(solver.x)
+    solver._beckmann = solver.engine.beckmann(solver.x)
+    solver.shift_beckmann = [solver._beckmann]
+    assert solver.engine.fixed[dogleg].sum() < solver.engine.fixed[direct]
+    assert solver.cost[dogleg].sum() > solver.cost[direct]
+
+    solver._equilibrate_bush(bush, shortest_longest_labels(expanded, bush, solver.cost))
+    assert bush.flow[dogleg].tolist() == [0.0, 0.0]
+    assert solver.x[dogleg].tolist() == [1.5e4, 1.5e4]
+    seq = solver.shift_beckmann
+    assert len(seq) == 2 and seq[1] <= seq[0]
+    assert solver.wardrop_violation() == 0.0
+
+
+def test_congested_instance_converges():
+    # the congested 50-node instance (138 links, 40 OD pairs): numerically
+    # dead flow on a dearer segment used to hold the Wardrop spread at 8.5e-2
+    # until max_iter
+    rng = np.random.default_rng(1)
+    net = random_network(rng, n_nodes=50, extra_links=40, yard_count=2,
+                         capacity_range=(1.0e4, 4.0e4))
+    od = random_od(rng, net, pairs=40)
+    expanded, profiles = assembled_instance(net)
+    _, metrics = solve_equilibrium(expanded, apply_design(expanded, set()), od, profiles,
+                                   tol=1.0e-6, max_iter=500)
+    assert len(net.links) == 138
+    assert metrics.converged
+    assert metrics.iteration < 500
+
+
+def test_overflowing_total_demand_is_rejected():
+    net = two_path_network()
+    expanded, profiles = assembled_instance(net)
+    with pytest.raises(ValueError, match="overflows"):
+        BushSolver(expanded, None, ODMatrix({(0, 1): 1.0e70}), profiles)
 
 
 # --- jacobian -----------------------------------------------------------------------

@@ -440,6 +440,22 @@ def test_optimize_run_artifacts(tmp_path):
     assert float(metrics["roi"]) == pytest.approx(report.roi, rel=1e-12)
 
 
+def test_report_counts_unconverged_solves(tmp_path):
+    cfg = write_toy(tmp_path)
+    report = optimize_run(load_scenario(cfg), tmp_path / "ok")
+    assert (report.unconverged_solves, report.solves) == (0, 2)
+    assert "unconverged equilibrium solves: 0 of 2" in (tmp_path / "ok" / "report.txt").read_text()
+
+    # one iteration cannot balance the short link against the two-link route
+    cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
+    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    report = optimize_run(load_scenario(cfg), tmp_path / "cut")
+    assert report.solves >= 2
+    assert report.unconverged_solves == report.solves
+    text = (tmp_path / "cut" / "report.txt").read_text()
+    assert f"unconverged equilibrium solves: {report.solves} of {report.solves}" in text
+
+
 def test_summarize_design_shares(tmp_path):
     cfg = write_toy(tmp_path)
     bundle = assemble(load_scenario(cfg))
@@ -598,6 +614,14 @@ def test_cli_assign_reports_spread_and_non_convergence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "Wardrop spread" in out and "not converged" not in out
+
+
+def test_cli_rejects_overflowing_demand(tmp_path, capsys):
+    cfg = write_toy(tmp_path, od_csv="origin,destination,tons_per_day\n0,2,1e70\n")
+    rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
 
 
 def test_cli_seed_and_tol_overrides(tmp_path):
