@@ -25,7 +25,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
     parser.add_argument("--tol", type=float, default=None, help="override equilibrium gap tolerance")
     parser.add_argument("--out-dir", default="out", help="artifact directory")
-    parser.add_argument("--threads", type=int, default=None, help="fitness evaluation workers")
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -34,8 +33,6 @@ def _load(args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, seed=args.seed)
     if args.tol is not None:
         scenario = replace(scenario, gap_tolerance=args.tol)
-    if getattr(args, "threads", None) is not None:
-        scenario = replace(scenario, workers=args.threads)
     scenario.validate()
     return scenario
 
@@ -149,9 +146,18 @@ def _cmd_assign(scenario: Scenario, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _warn_unconverged(reports: list[scenario_io.RunReport]) -> None:
+    """One stderr line when any equilibrium solve of the run did not converge."""
+    k = sum(r.unconverged_solves for r in reports)
+    if k:
+        n = sum(r.solves for r in reports)
+        print(f"warning: {k} of {n} equilibrium solves did not converge", file=sys.stderr)
+
+
 def _cmd_optimize(scenario: Scenario, args: argparse.Namespace) -> int:
     report = scenario_io.optimize_run(scenario, args.out_dir)
     print(scenario_io.format_report(report))
+    _warn_unconverged([report])
     return EXIT_OK
 
 
@@ -160,13 +166,14 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --values: {exc}") from exc
-    _, rows = scenario_io.sweep(scenario, args.axis, values, args.out_dir)
+    reports, rows = scenario_io.sweep(scenario, args.axis, values, args.out_dir)
     for row in rows:
         print(
             f"{row.axis}={row.value:g}: cost {row.best_cost:.6e}, "
             f"{len(row.selected)} corridors, +{len(row.added_vs_base)} "
             f"-{len(row.removed_vs_base)} vs base"
         )
+    _warn_unconverged(reports)
     return EXIT_OK
 
 
@@ -177,6 +184,7 @@ def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
     report = scenario_io.summarize_design(assembled, bits)
     scenario_io.write_report(report, args.out_dir)
     print(scenario_io.format_report(report))
+    _warn_unconverged([report])
     return EXIT_OK
 
 

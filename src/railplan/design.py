@@ -4,13 +4,19 @@ A design is a bit per candidate corridor.  Capital is charged on the union
 of member links (shared links once); electrifying a corridor also energizes
 reverse twin links, since the wire over a track serves both directions.
 Fitness is the total system cost of the resulting user equilibrium.
+
+A design only makes electric arcs usable on top of the all-diesel network,
+so every design's solve starts from the all-diesel equilibrium: when those
+flows still pass the relative-gap test with the design's arcs usable, they
+are the design's equilibrium and no iteration runs (see `solve_equilibrium`).
+Where electric traction does not pay, that is nearly every design.  The
+all-diesel design is therefore solved before any other, whatever order the
+designs come in, so a design's fitness does not depend on it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -59,7 +65,6 @@ class GAConfig:
     mutation: float | None = None  # default 1/len(corridors)
     elites: int = 2
     seed: int = 0
-    workers: int = 1
     greedy_fraction: float = 0.5
 
 
@@ -108,7 +113,6 @@ class DesignProblem:
     _baseline: Solution | None = field(default=None, repr=False)
     _best: Solution | None = field(default=None, repr=False)
     _best_key: tuple | None = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def _check(self, bits: Bits) -> None:
         if len(bits) != len(self.corridors):
@@ -143,16 +147,22 @@ class DesignProblem:
         solution = self._solve(bits)
         result = solution.evaluated
         self._cache[bits] = result
-        with self._lock:  # evaluate runs on worker threads
-            if not any(bits):
-                self._baseline = solution
-            if self.generation is not None:
-                key = (result.total_cost, self.generation, bits)
-                if self._best_key is None or key < self._best_key:
-                    self._best, self._best_key = solution, key
+        if not any(bits):
+            self._baseline = solution
+        if self.generation is not None:
+            key = (result.total_cost, self.generation, bits)
+            if self._best_key is None or key < self._best_key:
+                self._best, self._best_key = solution, key
         return result
 
     def _solve(self, bits: Bits) -> Solution:
+        """Solve a design, starting from the all-diesel equilibrium (module
+        docstring), which is solved first when it is not kept yet."""
+        start = None
+        if any(bits):
+            if self._baseline is None:
+                self.baseline()
+            start = (self._baseline.state, self._baseline.metrics)
         usable = apply_design(self.expanded, self.electrified_links(bits))
         state, metrics = solve_equilibrium(
             self.expanded,
@@ -162,6 +172,7 @@ class DesignProblem:
             tol=self.tol,
             max_iter=self.max_iter,
             interactions=self.interactions,
+            start=start,
         )
         result = EvaluatedDesign(
             design=DesignVector(bits),
@@ -201,12 +212,14 @@ class DesignProblem:
 
 def electric_tonnage_share(expanded: ExpandedNetwork, state: FlowState) -> float:
     """Electric tonnage-km over total traction tonnage-km."""
+    x = state.x.tolist()
+    length_km = expanded.arc_length_km.tolist()
     moved = 0.0
     electric = 0.0
     for arc in expanded.arcs:
         if arc.kind is ArcKind.SWITCH:
             continue
-        tkm = float(state.x[arc.id]) * expanded.arc_length_km[arc.id]
+        tkm = x[arc.id] * length_km[arc.id]
         moved += tkm
         if arc.kind is ArcKind.ELECTRIC:
             electric += tkm
@@ -313,14 +326,9 @@ def seed_population(
     return population
 
 
-def _evaluate_all(genomes: list[Bits], problem: DesignProblem, workers: int) -> list[EvaluatedDesign]:
-    distinct = list({g: None for g in genomes})
-    pending = [g for g in distinct if g not in problem._cache]
-    if workers > 1 and len(pending) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(problem.evaluate, pending))
-    else:
-        for g in pending:
+def _evaluate_all(genomes: list[Bits], problem: DesignProblem) -> list[EvaluatedDesign]:
+    for g in dict.fromkeys(genomes):
+        if g not in problem._cache:
             problem.evaluate(g)
     return [problem.evaluate(g) for g in genomes]
 
@@ -349,7 +357,7 @@ def evolve(
     best: EvaluatedDesign | None = None
     for gen in range(config.generations + 1):
         problem.generation = gen
-        evals = _evaluate_all(genomes, problem, config.workers)
+        evals = _evaluate_all(genomes, problem)
         problem.generation = None
         ranked = sorted(range(len(genomes)), key=lambda i: (evals[i].total_cost, genomes[i]))
         gen_best = evals[ranked[0]]

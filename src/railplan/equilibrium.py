@@ -50,6 +50,17 @@ so that is the change booked, and the recorded objective never rises.
 The relative gap costs one Dijkstra per origin.  It is computed only where
 the Wardrop spread is within tolerance, or on the last iteration; a stop
 needs both within tolerance, so every stop decision is unchanged.
+
+A solve can be given a `start`: a converged equilibrium of the same demand on
+a network with fewer usable arcs, such as the all-diesel one for a design.
+If all the start's flow rides arcs usable here, its bushes are bushes here,
+at the same costs, so their Wardrop spread stands; only the relative gap can
+grow, since new arcs can shorten paths.  The start's flows are returned at
+iteration 0 when its spread is within this solve's tolerance and its gap,
+recomputed with this network's usable arcs, is too: they then meet the
+stopping rule of this solve.  Otherwise the solve runs cold, exactly as
+without a start.  A start that did not converge at this tolerance fails
+one of the two tests: the gap here is never below the gap it stopped at.
 """
 
 from __future__ import annotations
@@ -533,8 +544,10 @@ class BushSolver:
         max_iter: int = 500,
         interactions: bool = True,
         record_shift_beckmann: bool = False,
+        start: tuple[FlowState, GapMetrics] | None = None,
     ):
         self.expanded = expanded
+        self.start = start
         self.engine = CostEngine(expanded, profiles, usable)
         self.od = od
         self.tol = tol
@@ -733,8 +746,34 @@ class BushSolver:
                 break
         return worst
 
+    def _screen(self, started: float) -> tuple[FlowState, GapMetrics] | None:
+        """The start's flows at iteration 0 when they meet this solve's
+        stopping rule (module docstring), else None."""
+        state, metrics = self.start
+        usable = self.engine.usable
+        if metrics.wardrop_max > self.tol or np.any(state.x[~usable] > 0.0):
+            return None
+        cost = self.engine.costs(state.x)
+        gap = relative_gap(self.expanded, usable, cost, state.x, self.od)
+        if gap > self.tol:
+            return None
+        seconds = time.perf_counter() - started
+        return FlowState(x=state.x.copy(), cost=cost, beckmann=metrics.beckmann), GapMetrics(
+            relative_gap=gap,
+            iteration=0,
+            beckmann=metrics.beckmann,
+            seconds=seconds,
+            wardrop_max=metrics.wardrop_max,
+            converged=True,
+            trace=[(0, metrics.beckmann, gap, seconds)],
+        )
+
     def solve(self) -> tuple[FlowState, GapMetrics]:
         started = time.perf_counter()
+        if self.start is not None:
+            screened = self._screen(started)
+            if screened is not None:
+                return screened
         origins = self.od.by_origin()
         usable = self.engine.usable
         free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs))
@@ -807,7 +846,10 @@ def solve_equilibrium(
     max_iter: int = 500,
     interactions: bool = True,
     record_shift_beckmann: bool = False,
+    start: tuple[FlowState, GapMetrics] | None = None,
 ) -> tuple[FlowState, GapMetrics]:
+    """One equilibrium; `start` is a converged solve to screen first (module
+    docstring)."""
     solver = BushSolver(
         expanded,
         usable,
@@ -817,6 +859,7 @@ def solve_equilibrium(
         max_iter=max_iter,
         interactions=interactions,
         record_shift_beckmann=record_shift_beckmann,
+        start=start,
     )
     return solver.solve()
 

@@ -76,7 +76,6 @@ class Scenario:
     crossover: float = 0.9
     mutation: float = -1.0  # negative: default 1/|corridors|
     elites: int = 2
-    workers: int = 1
     greedy_fraction: float = 0.5
     base_dir: str = "."
 
@@ -118,7 +117,6 @@ class Scenario:
             mutation=None if self.mutation < 0.0 else self.mutation,
             elites=self.elites,
             seed=self.seed,
-            workers=self.workers,
             greedy_fraction=self.greedy_fraction,
         )
 

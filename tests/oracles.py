@@ -2,8 +2,8 @@
 
 These are the straightforward forms of the solver's array-native hot path:
 a push-style label pass over `out_arcs`, per-arc keep and add rules for the
-bush update, a node-by-node Wardrop spread, a dict-based objective change
-of a flow shift, and a sweep that recomputes every cost and every label
+bush update, a node-by-node Wardrop spread, a Bellman-Ford relative gap, a dict-based
+objective change of a flow shift, and a sweep that recomputes every cost and every label
 after each flow shift or drain.  The property tests
 require the solver to agree with them exactly, bit for bit.
 """
@@ -144,6 +144,31 @@ def oracle_wardrop(solver):
             scale = max(abs(L[v]), 1.0e-12)
             worst = max(worst, (U[v] - L[v]) / scale)
     return worst
+
+
+def oracle_relative_gap(expanded, usable, costs, x, od):
+    """Relative gap with Bellman-Ford shortest paths over the usable arcs and
+    the total cost summed arc by arc."""
+    tail, head = expanded.tail.tolist(), expanded.head.tolist()
+    arcs = [a for a in range(expanded.n_arcs) if usable[a]]
+    sptt = 0.0
+    for (r, s), d in sorted(od.demand.items()):
+        if d <= 0.0:
+            continue
+        dist = [math.inf] * expanded.n_nodes
+        dist[expanded.diesel_node(r)] = 0.0
+        for _ in range(expanded.n_nodes):
+            changed = False
+            for a in arcs:
+                nd = dist[tail[a]] + costs[a]
+                if nd < dist[head[a]]:
+                    dist[head[a]] = nd
+                    changed = True
+            if not changed:
+                break
+        sptt += d * dist[expanded.diesel_node(s)]
+    tstt = sum(float(x[a]) * float(costs[a]) for a in range(expanded.n_arcs) if x[a] > 0.0)
+    return (tstt - sptt) / sptt
 
 
 class FullRelabelSolver(BushSolver):

@@ -203,7 +203,9 @@ def test_electric_tonnage_share_hand_case():
     x[e2] = 1.0e3  # electric, 100 km
     x[expanded.switch_arcs_at[0][0]] = 5.0e3  # switch arcs don't move tons over km
     state = FlowState(x=x, cost=np.zeros_like(x), beckmann=0.0)
-    assert electric_tonnage_share(expanded, state) == pytest.approx(0.25, rel=1e-12)
+    share = electric_tonnage_share(expanded, state)
+    assert type(share) is float
+    assert share == pytest.approx(0.25, rel=1e-12)
 
 
 # --- search --------------------------------------------------------------------------
@@ -245,14 +247,23 @@ def test_evolve_reaches_brute_force_optimum():
     assert problem.union_cost(best.design.bits) <= problem.budget
 
 
-@pytest.mark.parametrize("electric_fuel", [None, 1.0])
-def test_each_design_solved_once_and_winner_kept(monkeypatch, electric_fuel):
-    # at 1 $/J electric traction is never used, so every design ties with
-    # the all-diesel one and the winner is decided by the GA's tie rule
+@pytest.mark.parametrize(
+    "rate_overrides",
+    [
+        pytest.param({}, id="None"),
+        # at 1 $/J electric traction is never used, so every design ties with
+        # the all-diesel one and the winner is decided by the GA's tie rule
+        pytest.param({"fuel_cost_electric": 1.0}, id="1.0"),
+        # cheap electricity and switching: electric traction pays, so the
+        # winner's equilibrium differs from the all-diesel one
+        pytest.param({"fuel_cost_electric": 0.3e-8, "switch_cost_per_train": 200.0}, id="pays"),
+    ],
+)
+def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
     import railplan.design as design_module
 
     net = line_network(n_nodes=5, yards=(0, 1, 2, 3, 4))
-    rates = RateTable() if electric_fuel is None else RateTable(fuel_cost_electric=electric_fuel)
+    rates = RateTable(**rate_overrides)
     problem = build_problem(net, ODMatrix({(0, 4): 4.0e4, (1, 3): 1.0e4}), budget=1.0, rates=rates)
     problem.budget = 0.5 * sum(c.cost_usd for c in problem.corridors)
     solve = design_module.solve_equilibrium
@@ -263,7 +274,7 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, electric_fuel):
     rng = np.random.default_rng(3)
     best, _ = evolve(seed_population(config, problem, rng), config, problem, rng)
     assert any(best.design.bits)  # the winner is not the all-diesel design
-    if electric_fuel is not None:
+    if rate_overrides.get("fuel_cost_electric") == 1.0:
         assert len({e.total_cost for e in problem.solved}) == 1
     assert len(solves) == len(problem.solved)
 
@@ -273,10 +284,18 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, electric_fuel):
     assert winner.evaluated == best
     assert baseline.evaluated == problem.baseline()
     assert problem.baseline_state() is baseline.state
+    # every design's solve starts from the all-diesel equilibrium
     usable = apply_design(problem.expanded, problem.electrified_links(best.design.bits))
-    state, metrics = solve(problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol)
+    state, metrics = solve(problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol,
+                           start=(baseline.state, baseline.metrics))
     assert winner.state.x.tolist() == state.x.tolist()
     assert [row[:3] for row in winner.metrics.trace] == [row[:3] for row in metrics.trace]
+    if "switch_cost_per_train" in rate_overrides:
+        assert winner.evaluated.electric_share > 0.0
+        assert winner.metrics.iteration > 0  # the winner was solved, not screened
+    else:
+        assert winner.metrics.iteration == 0
+        assert winner.state.x.tolist() == baseline.state.x.tolist()
 
     # any other design is solved afresh, to the same numbers
     kept = (best.design.bits, baseline.evaluated.design.bits)
@@ -285,12 +304,14 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, electric_fuel):
     assert len(solves) == len(problem.solved) + 1
 
 
-def test_evolve_parallel_matches_serial():
-    problem_a, _ = yard_line_problem(budget_corridors=2.0)
-    problem_b, _ = yard_line_problem(budget_corridors=2.0)
-    serial = GAConfig(population=6, generations=4, seed=9, workers=1)
-    threaded = GAConfig(population=6, generations=4, seed=9, workers=3)
-    best_a, hist_a = evolve(seed_population(serial, problem_a), serial, problem_a)
-    best_b, hist_b = evolve(seed_population(threaded, problem_b), threaded, problem_b)
-    assert best_a.design.bits == best_b.design.bits
-    assert hist_a == hist_b
+def test_design_fitness_does_not_depend_on_evaluation_order():
+    # the all-diesel equilibrium is solved first even when a design comes first
+    problem_a, _ = yard_line_problem()
+    problem_b, _ = yard_line_problem()
+    problem_a.baseline()
+    designs = [(1, 0, 0), (0, 1, 1), (1, 1, 1)]
+    for bits in designs:
+        problem_b.evaluate(bits)
+    assert problem_b._baseline is not None
+    for bits in designs:
+        assert problem_a.evaluate(bits) == problem_b.evaluate(bits)

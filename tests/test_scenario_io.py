@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,12 +87,11 @@ def test_scenario_defaults(tmp_path):
 
 
 def test_scenario_overrides_and_types(tmp_path):
-    cfg = write_toy(tmp_path, extra_cfg="newton_interactions = no\nworkers = 2\n")
+    cfg = write_toy(tmp_path, extra_cfg="newton_interactions = no\n")
     s = load_scenario(cfg)
     assert s.budget == 1.0e11
     assert s.population == 6
     assert s.newton_interactions is False
-    assert s.workers == 2
     assert s.path(s.node_file) == tmp_path / "nodes.csv"
 
 
@@ -138,9 +138,9 @@ def test_scenario_rejects_max_iterations_below_one(tmp_path):
 
 
 def test_ga_config_mapping():
-    s = Scenario(population=12, generations=7, mutation=0.2, workers=3)
+    s = Scenario(population=12, generations=7, mutation=0.2)
     cfg = s.ga_config()
-    assert (cfg.population, cfg.generations, cfg.mutation, cfg.workers) == (12, 7, 0.2, 3)
+    assert (cfg.population, cfg.generations, cfg.mutation) == (12, 7, 0.2)
     assert Scenario().ga_config().mutation is None
 
 
@@ -614,6 +614,33 @@ def test_cli_assign_reports_spread_and_non_convergence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "Wardrop spread" in out and "not converged" not in out
+
+
+def test_cli_warns_on_unconverged_solves(tmp_path, capsys):
+    cfg = write_toy(tmp_path)
+    rc = cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "ok")])
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
+
+    # as in test_cli_assign_reports_spread_and_non_convergence: one iteration
+    # leaves the short link and the two-link route far apart in cost
+    cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
+    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    every_solve = re.compile(r"warning: (\d+) of \1 equilibrium solves did not converge\n")
+    rc = cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "cut")])
+    assert rc == 0  # the exit code does not depend on convergence
+    assert every_solve.fullmatch(capsys.readouterr().err)
+
+    (tmp_path / "design.csv").write_text("corridor_id\n0\n")
+    rc = cli.main(["report", "--config", str(cfg), "--design", str(tmp_path / "design.csv"),
+                   "--out-dir", str(tmp_path / "rpt")])
+    assert rc == 0
+    assert capsys.readouterr().err == "warning: 2 of 2 equilibrium solves did not converge\n"
+
+    rc = cli.main(["sweep", "--config", str(cfg), "--axis", "budget", "--values", "5e10,1e11",
+                   "--out-dir", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert every_solve.fullmatch(capsys.readouterr().err)
 
 
 def test_cli_rejects_overflowing_demand(tmp_path, capsys):
