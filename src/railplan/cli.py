@@ -10,9 +10,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import design, scenario_io
+from . import scenario_io
 from .equilibrium import InfeasibleAssignmentError
-from .network import apply_design
+# unused here, but perfbench/tracing.py patches cli.apply_design and needs the name
+from .network import apply_design  # noqa: F401
 from .scenario_io import Scenario, ValidationError
 
 EXIT_OK = 0
@@ -76,22 +77,7 @@ def _cmd_transform(scenario: Scenario, args: argparse.Namespace) -> int:
           f"{sum(len(v) for v in expanded.switch_arcs_at.values())} switch arcs)")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "arcs.csv", "w", newline="") as fh:
-        import csv
-
-        writer = csv.writer(fh)
-        writer.writerow(["arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"])
-        for arc in expanded.arcs:
-            writer.writerow(
-                [
-                    arc.id,
-                    arc.kind.value,
-                    expanded.node_label(arc.tail),
-                    expanded.node_label(arc.head),
-                    "" if arc.physical_link is None else arc.physical_link,
-                    repr(arc.fixed_cost),
-                ]
-            )
+    scenario_io.write_arcs(out / "arcs.csv", expanded)
     print(f"wrote {out / 'arcs.csv'}")
     return EXIT_OK
 
@@ -100,28 +86,7 @@ def _cmd_costs(scenario: Scenario, args: argparse.Namespace) -> int:
     assembled = scenario_io.assemble(scenario)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "link_costs.csv", "w", newline="") as fh:
-        import csv
-
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "link_id", "t0_hr", "congestion_coef", "diesel_fuel_per_ton",
-                "electric_fuel_per_ton", "electrification_cost_usd",
-            ]
-        )
-        for lid in sorted(assembled.profiles):
-            p = assembled.profiles[lid]
-            writer.writerow(
-                [
-                    lid,
-                    repr(p.t0_hr),
-                    repr(p.congestion_coef),
-                    repr(p.diesel.fuel_cost_per_ton),
-                    repr(p.electric.fuel_cost_per_ton),
-                    repr(assembled.link_costs.get(lid, float("nan"))),
-                ]
-            )
+    scenario_io.write_link_costs(out / "link_costs.csv", assembled.profiles, assembled.link_costs)
     print(f"wrote {out / 'link_costs.csv'}")
     return EXIT_OK
 
@@ -178,9 +143,7 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
-    assembled = scenario_io.assemble(scenario)
-    ids = scenario_io.load_design(args.design)
-    bits = design.DesignVector.from_ids(ids, len(assembled.corridors)).bits
+    assembled, bits = scenario_io.assemble_design(scenario, scenario_io.load_design(args.design))
     report = scenario_io.summarize_design(assembled, bits)
     scenario_io.write_report(report, args.out_dir)
     print(scenario_io.format_report(report))

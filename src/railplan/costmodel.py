@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .network import ArcKind, PhysicalLink, RailNetwork, SignalClass
@@ -80,8 +80,6 @@ class RateTable:
     switch_crew_equivalents: float = 6.0
     switch_energy_cost: float = 0.0  # $ per switch event
     switching_cost_mode: str = "fixed"  # fixed | composed
-    bisection_tol: float = 1.0e-8  # m/s
-    bisection_max_iter: int = 200
 
     def __post_init__(self):
         if self.beta <= 1.0:
@@ -99,7 +97,6 @@ class ThrottleTable:
     """Discrete power levels (W) a traction type can sustain, ascending."""
 
     levels: tuple[float, ...]
-    min_index: int = 0
 
     def __post_init__(self):
         if not self.levels:
@@ -116,7 +113,7 @@ class ThrottleTable:
 
     @property
     def min_power(self) -> float:
-        return self.levels[self.min_index]
+        return self.levels[0]
 
     @property
     def max_power(self) -> float:
@@ -185,13 +182,8 @@ def curve_resistance(train_mass_t: float, curve_radius_m: float, rates: RateTabl
     )
 
 
-def inertial_resistance(consist: TrainConsist, acceleration: float = 0.0) -> float:
-    """m*a hook; steady-state runs keep acceleration at 0."""
-    return consist.train_mass_t * TON_KG * acceleration
-
-
 def _davis_resistance(link: PhysicalLink, consist: TrainConsist, v: float, rates: RateTable) -> float:
-    """All speed-dependent and geometric terms, without braking or inertia."""
+    """All speed-dependent and geometric terms, without braking."""
     return (
         bearing_resistance(consist, rates)
         + flange_resistance(v, consist, rates, link.k_f)
@@ -231,19 +223,16 @@ def total_resistance(
     v: float,
     rates: RateTable,
     brake_force: float = 0.0,
-    acceleration: float = 0.0,
 ) -> float:
     """Full resistance at speed v; pass the precomputed link brake force."""
-    return (
-        _davis_resistance(link, consist, v, rates)
-        + brake_force
-        + inertial_resistance(consist, acceleration)
-    )
+    return _davis_resistance(link, consist, v, rates) + brake_force
 
 
 # --- power/speed fixpoint ----------------------------------------------------
 
 _V_FLOOR = 0.1  # m/s, bisection lower bracket
+_BISECTION_TOL = 1.0e-8  # m/s
+_BISECTION_MAX_ITER = 200
 
 
 def solve_power_speed(
@@ -276,24 +265,39 @@ def solve_power_speed(
         raise LinkImpassableError(
             f"link {link.id}: resistance exceeds {p:.3e} W at any positive speed"
         )
-    for _ in range(rates.bisection_max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if load(mid) > p:
             hi = mid
         else:
             lo = mid
-        if hi - lo < rates.bisection_tol:
+        if hi - lo < _BISECTION_TOL:
             break
     v = 0.5 * (lo + hi)
     return p, v, link.length_km / (3.6 * v)
 
 
-# --- congestion and generalized cost ----------------------------------------
+# --- congestion ----------------------------------------------------------------
+#
+# The congestion clock and its derivative and integral in x.  Each takes
+# Python floats or numpy arrays (elementwise); `base` is the free-flow value,
+# a time t0 or a link's $/ton congestion coefficient.
 
 
-def congestion_time(t0_hr: float, x: float, capacity: float, beta: float = 4.0) -> float:
+def congestion_time(base, x, capacity, beta: float = 4.0):
     """Polynomial delay: t = t0 * (1 + (x/u)^beta)."""
-    return t0_hr * (1.0 + (x / capacity) ** beta)
+    return base * (1.0 + (x / capacity) ** beta)
+
+
+def congestion_derivative(base, x, capacity, beta: float):
+    """d/dx of `congestion_time`: t0 * beta * x^(beta-1) / u^beta."""
+    return base * beta * x ** (beta - 1.0) / capacity**beta
+
+
+def congestion_integral(base, x, capacity, beta: float):
+    """Closed form of the 0..x integral of `congestion_time`."""
+    b1 = beta + 1.0
+    return base * (x + x**b1 / (b1 * capacity**beta))
 
 
 @dataclass(frozen=True)
@@ -331,27 +335,13 @@ class LinkCostProfile:
 
     def congestion_cost(self, x_total: float) -> float:
         """c'(x_D + x_E), $/ton."""
-        return self.congestion_coef * (1.0 + (x_total / self.capacity_tpd) ** self.beta)
+        return congestion_time(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
 
     def congestion_derivative(self, x_total: float) -> float:
-        return (
-            self.congestion_coef
-            * self.beta
-            * x_total ** (self.beta - 1.0)
-            / self.capacity_tpd**self.beta
-        )
+        return congestion_derivative(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
 
     def congestion_integral(self, x_total: float) -> float:
-        """Closed form of the 0..x integral of c'."""
-        b1 = self.beta + 1.0
-        return self.congestion_coef * (
-            x_total + x_total**b1 / (b1 * self.capacity_tpd**self.beta)
-        )
-
-
-def generalized_cost(profile: LinkCostProfile, x_d: float, x_e: float, kind: ArcKind) -> float:
-    """Per-ton arc cost: shared congestion part plus the traction's fuel part."""
-    return profile.congestion_cost(x_d + x_e) + profile.traction(kind).fuel_cost_per_ton
+        return congestion_integral(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
 
 
 def build_link_profile(

@@ -27,7 +27,6 @@ from .costmodel import LinkCostProfile
 from .equilibrium import (
     FlowState,
     GapMetrics,
-    InfeasibleAssignmentError,
     ODMatrix,
     solve_equilibrium,
 )
@@ -107,7 +106,6 @@ class DesignProblem:
     od: ODMatrix
     tol: float = 1.0e-6
     max_iter: int = 500
-    interactions: bool = True
     generation: int | None = None  # the GA generation being evaluated
     _cache: dict[Bits, EvaluatedDesign] = field(default_factory=dict, repr=False)
     _baseline: Solution | None = field(default=None, repr=False)
@@ -171,7 +169,6 @@ class DesignProblem:
             self.profiles,
             tol=self.tol,
             max_iter=self.max_iter,
-            interactions=self.interactions,
             start=start,
         )
         result = EvaluatedDesign(
@@ -224,16 +221,6 @@ def electric_tonnage_share(expanded: ExpandedNetwork, state: FlowState) -> float
         if arc.kind is ArcKind.ELECTRIC:
             electric += tkm
     return 0.0 if moved <= 0.0 else electric / moved
-
-
-def fitness(bits: Bits | DesignVector, problem: DesignProblem) -> float:
-    """Total system cost at equilibrium; inf when assignment is infeasible."""
-    if isinstance(bits, DesignVector):
-        bits = bits.bits
-    try:
-        return problem.evaluate(tuple(bits)).total_cost
-    except InfeasibleAssignmentError:
-        return math.inf
 
 
 def _corridor_scores(problem: DesignProblem) -> list[float]:
@@ -386,22 +373,3 @@ def evolve(
         genomes = next_genomes
     assert best is not None
     return best, history
-
-
-def brute_force(problem: DesignProblem) -> EvaluatedDesign:
-    """Exhaustive optimum over all budget-feasible designs; n <= 20 only."""
-    n = len(problem.corridors)
-    if n > 20:
-        raise ValueError(f"brute force capped at 20 corridors, got {n}")
-    best: EvaluatedDesign | None = None
-    best_key: tuple | None = None
-    for mask in range(1 << n):
-        bits = tuple((mask >> k) & 1 for k in range(n))
-        if problem.union_cost(bits) > problem.budget:
-            continue
-        cand = problem.evaluate(bits)
-        key = (cand.total_cost, sum(bits), bits)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None  # the empty design is always feasible
-    return best

@@ -7,8 +7,9 @@ integral evaluated along a path that loads each traction pair's total flow
 through c' and each arc's own flow through its constant part.
 
 The solver keeps one acyclic bush per origin and equalizes path costs with
-Newton shifts whose denominator includes the partner-arc interaction.  A
-method-of-successive-averages solver doubles as an independent reference.
+Newton shifts whose denominator includes the partner-arc interaction.  The
+test suite checks it against an independent method-of-successive-averages
+reference (`tests/oracles.py`).
 
 Each bush stores a pull adjacency: its arc ids sorted by (topological
 position of the head, arc id), with one offset per position, so a label pass
@@ -34,7 +35,8 @@ the integrals after.  The result has the bits of summing every term afresh:
 the terms are added in the same order, every power is a scalar libm `pow`
 (a vectorized numpy power can round differently), and the integral before
 is the same expression on the same inputs whether it is evaluated once or
-at every halving.
+at every halving.  So the safeguard keeps its own scalar terms instead of
+calling the array formulas of `costmodel` that `CostEngine` uses.
 
 Numerically dead flow is drained instead: when a segment pair's bottleneck
 flow is at or below the bush's flow eps (1e-12 of its demand) and the max
@@ -73,7 +75,12 @@ from itertools import islice
 
 import numpy as np
 
-from .costmodel import LinkCostProfile
+from .costmodel import (
+    LinkCostProfile,
+    congestion_derivative,
+    congestion_integral,
+    congestion_time,
+)
 from .network import ArcKind, ExpandedNetwork
 
 ALL_ARCS = slice(None)
@@ -212,19 +219,18 @@ class CostEngine:
 
     def costs(self, x: np.ndarray, idx=ALL_ARCS) -> np.ndarray:
         total = self.pair_total(x, idx)
-        return self.fixed[idx] + self.kc[idx] * (1.0 + (total / self.cap[idx]) ** self.beta)
+        return self.fixed[idx] + congestion_time(self.kc[idx], total, self.cap[idx], self.beta)
 
     def derivatives(self, x: np.ndarray, idx=ALL_ARCS) -> np.ndarray:
         """d c_a / d x_a; for a traction arc this equals the cross derivative
         d c_a / d x_partner, which is what makes the interaction symmetric."""
         total = self.pair_total(x, idx)
-        return self.kc[idx] * self.beta * total ** (self.beta - 1.0) / self.cap[idx] ** self.beta
+        return congestion_derivative(self.kc[idx], total, self.cap[idx], self.beta)
 
     def beckmann(self, x: np.ndarray) -> float:
         d = self.diesel_arcs
         total = x[d] + x[self.electric_arcs]
-        b1 = self.beta + 1.0
-        congestion = self.kc[d] * (total + total**b1 / (b1 * self.cap[d] ** self.beta))
+        congestion = congestion_integral(self.kc[d], total, self.cap[d], self.beta)
         return float(congestion.sum() + self.fixed @ x)
 
 
@@ -264,29 +270,6 @@ def _dijkstra(
             elif nd == dv and pred[v] >= 0 and a < pred[v]:
                 pred[v] = a
     return dist, pred
-
-
-def _aon_flows(
-    expanded: ExpandedNetwork,
-    costs: np.ndarray,
-    usable: np.ndarray,
-    od: ODMatrix,
-) -> np.ndarray:
-    """All-or-nothing loading onto current shortest paths."""
-    x = np.zeros(expanded.n_arcs)
-    tail = expanded.tail.tolist()
-    for origin, dests in od.by_origin().items():
-        src = expanded.diesel_node(origin)
-        dist, pred = _dijkstra(expanded, costs, src, usable)
-        for dest, d in dests:
-            node = expanded.diesel_node(dest)
-            if not math.isfinite(dist[node]):
-                raise InfeasibleAssignmentError(f"no usable path {origin} -> {dest}")
-            while node != src:
-                a = pred[node]
-                x[a] += d
-                node = tail[a]
-    return x
 
 
 # --- bush construction and labels ----------------------------------------------
@@ -464,8 +447,7 @@ def newton_flow_shift(
     min_path: list[int],
     max_path: list[int],
     max_shift: float,
-    partner: np.ndarray | None = None,
-    interactions: bool = True,
+    partner: np.ndarray,
 ) -> float:
     """Newton step moving flow from the max-cost to the min-cost segment.
 
@@ -474,22 +456,19 @@ def newton_flow_shift(
     partner sits on the same segment and cancelling one whose partner sits
     on the opposite segment.  Zero denominator (constant cost difference)
     falls back to half the clamp so repeated steps walk to the corner.
-    Returned shift is clamped to [0, max_shift].  `costs` and `derivs` are
-    indexed by arc id; only the segment arcs are read.
+    Returned shift is clamped to [0, max_shift].  `costs`, `derivs` and
+    `partner` are indexed by arc id; only the segment arcs are read.
     """
     diff = float(sum(costs[a] for a in max_path) - sum(costs[a] for a in min_path))
     if diff <= 0.0 or max_shift <= 0.0:
         return 0.0
-    if interactions and partner is not None:
-        side = {a: 1.0 for a in min_path}
-        side.update({a: -1.0 for a in max_path})
-        den = 0.0
-        for a, s in side.items():
-            ps = side.get(int(partner[a]))
-            factor = 1.0 if ps is None else 1.0 + s * ps
-            den += derivs[a] * factor
-    else:
-        den = float(sum(derivs[a] for a in min_path) + sum(derivs[a] for a in max_path))
+    side = {a: 1.0 for a in min_path}
+    side.update({a: -1.0 for a in max_path})
+    den = 0.0
+    for a, s in side.items():
+        ps = side.get(int(partner[a]))
+        factor = 1.0 if ps is None else 1.0 + s * ps
+        den += derivs[a] * factor
     if den <= 1e-300:
         return 0.5 * max_shift
     return min(diff / den, max_shift)
@@ -542,7 +521,6 @@ class BushSolver:
         profiles: dict[int, LinkCostProfile],
         tol: float = 1.0e-6,
         max_iter: int = 500,
-        interactions: bool = True,
         record_shift_beckmann: bool = False,
         start: tuple[FlowState, GapMetrics] | None = None,
     ):
@@ -552,7 +530,6 @@ class BushSolver:
         self.od = od
         self.tol = tol
         self.max_iter = max_iter
-        self.interactions = interactions
         self.record = record_shift_beckmann
         self.bushes: list[Bush] = []
         self._tail = expanded.tail.tolist()
@@ -705,15 +682,7 @@ class BushSolver:
                     continue
             else:
                 derivs = dict(zip(segments, engine.derivatives(self.x, np.array(segments)).tolist()))
-                dx = newton_flow_shift(
-                    self.cost,
-                    derivs,
-                    min_path,
-                    max_path,
-                    max_shift,
-                    engine.partner,
-                    self.interactions,
-                )
+                dx = newton_flow_shift(self.cost, derivs, min_path, max_path, max_shift, engine.partner)
                 applied = self._apply_shift(bush, min_path, max_path, dx)
                 if applied <= 0.0:
                     continue
@@ -844,7 +813,6 @@ def solve_equilibrium(
     profiles: dict[int, LinkCostProfile],
     tol: float = 1.0e-6,
     max_iter: int = 500,
-    interactions: bool = True,
     record_shift_beckmann: bool = False,
     start: tuple[FlowState, GapMetrics] | None = None,
 ) -> tuple[FlowState, GapMetrics]:
@@ -857,14 +825,13 @@ def solve_equilibrium(
         profiles,
         tol=tol,
         max_iter=max_iter,
-        interactions=interactions,
         record_shift_beckmann=record_shift_beckmann,
         start=start,
     )
     return solver.solve()
 
 
-# --- diagnostics and references -----------------------------------------------------
+# --- diagnostics ----------------------------------------------------------------
 
 
 def relative_gap(
@@ -888,47 +855,3 @@ def relative_gap(
         return 0.0
     tstt = float(x @ costs)
     return (tstt - sptt) / sptt
-
-
-def msa_reference(
-    expanded: ExpandedNetwork,
-    usable: np.ndarray | None,
-    od: ODMatrix,
-    profiles: dict[int, LinkCostProfile],
-    iterations: int = 10_000,
-) -> FlowState:
-    """Method of successive averages with 1/k steps; slow but independent."""
-    engine = CostEngine(expanded, profiles, usable)
-    x = np.zeros(expanded.n_arcs)
-    cost = engine.costs(x)
-    for k in range(1, iterations + 1):
-        y = _aon_flows(expanded, cost, engine.usable, od)
-        x += (y - x) / k
-        cost = engine.costs(x)
-    return FlowState(x=x, cost=cost, beckmann=engine.beckmann(x))
-
-
-def jacobian(
-    expanded: ExpandedNetwork,
-    profiles: dict[int, LinkCostProfile],
-    x: np.ndarray,
-    usable: np.ndarray | None = None,
-) -> np.ndarray:
-    """Dense cost Jacobian over usable arcs (rows/cols are arc ids).
-
-    Only traction pairs couple, and all four entries of a pair's block are
-    the same congestion derivative, so symmetry is exact in floating point.
-    """
-    n = expanded.n_arcs
-    mask = np.ones(n, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
-    J = np.zeros((n, n))
-    for lid, (d, e) in expanded.pair_of.items():
-        prof = profiles[lid]
-        if mask[d] and mask[e]:
-            g = prof.congestion_derivative(float(x[d] + x[e]))
-            J[d, d] = J[d, e] = J[e, d] = J[e, e] = g
-        elif mask[d]:
-            J[d, d] = prof.congestion_derivative(float(x[d]))
-        elif mask[e]:
-            J[e, e] = prof.congestion_derivative(float(x[e]))
-    return J

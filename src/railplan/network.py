@@ -264,10 +264,8 @@ class ExpandedNetwork:
             [net.links[a.physical_link].length_km if a.physical_link is not None else 0.0 for a in arcs]
         )
         self.out_arcs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        self.in_arcs: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for a in arcs:
             self.out_arcs[a.tail].append(a.id)
-            self.in_arcs[a.head].append(a.id)
 
     def diesel_node(self, phys_id: int) -> int:
         return 2 * self.node_index[phys_id]

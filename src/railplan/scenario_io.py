@@ -10,7 +10,7 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -23,7 +23,6 @@ from .costmodel import (
     RateTable,
     TrainConsist,
     build_profiles,
-    build_throttles,
     electrification_costs,
     yard_switch_costs,
 )
@@ -34,7 +33,6 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .network import (
-    ArcKind,
     ExpandedNetwork,
     Node,
     PhysicalLink,
@@ -69,7 +67,6 @@ class Scenario:
     seed: int = 0
     gap_tolerance: float = 1.0e-6
     max_iterations: int = 500
-    newton_interactions: bool = True
     corridor_metric: str = "cost"  # cost | length
     population: int = 64
     generations: int = 200
@@ -89,16 +86,20 @@ class Scenario:
             "electricity_price_multiplier",
         ):
             v = getattr(self, name)
-            if v <= 0.0:
-                raise ValidationError(f"{name} must be positive, got {v}")
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValidationError(f"{name} must be positive and finite, got {v}")
         if self.corridor_metric not in ("cost", "length"):
             raise ValidationError(f"corridor_metric must be cost|length, got {self.corridor_metric!r}")
         if not (0.0 <= self.crossover <= 1.0):
             raise ValidationError("crossover probability outside [0, 1]")
-        if self.mutation > 1.0:
-            raise ValidationError("mutation probability above 1")
+        if math.isnan(self.mutation) or self.mutation > 1.0:
+            raise ValidationError(f"mutation probability above 1 or NaN, got {self.mutation}")
+        if not (0.0 <= self.greedy_fraction <= 1.0):
+            raise ValidationError(f"greedy_fraction outside [0, 1], got {self.greedy_fraction}")
         if self.population < 2:
             raise ValidationError("population must be at least 2")
+        if self.generations < 0:
+            raise ValidationError(f"generations must be at least 0, got {self.generations}")
         if self.elites < 0 or self.elites >= self.population:
             raise ValidationError("elites must fit inside the population")
         if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0.0):
@@ -135,10 +136,8 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ValidationError(f"{path}: unknown scenario key {key!r}")
         current = getattr(scenario, key)
         try:
-            if isinstance(current, bool):
-                value: object = kvconfig.coerce_bool(text)
-            elif isinstance(current, int):
-                value = int(text)
+            if isinstance(current, int):
+                value: object = int(text)
             elif isinstance(current, float):
                 value = float(text)
             else:
@@ -432,6 +431,50 @@ def write_flows(path: str | Path, expanded: ExpandedNetwork, state: FlowState) -
             )
 
 
+def write_arcs(path: str | Path, expanded: ExpandedNetwork) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"])
+        for arc in expanded.arcs:
+            writer.writerow(
+                [
+                    arc.id,
+                    arc.kind.value,
+                    expanded.node_label(arc.tail),
+                    expanded.node_label(arc.head),
+                    "" if arc.physical_link is None else arc.physical_link,
+                    repr(arc.fixed_cost),
+                ]
+            )
+
+
+def write_link_costs(
+    path: str | Path,
+    profiles: Mapping[int, costmodel.LinkCostProfile],
+    link_costs: Mapping[int, float],
+) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "link_id", "t0_hr", "congestion_coef", "diesel_fuel_per_ton",
+                "electric_fuel_per_ton", "electrification_cost_usd",
+            ]
+        )
+        for lid in sorted(profiles):
+            p = profiles[lid]
+            writer.writerow(
+                [
+                    lid,
+                    repr(p.t0_hr),
+                    repr(p.congestion_coef),
+                    repr(p.diesel.fuel_cost_per_ton),
+                    repr(p.electric.fuel_cost_per_ton),
+                    repr(link_costs.get(lid, float("nan"))),
+                ]
+            )
+
+
 def write_gap_trace(path: str | Path, metrics: GapMetrics) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -550,6 +593,25 @@ class Assembled:
     problem: design.DesignProblem
 
 
+def write_solution(
+    out: Path,
+    assembled: Assembled,
+    bits: design.Bits,
+    state: FlowState,
+    metrics: GapMetrics,
+    geojson_name: str,
+) -> None:
+    """flows.csv, gap_trace.csv and the GeoJSON `geojson_name` of one solved design."""
+    write_flows(out / "flows.csv", assembled.expanded, state)
+    write_gap_trace(out / "gap_trace.csv", metrics)
+    emit_geojson(
+        assembled.problem.electrified_links(bits),
+        assembled.network,
+        state.physical_flows(assembled.expanded),
+        out / geojson_name,
+    )
+
+
 def assemble(scenario: Scenario) -> Assembled:
     """Load everything and apply the scenario multipliers."""
     scenario.validate()
@@ -602,7 +664,6 @@ def assemble(scenario: Scenario) -> Assembled:
         od=od,
         tol=scenario.gap_tolerance,
         max_iter=scenario.max_iterations,
-        interactions=scenario.newton_interactions,
     )
     return Assembled(
         scenario=scenario,
@@ -685,13 +746,8 @@ def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
         write_generations(out / "generations.csv", history)
         write_design(out / "best_design.csv", best.design.selected)
         solution = problem.solution(best.design.bits)
-        write_flows(out / "flows.csv", assembled.expanded, solution.state)
-        write_gap_trace(out / "gap_trace.csv", solution.metrics)
-        emit_geojson(
-            problem.electrified_links(best.design.bits),
-            assembled.network,
-            solution.state.physical_flows(assembled.expanded),
-            out / "electrified.geojson",
+        write_solution(
+            out, assembled, best.design.bits, solution.state, solution.metrics, "electrified.geojson"
         )
         write_report(report, out)
     return report
@@ -840,7 +896,17 @@ def write_sweep(rows: list[SweepRow], path: str | Path) -> None:
             )
 
 
-# --- single assignment helper ----------------------------------------------------------
+# --- fixed designs -------------------------------------------------------------------
+
+
+def assemble_design(
+    scenario: Scenario, design_ids: Iterable[int] | None
+) -> tuple[Assembled, design.Bits]:
+    """Assemble the scenario and the bits of the design electrifying the
+    corridors `design_ids` (none when None)."""
+    assembled = assemble(scenario)
+    bits = design.DesignVector.from_ids(design_ids or (), len(assembled.corridors)).bits
+    return assembled, bits
 
 
 def assign_run(
@@ -848,9 +914,8 @@ def assign_run(
     design_ids: Iterable[int] | None = None,
     out_dir: str | Path | None = None,
 ) -> tuple[FlowState, GapMetrics]:
-    """Solve one equilibrium under an optional fixed design."""
-    assembled = assemble(scenario)
-    bits = design.DesignVector.from_ids(design_ids or (), len(assembled.corridors)).bits
+    """Solve one equilibrium, cold, under an optional fixed design."""
+    assembled, bits = assemble_design(scenario, design_ids)
     usable = apply_design(assembled.expanded, assembled.problem.electrified_links(bits))
     state, metrics = solve_equilibrium(
         assembled.expanded,
@@ -859,17 +924,9 @@ def assign_run(
         assembled.profiles,
         tol=scenario.gap_tolerance,
         max_iter=scenario.max_iterations,
-        interactions=scenario.newton_interactions,
     )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_flows(out / "flows.csv", assembled.expanded, state)
-        write_gap_trace(out / "gap_trace.csv", metrics)
-        emit_geojson(
-            assembled.problem.electrified_links(bits),
-            assembled.network,
-            state.physical_flows(assembled.expanded),
-            out / "flows.geojson",
-        )
+        write_solution(out, assembled, bits, state, metrics, "flows.geojson")
     return state, metrics

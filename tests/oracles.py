@@ -1,11 +1,15 @@
-"""Scalar reference versions of the bush machinery in railplan.equilibrium.
+"""Independent references the tests check railplan against.
 
-These are the straightforward forms of the solver's array-native hot path:
-a push-style label pass over `out_arcs`, per-arc keep and add rules for the
-bush update, a node-by-node Wardrop spread, a Bellman-Ford relative gap, a dict-based
-objective change of a flow shift, and a sweep that recomputes every cost and every label
-after each flow shift or drain.  The property tests
-require the solver to agree with them exactly, bit for bit.
+Scalar versions of the bush machinery in railplan.equilibrium, the
+straightforward forms of the solver's array-native hot path: a push-style
+label pass over `out_arcs`, per-arc keep and add rules for the bush update, a
+node-by-node Wardrop spread, a Bellman-Ford relative gap, a dict-based
+objective change of a flow shift, and a sweep that recomputes every cost and
+every label after each flow shift or drain.  The property tests require the
+solver to agree with them exactly, bit for bit.
+
+Also a method-of-successive-averages equilibrium, the dense cost Jacobian,
+the per-arc generalized cost and an exhaustive design search.
 """
 
 from __future__ import annotations
@@ -15,7 +19,19 @@ import math
 
 import numpy as np
 
-from railplan.equilibrium import BushSolver, _trace_segments, newton_flow_shift
+from railplan.costmodel import LinkCostProfile
+from railplan.design import DesignProblem, EvaluatedDesign
+from railplan.equilibrium import (
+    BushSolver,
+    CostEngine,
+    FlowState,
+    InfeasibleAssignmentError,
+    ODMatrix,
+    _dijkstra,
+    _trace_segments,
+    newton_flow_shift,
+)
+from railplan.network import ArcKind, ExpandedNetwork
 
 
 def oracle_labels(expanded, bush, costs):
@@ -246,7 +262,6 @@ class FullRelabelSolver(BushSolver):
                     max_path,
                     max_shift,
                     engine.partner,
-                    self.interactions,
                 )
                 applied = self._apply_shift(bush, min_path, max_path, dx)
                 if applied <= 0.0:
@@ -256,3 +271,94 @@ class FullRelabelSolver(BushSolver):
                     self._drain(bush, min_path, max_path, remainder)
             self.cost = engine.costs(self.x)
             L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)
+
+
+def generalized_cost(profile: LinkCostProfile, x_d: float, x_e: float, kind: ArcKind) -> float:
+    """Per-ton arc cost: shared congestion part plus the traction's fuel part."""
+    return profile.congestion_cost(x_d + x_e) + profile.traction(kind).fuel_cost_per_ton
+
+
+def _aon_flows(
+    expanded: ExpandedNetwork,
+    costs: np.ndarray,
+    usable: np.ndarray,
+    od: ODMatrix,
+) -> np.ndarray:
+    """All-or-nothing loading onto current shortest paths."""
+    x = np.zeros(expanded.n_arcs)
+    tail = expanded.tail.tolist()
+    for origin, dests in od.by_origin().items():
+        src = expanded.diesel_node(origin)
+        dist, pred = _dijkstra(expanded, costs, src, usable)
+        for dest, d in dests:
+            node = expanded.diesel_node(dest)
+            if not math.isfinite(dist[node]):
+                raise InfeasibleAssignmentError(f"no usable path {origin} -> {dest}")
+            while node != src:
+                a = pred[node]
+                x[a] += d
+                node = tail[a]
+    return x
+
+
+def msa_reference(
+    expanded: ExpandedNetwork,
+    usable: np.ndarray | None,
+    od: ODMatrix,
+    profiles: dict[int, LinkCostProfile],
+    iterations: int = 10_000,
+) -> FlowState:
+    """Method of successive averages with 1/k steps; slow but independent."""
+    engine = CostEngine(expanded, profiles, usable)
+    x = np.zeros(expanded.n_arcs)
+    cost = engine.costs(x)
+    for k in range(1, iterations + 1):
+        y = _aon_flows(expanded, cost, engine.usable, od)
+        x += (y - x) / k
+        cost = engine.costs(x)
+    return FlowState(x=x, cost=cost, beckmann=engine.beckmann(x))
+
+
+def jacobian(
+    expanded: ExpandedNetwork,
+    profiles: dict[int, LinkCostProfile],
+    x: np.ndarray,
+    usable: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dense cost Jacobian over usable arcs (rows/cols are arc ids).
+
+    Only traction pairs couple, and all four entries of a pair's block are
+    the same congestion derivative, so symmetry is exact in floating point.
+    """
+    n = expanded.n_arcs
+    mask = np.ones(n, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
+    J = np.zeros((n, n))
+    for lid, (d, e) in expanded.pair_of.items():
+        prof = profiles[lid]
+        if mask[d] and mask[e]:
+            g = prof.congestion_derivative(float(x[d] + x[e]))
+            J[d, d] = J[d, e] = J[e, d] = J[e, e] = g
+        elif mask[d]:
+            J[d, d] = prof.congestion_derivative(float(x[d]))
+        elif mask[e]:
+            J[e, e] = prof.congestion_derivative(float(x[e]))
+    return J
+
+
+def brute_force(problem: DesignProblem) -> EvaluatedDesign:
+    """Exhaustive optimum over all budget-feasible designs; n <= 20 only."""
+    n = len(problem.corridors)
+    if n > 20:
+        raise ValueError(f"brute force capped at 20 corridors, got {n}")
+    best: EvaluatedDesign | None = None
+    best_key: tuple | None = None
+    for mask in range(1 << n):
+        bits = tuple((mask >> k) & 1 for k in range(n))
+        if problem.union_cost(bits) > problem.budget:
+            continue
+        cand = problem.evaluate(bits)
+        key = (cand.total_cost, sum(bits), bits)
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    assert best is not None  # the empty design is always feasible
+    return best

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import brute_force, generalized_cost, jacobian, msa_reference
 from synth import (
     assembled_instance,
     bidirectional,
@@ -36,7 +37,6 @@ from railplan.costmodel import (
     curve_resistance,
     electrification_costs,
     flange_resistance,
-    generalized_cost,
     grade_resistance,
     solve_power_speed,
     switch_cost_per_train,
@@ -46,7 +46,6 @@ from railplan.costmodel import (
 from railplan.design import (
     DesignProblem,
     GAConfig,
-    brute_force,
     evolve,
     repair,
     seed_population,
@@ -55,8 +54,6 @@ from railplan.equilibrium import (
     BushSolver,
     CostEngine,
     ODMatrix,
-    jacobian,
-    msa_reference,
     solve_equilibrium,
 )
 from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, apply_design, expand

@@ -24,7 +24,6 @@ from railplan.costmodel import (
     electrification_costs,
     flange_resistance,
     grade_resistance,
-    inertial_resistance,
     solve_power_speed,
     switch_cost_per_train,
     switching_cost_per_ton,
@@ -100,13 +99,6 @@ def test_flange_air_link_overrides(rates, consist):
     )
     assert air_resistance(10.0, consist, rates, k_a=0.5) == pytest.approx(
         0.5 * air_resistance(10.0, consist, rates), rel=1e-12
-    )
-
-
-def test_inertial_zero_by_default(consist):
-    assert inertial_resistance(consist) == 0.0
-    assert inertial_resistance(consist, 0.1) == pytest.approx(
-        consist.train_mass_t * 1000.0 * 0.1, rel=1e-12
     )
 
 

@@ -1,7 +1,5 @@
 """Budget repair, greedy seeding, GA search, and the brute-force reference."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,16 +16,15 @@ from railplan.design import (
     DesignProblem,
     DesignVector,
     GAConfig,
-    brute_force,
     electric_tonnage_share,
     evolve,
-    fitness,
     repair,
     seed_population,
 )
 from railplan.equilibrium import FlowState, ODMatrix
 from railplan.network import Node, PhysicalLink, RailNetwork, apply_design, expand
 
+from oracles import brute_force
 from synth import grid3x3_network, line_network
 
 
@@ -169,26 +166,6 @@ def test_seed_population_no_corridors():
     assert problem.corridors == []
     population = seed_population(GAConfig(population=4), problem)
     assert population == [(), (), (), ()]
-
-
-# --- fitness -------------------------------------------------------------------------
-
-
-def test_fitness_matches_evaluate():
-    problem, _ = yard_line_problem()
-    bits = (1, 0, 0)
-    assert fitness(bits, problem) == problem.evaluate(bits).total_cost
-    assert fitness(DesignVector(bits), problem) == fitness(bits, problem)
-
-
-def test_fitness_infeasible_is_inf():
-    nodes = [Node(0, 40.0, -100.0), Node(1, 40.0, -99.0), Node(2, 41.0, -99.0)]
-    links = [PhysicalLink(0, 0, 1, length_km=90.0, curve_radius_m=20000.0,
-                          capacity_tpd=5e4)]
-    net = RailNetwork.build(nodes, links)
-    od = ODMatrix({(0, 2): 1.0e3})  # node 2 has no incident links
-    problem = build_problem(net, od, budget=1e9)
-    assert fitness((), problem) == math.inf
 
 
 def test_electric_tonnage_share_hand_case():

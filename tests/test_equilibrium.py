@@ -14,8 +14,6 @@ from railplan.equilibrium import (
     CostEngine,
     InfeasibleAssignmentError,
     ODMatrix,
-    jacobian,
-    msa_reference,
     newton_flow_shift,
     relative_gap,
     shortest_longest_labels,
@@ -32,6 +30,7 @@ from railplan.network import (
     expand,
 )
 
+from oracles import jacobian, msa_reference
 from synth import (
     assembled_instance,
     line_network,
@@ -165,21 +164,23 @@ def test_newton_shift_linear_costs_one_step():
     x = np.array([3.0, 0.0])
     costs = np.array([x[0], 1.0 + x[1]])
     derivs = np.array([1.0, 1.0])
-    dx = newton_flow_shift(costs, derivs, [1], [0], max_shift=3.0)
+    off = np.array([2, 3])  # traction partners on neither segment
+    dx = newton_flow_shift(costs, derivs, [1], [0], max_shift=3.0, partner=off)
     assert dx == pytest.approx(1.0, rel=1e-12)
     x[0] -= dx
     x[1] += dx
     assert tuple(x) == (2.0, 1.0)
     costs = np.array([x[0], 1.0 + x[1]])
-    assert newton_flow_shift(costs, derivs, [1], [0], max_shift=2.0) == 0.0
+    assert newton_flow_shift(costs, derivs, [1], [0], max_shift=2.0, partner=off) == 0.0
 
 
 def test_newton_shift_clamps_and_rejects():
     costs = np.array([1.0, 5.0])
     derivs = np.array([1.0, 1.0])
-    assert newton_flow_shift(costs, derivs, [0], [1], max_shift=0.5) == 0.5
-    assert newton_flow_shift(costs, derivs, [1], [0], max_shift=9.0) == 0.0
-    assert newton_flow_shift(costs, derivs, [0], [1], max_shift=0.0) == 0.0
+    off = np.array([2, 3])  # traction partners on neither segment
+    assert newton_flow_shift(costs, derivs, [0], [1], max_shift=0.5, partner=off) == 0.5
+    assert newton_flow_shift(costs, derivs, [1], [0], max_shift=9.0, partner=off) == 0.0
+    assert newton_flow_shift(costs, derivs, [0], [1], max_shift=0.0, partner=off) == 0.0
 
 
 def test_newton_shift_partner_cancellation():
@@ -190,10 +191,6 @@ def test_newton_shift_partner_cancellation():
     partner = np.array([1, 0])
     dx = newton_flow_shift(costs, derivs, [0], [1], 10.0, partner=partner)
     assert dx == 5.0
-    # same pair but interactions disabled: a plain (wrong) newton step
-    dx = newton_flow_shift(costs, derivs, [0], [1], 10.0, partner=partner,
-                           interactions=False)
-    assert dx == pytest.approx(3.0 / 5.0, rel=1e-12)
 
 
 def test_newton_shift_partner_doubling():

@@ -87,11 +87,10 @@ def test_scenario_defaults(tmp_path):
 
 
 def test_scenario_overrides_and_types(tmp_path):
-    cfg = write_toy(tmp_path, extra_cfg="newton_interactions = no\n")
+    cfg = write_toy(tmp_path)
     s = load_scenario(cfg)
     assert s.budget == 1.0e11
     assert s.population == 6
-    assert s.newton_interactions is False
     assert s.path(s.node_file) == tmp_path / "nodes.csv"
 
 
@@ -105,6 +104,10 @@ def test_scenario_rejects_unknown_and_bad(tmp_path):
         load_scenario(bad)
     bad.write_text("base_dir = /tmp\n")
     with pytest.raises(ValidationError, match="unknown scenario key"):
+        load_scenario(bad)
+    # the Newton step always includes the traction-partner interaction
+    bad.write_text("newton_interactions = no\n")
+    with pytest.raises(ValidationError, match="unknown scenario key 'newton_interactions'"):
         load_scenario(bad)
 
 
@@ -127,6 +130,30 @@ def test_scenario_rejects_non_finite_budget_and_tolerance(value):
         Scenario(budget=value).validate()
     with pytest.raises(ValidationError, match="gap tolerance"):
         Scenario(gap_tolerance=value).validate()
+
+
+_MULTIPLIERS = (
+    "demand_multiplier",
+    "opex_multiplier",
+    "electrification_cost_multiplier",
+    "electricity_price_multiplier",
+)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(m, v) for m in _MULTIPLIERS for v in (math.nan, math.inf)]
+    + [
+        ("mutation", math.nan),
+        ("greedy_fraction", 3.0),
+        ("greedy_fraction", -0.5),
+        ("greedy_fraction", math.nan),
+        ("generations", -1),
+    ],
+)
+def test_scenario_rejects_bad_ga_and_multiplier_values(name, value):
+    with pytest.raises(ValidationError, match=name):
+        Scenario(**{name: value}).validate()
 
 
 def test_scenario_rejects_max_iterations_below_one(tmp_path):
@@ -584,6 +611,14 @@ def test_cli_validation_failures(tmp_path, capsys):
     cfg = write_toy(tmp_path)
     rc = cli.main(["sweep", "--config", str(cfg), "--axis", "budget", "--values", "abc"])
     assert rc == 2
+
+    for key, value in (("generations", "-1"), ("opex_multiplier", "nan")):
+        capsys.readouterr()
+        cfg.write_text(SCENARIO_CFG.replace("generations = 3\n", "") + f"{key} = {value}\n")
+        rc = cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 def test_cli_infeasible_exit_code(tmp_path, capsys):
