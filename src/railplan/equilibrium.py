@@ -49,6 +49,19 @@ Wardrop spread, which counts any flow above 0, would never close.  To first
 order the change is -diff * dx, with diff > 0 the segment cost difference,
 so that is the change booked, and the recorded objective never rises.
 
+Each iteration ends with one step along its own flow change, against the
+linear tail where bushes sharing arcs push flow back and forth over them.
+The sweep's moves are summed per bush, sparsely, into d_b; t_max is the
+largest t keeping every bush flow + t d_b >= 0 (0, so no step, when an arc
+at 0 would go negative).  With d the sum of the d_b, g(t) = cost(x + t d) . d
+is the objective's slope along d (the interaction is symmetric), read on the
+arcs of d and their partners.  t is t_max where g(t_max) <= 0, else the root
+of g, bisected until the bracket stops shrinking in floats; there is no step
+where g(0) >= 0.  The step is kept only when `CostEngine.beckmann` strictly
+falls, and that exact change is booked.  Flows stay non-negative and
+conserving, and the unchanged stopping rule is checked after the step on the
+flows as they are, so a stop still means spread and gap within tolerance.
+
 The relative gap costs one Dijkstra per origin.  It is computed only where
 the Wardrop spread is within tolerance, or on the last iteration; a stop
 needs both within tolerance, so every stop decision is unchanged.
@@ -554,6 +567,7 @@ class BushSolver:
         self.cost = self.engine.costs(self.x)
         self.shift_beckmann: list[float] = []
         self._beckmann = 0.0
+        self._moved: dict[int, float] = {}  # arc -> flow moved, by the bush being swept
 
     def _flow_eps(self, bush: Bush) -> float:
         return 1.0e-12 * max(1.0, bush.demand)
@@ -636,15 +650,62 @@ class BushSolver:
         self, bush: Bush, min_path: list[int], max_path: list[int], dx: float, df: float
     ) -> None:
         """Move dx from the max to the min segment and book df."""
+        moved = self._moved
         for a in min_path:
             bush.flow[a] += dx
             self.x[a] += dx
+            moved[a] = moved.get(a, 0.0) + dx
         for a in max_path:
             bush.flow[a] -= dx
             self.x[a] -= dx
+            moved[a] = moved.get(a, 0.0) - dx
         self._beckmann += df
         if self.record:
             self.shift_beckmann.append(self._beckmann)
+
+    def _extrapolate(self, steps: list[tuple[Bush, np.ndarray, np.ndarray]], beckmann: float) -> float:
+        """Step along this iteration's moves, (bush, arc ids, flow moved) per
+        bush, when the objective `beckmann` strictly falls (module docstring);
+        returns the objective after, `beckmann` when no step is taken."""
+        t_max = math.inf
+        for bush, arcs, d_b in steps:
+            out = d_b < 0.0
+            if out.any():
+                t_max = min(t_max, float((bush.flow[arcs[out]] / -d_b[out]).min()))
+        if not 0.0 < t_max < math.inf:
+            return beckmann
+        engine = self.engine
+        direction = np.zeros_like(self.x)
+        for _, arcs, d_b in steps:
+            direction[arcs] += d_b
+        idx = np.flatnonzero(direction)
+        base, slope = engine.pair_total(self.x, idx), engine.pair_total(direction, idx)
+        fixed, kc, cap, d = engine.fixed[idx], engine.kc[idx], engine.cap[idx], direction[idx]
+
+        def g(t: float) -> float:  # the objective's slope along d at step t
+            return float(d @ (fixed + congestion_time(kc, base + t * slope, cap, engine.beta)))
+
+        if g(0.0) >= 0.0:
+            return beckmann
+        lo, hi = (t_max if g(t_max) <= 0.0 else 0.0), t_max
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
+        if lo <= 0.0:
+            return beckmann
+        before = self.x[idx]
+        self.x[idx] = np.maximum(before + lo * d, 0.0)
+        after = engine.beckmann(self.x)
+        if not after < beckmann:
+            self.x[idx] = before
+            return beckmann
+        for bush, arcs, d_b in steps:  # at t_max, rounding can leave -ulp on a bounding arc
+            bush.flow[arcs] = np.maximum(bush.flow[arcs] + lo * d_b, 0.0)
+        touched = np.concatenate((idx, engine.partner[idx]))
+        self.cost[touched] = engine.costs(self.x, touched)
+        self._beckmann += after - beckmann
+        if self.record:
+            self.shift_beckmann.append(self._beckmann)
+        return after
 
     def _equilibrate_bush(self, bush: Bush, labels: Labels) -> None:
         """One sweep over the bush in reverse topological order, at most one
@@ -761,6 +822,7 @@ class BushSolver:
         iteration = 0
         prev_beckmann = math.inf
         for iteration in range(1, self.max_iter + 1):
+            steps = []
             for bush in self.bushes:
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
                 arcs = bush.arcs
@@ -772,7 +834,10 @@ class BushSolver:
                     first = min((pos[self._head[a]] for a in bush.arcs - arcs), default=len(pos))
                     shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
                 self._equilibrate_bush(bush, labels)
-            beckmann = self.engine.beckmann(self.x)
+                if self._moved:
+                    moved, self._moved = self._moved, {}
+                    steps.append((bush, np.fromiter(moved, np.int64), np.fromiter(moved.values(), float)))
+            beckmann = self._extrapolate(steps, self.engine.beckmann(self.x))
             if beckmann > prev_beckmann + 1.0e-9 * max(1.0, abs(prev_beckmann)):
                 raise AssertionError("objective increased across an iteration")
             prev_beckmann = beckmann

@@ -34,10 +34,6 @@ def load_kv(path: str | Path) -> dict[str, str]:
     return parse_kv(path.read_text(), source=str(path))
 
 
-def format_kv(values: dict[str, object]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in values.items())
-
-
 def coerce_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("1", "true", "yes", "y"):

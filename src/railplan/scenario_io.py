@@ -684,7 +684,6 @@ def assemble(scenario: Scenario) -> Assembled:
 class RunReport:
     """Headline numbers of one optimization run."""
 
-    scenario: dict
     baseline_cost: float
     optimized_cost: float
     roi: float
@@ -712,7 +711,6 @@ def summarize_design(assembled: Assembled, bits: design.Bits) -> RunReport:
     candidate_km = _candidate_km(assembled)
     solved = problem.solved
     return RunReport(
-        scenario={f.name: getattr(assembled.scenario, f.name) for f in dataclasses.fields(Scenario)},
         baseline_cost=baseline.total_cost,
         optimized_cost=best.total_cost,
         roi=(baseline.total_cost - best.total_cost) / assembled.scenario.budget,

@@ -208,30 +208,14 @@ class FullRelabelSolver(BushSolver):
             halvings += 1
         if df > 0.0:
             return 0.0
-        for a in min_path:
-            bush.flow[a] += dx
-            self.x[a] += dx
-        for a in max_path:
-            bush.flow[a] -= dx
-            self.x[a] -= dx
-        self._beckmann += df
-        if self.record:
-            self.shift_beckmann.append(self._beckmann)
+        self._move(bush, min_path, max_path, dx, df)
         return dx
 
     def _drain(self, bush, min_path, max_path, dx):
         diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
         if dx <= 0.0 or diff <= 0.0:
             return False
-        for a in min_path:
-            bush.flow[a] += dx
-            self.x[a] += dx
-        for a in max_path:
-            bush.flow[a] -= dx
-            self.x[a] -= dx
-        self._beckmann += -diff * dx
-        if self.record:
-            self.shift_beckmann.append(self._beckmann)
+        self._move(bush, min_path, max_path, dx, -diff * dx)
         return True
 
     def _equilibrate_bush(self, bush, labels):

@@ -2,7 +2,6 @@
 of oracles.py on random and overloaded networks."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from railplan.equilibrium import (

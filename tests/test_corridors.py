@@ -8,7 +8,7 @@ from railplan.corridors import candidate_corridors, corridor_cost
 from railplan.costmodel import ElectrificationRates, electrification_costs
 from railplan.network import Node, PhysicalLink, RailNetwork
 
-from synth import grid3x3_network, line_network, random_network
+from synth import grid3x3_network, random_network
 
 
 def unit_weights(net):

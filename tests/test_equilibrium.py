@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from railplan.costmodel import RateTable, build_profiles, yard_switch_costs
+from railplan.corridors import candidate_corridors
+from railplan.costmodel import ElectrificationRates, RateTable, electrification_costs
 from railplan.equilibrium import (
     Bush,
     BushSolver,
@@ -21,14 +22,7 @@ from railplan.equilibrium import (
     update_bush,
     _toposort,
 )
-from railplan.network import (
-    ArcKind,
-    Node,
-    PhysicalLink,
-    RailNetwork,
-    apply_design,
-    expand,
-)
+from railplan.network import Node, PhysicalLink, RailNetwork, apply_design
 
 from oracles import jacobian, msa_reference
 from synth import (
@@ -494,6 +488,28 @@ def test_congested_instance_converges():
     assert len(net.links) == 138
     assert metrics.converged
     assert metrics.iteration < 500
+
+
+def test_traction_swap_plateau_instance_converges_quickly():
+    # The 60-node optimize instance under rates where electric traction
+    # pays, cold-solved for its winning design.  Bushes pass flow round a
+    # traction-swap cycle that leaves every pair total as it is; advanced
+    # one fixed Newton step per iteration, it takes 70 iterations to empty.
+    rng = np.random.default_rng(1)
+    net = random_network(rng, n_nodes=60, extra_links=40, yard_count=20,
+                         capacity_range=(1.0e5, 4.0e5))
+    od = random_od(rng, net, pairs=40)
+    rates = RateTable(fuel_cost_electric=0.3e-8, switch_cost_per_train=200.0)
+    expanded, profiles = assembled_instance(net, rates=rates)
+    weights = {lid: p.congestion_coef + p.diesel.fuel_cost_per_ton for lid, p in profiles.items()}
+    corridors = candidate_corridors(net, weights, electrification_costs(net, ElectrificationRates()))
+    chosen = [3, 8, 9, 10, 19, 22, 25, 28, 32, 36, 39, 52, 65]
+    links = net.with_reverse_twins({l for i in chosen for l in corridors[i].link_ids})
+    _, metrics = solve_equilibrium(expanded, apply_design(expanded, links), od, profiles,
+                                   tol=1.0e-6, max_iter=500)
+    assert len(corridors) == 74
+    assert metrics.converged
+    assert metrics.iteration <= 35
 
 
 def test_overflowing_total_demand_is_rejected():

@@ -17,7 +17,7 @@ from railplan.network import (
     haversine_km,
 )
 
-from synth import grid3x3_network, line_network, random_network
+from synth import random_network
 
 
 def simple_link(lid=0, tail=0, head=1, **kw):

@@ -5,13 +5,10 @@ import json
 import math
 import re
 
-import numpy as np
 import pytest
 
 from railplan import cli
 from railplan.corridors import Corridor
-from railplan.costmodel import ElectrificationRates
-from railplan.equilibrium import ODMatrix
 from railplan.network import SignalClass
 from railplan.scenario_io import (
     Scenario,
@@ -34,7 +31,6 @@ from railplan.scenario_io import (
     write_design,
     write_flows,
     write_gap_trace,
-    write_generations,
 )
 
 
@@ -50,6 +46,10 @@ LINKS_CSV = """id,tail,head,length_km,grade,curve_radius_m,capacity_tpd,signal_c
 2,1,2,50,0.0,20000,50000,low,1
 3,2,1,50,0.0,20000,50000,low,1
 """
+
+# two direct links of low capacity next to the two-link route: one iteration
+# extrapolates along a single shift, so it cannot balance all three routes
+THREE_ROUTE_LINKS_CSV = LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n5,0,2,70,0.0,20000,3000,low,1\n"
 
 OD_CSV = """origin,destination,tons_per_day
 0,2,20000
@@ -473,9 +473,8 @@ def test_report_counts_unconverged_solves(tmp_path):
     assert (report.unconverged_solves, report.solves) == (0, 2)
     assert "unconverged equilibrium solves: 0 of 2" in (tmp_path / "ok" / "report.txt").read_text()
 
-    # one iteration cannot balance the short link against the two-link route
     cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
-    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    (tmp_path / "links.csv").write_text(THREE_ROUTE_LINKS_CSV)
     report = optimize_run(load_scenario(cfg), tmp_path / "cut")
     assert report.solves >= 2
     assert report.unconverged_solves == report.solves
@@ -634,10 +633,8 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
 
 
 def test_cli_assign_reports_spread_and_non_convergence(tmp_path, capsys):
-    # a short direct link of low capacity next to the two-link route: one
-    # iteration leaves the two routes far apart in cost
     cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
-    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    (tmp_path / "links.csv").write_text(THREE_ROUTE_LINKS_CSV)
     rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "o1")])
     out = capsys.readouterr().out
     assert rc == 0  # the exit code does not depend on convergence
@@ -657,10 +654,8 @@ def test_cli_warns_on_unconverged_solves(tmp_path, capsys):
     assert rc == 0
     assert "warning" not in capsys.readouterr().err
 
-    # as in test_cli_assign_reports_spread_and_non_convergence: one iteration
-    # leaves the short link and the two-link route far apart in cost
     cfg = write_toy(tmp_path, extra_cfg="max_iterations = 1\n")
-    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,0,2,90,0.0,20000,5000,low,1\n")
+    (tmp_path / "links.csv").write_text(THREE_ROUTE_LINKS_CSV)
     every_solve = re.compile(r"warning: (\d+) of \1 equilibrium solves did not converge\n")
     rc = cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "cut")])
     assert rc == 0  # the exit code does not depend on convergence

@@ -13,7 +13,7 @@ from railplan.equilibrium import CostEngine, ODMatrix, solve_equilibrium
 from railplan.network import apply_design
 
 from oracles import oracle_relative_gap
-from synth import assembled_instance, line_network, random_network, random_od, two_path_network
+from synth import assembled_instance, grid3x3_network, line_network, random_network, random_od
 
 TOL = 1.0e-7
 # cheap electricity and switching: electric traction pays
@@ -75,9 +75,10 @@ def test_design_failing_the_screen_is_solved_cold():
 
 
 def test_unconverged_start_screens_nothing(monkeypatch):
-    net = two_path_network(capacity_tpd=5.0e3)
+    # six shortest routes across the grid: one iteration cannot balance them
+    net = grid3x3_network(capacity_tpd=5.0e3)
     expanded, profiles = assembled_instance(net)
-    od = ODMatrix({(0, 1): 2.0e4})
+    od = ODMatrix({(0, 8): 2.0e4})
     start = solve_equilibrium(expanded, apply_design(expanded, ()), od, profiles, tol=TOL, max_iter=1)
     assert not start[1].converged
     gaps = []
