@@ -8,10 +8,12 @@ Fitness is the total system cost of the resulting user equilibrium.
 A design only makes electric arcs usable on top of the all-diesel network,
 so every design's solve starts from the all-diesel equilibrium: when those
 flows still pass the relative-gap test with the design's arcs usable, they
-are the design's equilibrium and no iteration runs (see `solve_equilibrium`).
-Where electric traction does not pay, that is nearly every design.  The
-all-diesel design is therefore solved before any other, whatever order the
-designs come in, so a design's fitness does not depend on it.
+are the design's equilibrium and no iteration runs.  Where electric traction
+does not pay, that is nearly every design.  The all-diesel design is
+therefore solved before any other, whatever order the designs come in, so a
+design's fitness does not depend on it.  Its equilibrium is kept once as a
+`screen.StartTable`, whose distance table makes each design's screen a
+repair of the all-diesel shortest paths (module docstring of `screen`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .network import ArcKind, ExpandedNetwork, apply_design
+from .screen import StartTable
 
 Bits = tuple[int, ...]
 
@@ -80,11 +83,13 @@ class EvaluatedDesign:
 
 @dataclass(frozen=True)
 class Solution:
-    """One solve of a design: its scalars, flows and solver metrics."""
+    """One solve of a design: its scalars, flows, solver metrics and usable
+    arcs."""
 
     evaluated: EvaluatedDesign
     state: FlowState
     metrics: GapMetrics
+    usable: np.ndarray
 
 
 @dataclass
@@ -95,7 +100,9 @@ class DesignProblem:
     kept for two designs only: the all-diesel one, and the best one solved
     while `generation` is set.  Best is the least (total cost, generation,
     bits), which is the design `evolve` returns: the cheapest, from the first
-    generation that has it, the lowest genome among its ties there.
+    generation that has it, the lowest genome among its ties there.  What
+    depends on the all-diesel solve alone, the screen's `StartTable` and the
+    corridor scores of `repair`, is computed once, when first needed.
     """
 
     expanded: ExpandedNetwork
@@ -111,6 +118,8 @@ class DesignProblem:
     _baseline: Solution | None = field(default=None, repr=False)
     _best: Solution | None = field(default=None, repr=False)
     _best_key: tuple | None = field(default=None, repr=False)
+    _start: StartTable | None = field(default=None, repr=False)
+    _scores: list[float] | None = field(default=None, repr=False)
 
     def _check(self, bits: Bits) -> None:
         if len(bits) != len(self.corridors):
@@ -156,11 +165,7 @@ class DesignProblem:
     def _solve(self, bits: Bits) -> Solution:
         """Solve a design, starting from the all-diesel equilibrium (module
         docstring), which is solved first when it is not kept yet."""
-        start = None
-        if any(bits):
-            if self._baseline is None:
-                self.baseline()
-            start = (self._baseline.state, self._baseline.metrics)
+        start = self.start() if any(bits) else None
         usable = apply_design(self.expanded, self.electrified_links(bits))
         state, metrics = solve_equilibrium(
             self.expanded,
@@ -180,7 +185,7 @@ class DesignProblem:
             electrified_km=self.electrified_km(bits),
             converged=metrics.converged,
         )
-        return Solution(result, state, metrics)
+        return Solution(result, state, metrics, usable)
 
     @property
     def solved(self) -> list[EvaluatedDesign]:
@@ -195,6 +200,22 @@ class DesignProblem:
         """All-diesel flow state."""
         self.baseline()
         return self._baseline.state
+
+    def start(self) -> StartTable:
+        """The all-diesel equilibrium that every design is screened against."""
+        if self._start is None:
+            self.baseline()
+            base = self._baseline
+            self._start = StartTable(
+                self.expanded, self.profiles, self.od, base.state, base.metrics, base.usable
+            )
+        return self._start
+
+    def corridor_scores(self) -> list[float]:
+        """`repair`'s benefit/cost score per corridor."""
+        if self._scores is None:
+            self._scores = _corridor_scores(self)
+        return self._scores
 
     def solution(self, bits: Bits) -> Solution:
         """Full solution of a design: the kept one for the all-diesel and the
@@ -254,7 +275,7 @@ def repair(bits: Bits, problem: DesignProblem) -> Bits:
     problem._check(bits)
     if problem.union_cost(bits) <= problem.budget:
         return bits
-    scores = _corridor_scores(problem)
+    scores = problem.corridor_scores()
     current = list(bits)
     while problem.union_cost(tuple(current)) > problem.budget:
         selected = [i for i, b in enumerate(current) if b]

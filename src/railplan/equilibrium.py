@@ -76,6 +76,8 @@ recomputed with this network's usable arcs, is too: they then meet the
 stopping rule of this solve.  Otherwise the solve runs cold, exactly as
 without a start.  A start that did not converge at this tolerance fails
 one of the two tests: the gap here is never below the gap it stopped at.
+The screen runs before any solver is built, against a `screen.StartTable`
+that a design search builds once (module docstring of `screen`).
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -95,6 +98,9 @@ from .costmodel import (
     congestion_time,
 )
 from .network import ArcKind, ExpandedNetwork
+
+if TYPE_CHECKING:
+    from .screen import StartTable
 
 ALL_ARCS = slice(None)
 
@@ -535,10 +541,8 @@ class BushSolver:
         tol: float = 1.0e-6,
         max_iter: int = 500,
         record_shift_beckmann: bool = False,
-        start: tuple[FlowState, GapMetrics] | None = None,
     ):
         self.expanded = expanded
-        self.start = start
         self.engine = CostEngine(expanded, profiles, usable)
         self.od = od
         self.tol = tol
@@ -776,34 +780,8 @@ class BushSolver:
                 break
         return worst
 
-    def _screen(self, started: float) -> tuple[FlowState, GapMetrics] | None:
-        """The start's flows at iteration 0 when they meet this solve's
-        stopping rule (module docstring), else None."""
-        state, metrics = self.start
-        usable = self.engine.usable
-        if metrics.wardrop_max > self.tol or np.any(state.x[~usable] > 0.0):
-            return None
-        cost = self.engine.costs(state.x)
-        gap = relative_gap(self.expanded, usable, cost, state.x, self.od)
-        if gap > self.tol:
-            return None
-        seconds = time.perf_counter() - started
-        return FlowState(x=state.x.copy(), cost=cost, beckmann=metrics.beckmann), GapMetrics(
-            relative_gap=gap,
-            iteration=0,
-            beckmann=metrics.beckmann,
-            seconds=seconds,
-            wardrop_max=metrics.wardrop_max,
-            converged=True,
-            trace=[(0, metrics.beckmann, gap, seconds)],
-        )
-
     def solve(self) -> tuple[FlowState, GapMetrics]:
         started = time.perf_counter()
-        if self.start is not None:
-            screened = self._screen(started)
-            if screened is not None:
-                return screened
         origins = self.od.by_origin()
         usable = self.engine.usable
         free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs))
@@ -879,10 +857,14 @@ def solve_equilibrium(
     tol: float = 1.0e-6,
     max_iter: int = 500,
     record_shift_beckmann: bool = False,
-    start: tuple[FlowState, GapMetrics] | None = None,
+    start: StartTable | None = None,
 ) -> tuple[FlowState, GapMetrics]:
     """One equilibrium; `start` is a converged solve to screen first (module
     docstring)."""
+    if start is not None:
+        screened = start.screen(usable, tol)
+        if screened is not None:
+            return screened
     solver = BushSolver(
         expanded,
         usable,
@@ -891,7 +873,6 @@ def solve_equilibrium(
         tol=tol,
         max_iter=max_iter,
         record_shift_beckmann=record_shift_beckmann,
-        start=start,
     )
     return solver.solve()
 
@@ -907,10 +888,21 @@ def relative_gap(
     od: ODMatrix,
 ) -> float:
     """(total cost - cost on current shortest paths) / latter; 0 for no demand."""
+    origins = od.by_origin()
+    dists = (_dijkstra(expanded, costs, expanded.diesel_node(r), usable)[0] for r in origins)
+    return _gap(expanded, origins, dists, float(x @ costs))
+
+
+def _gap(
+    expanded: ExpandedNetwork,
+    origins: dict[int, list[tuple[int, float]]],
+    dists,
+    tstt: float,
+) -> float:
+    """The relative gap from each origin's node distances, in `origins` order,
+    and the total cost `tstt`."""
     sptt = 0.0
-    for origin, dests in od.by_origin().items():
-        src = expanded.diesel_node(origin)
-        dist, _ = _dijkstra(expanded, costs, src, usable)
+    for (origin, dests), dist in zip(origins.items(), dists):
         for dest, d in dests:
             l = dist[expanded.diesel_node(dest)]
             if not math.isfinite(l):
@@ -918,5 +910,4 @@ def relative_gap(
             sptt += d * l
     if sptt <= 0.0:
         return 0.0
-    tstt = float(x @ costs)
     return (tstt - sptt) / sptt

@@ -1,0 +1,125 @@
+"""The screen of a solve against a converged start (module docstring of
+`equilibrium`).
+
+A `StartTable` keeps what every screen shares: the arc costs at the start's
+flows (costs do not depend on which arcs are usable), their total, and each
+origin's distances D over the start's usable arcs.  Only arcs usable here
+and not in the start can shorten a path.  One comparison, D[tail] + c <
+D[head], finds the origins where one does; their distances are repaired by
+a Dijkstra seeded at the broken heads that relaxes the usable arcs only
+while a label strictly falls.  The gap is then `relative_gap` bit for bit.
+Float addition of a non-negative cost is monotone, so a full Dijkstra's
+label is the least float path sum over the usable arcs, and so is every
+label of a labelling that some path reaches and no usable arc lowers.  The
+repair ends in one: its labels only fall to path sums, a node that fell
+relaxes its out-arcs at its final label, and an arc out of a node that did
+not fall is a start arc, which D leaves nothing to lower, or was compared.
+The shortest-path costs are summed in `relative_gap`'s origin and
+destination order.  Where an arc usable in the start is not usable here,
+distances can grow, and the screen calls `relative_gap` itself.
+"""
+
+from __future__ import annotations
+
+import heapq
+import time
+
+import numpy as np
+
+from .costmodel import LinkCostProfile
+from .equilibrium import (
+    CostEngine,
+    FlowState,
+    GapMetrics,
+    ODMatrix,
+    _dijkstra,
+    _gap,
+    relative_gap,
+)
+from .network import ExpandedNetwork
+
+
+class StartTable:
+    """A converged equilibrium kept to screen solves on more usable arcs, with
+    what every screen shares (module docstring)."""
+
+    def __init__(
+        self,
+        expanded: ExpandedNetwork,
+        profiles: dict[int, LinkCostProfile],
+        od: ODMatrix,
+        state: FlowState,
+        metrics: GapMetrics,
+        usable: np.ndarray | None,
+    ):
+        engine = CostEngine(expanded, profiles)
+        self.expanded, self.od, self.state, self.metrics = expanded, od, state, metrics
+        self.passable = engine.usable
+        self.usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
+        self.cost = engine.costs(state.x)
+        self.tstt = float(state.x @ self.cost)
+        self.origins = od.by_origin()
+        rows = [_dijkstra(expanded, self.cost, expanded.diesel_node(r), self.usable)[0] for r in self.origins]
+        self.dist = np.array(rows).reshape(len(rows), expanded.n_nodes)
+        self._tail, self._head = expanded.tail.tolist(), expanded.head.tolist()
+        self._cost = self.cost.tolist()
+
+    def screen(self, usable: np.ndarray | None, tol: float) -> tuple[FlowState, GapMetrics] | None:
+        """The start's flows at iteration 0 when they meet the stopping rule
+        of a solve with these usable arcs and `tol`, else None."""
+        started = time.perf_counter()
+        state, metrics = self.state, self.metrics
+        usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
+        if metrics.wardrop_max > tol or np.any(state.x[~usable] > 0.0):
+            return None
+        gap = self.relative_gap(usable)
+        if gap > tol:
+            return None
+        seconds = time.perf_counter() - started
+        return FlowState(x=state.x.copy(), cost=self.cost.copy(), beckmann=metrics.beckmann), GapMetrics(
+            relative_gap=gap,
+            iteration=0,
+            beckmann=metrics.beckmann,
+            seconds=seconds,
+            wardrop_max=metrics.wardrop_max,
+            converged=True,
+            trace=[(0, metrics.beckmann, gap, seconds)],
+        )
+
+    def relative_gap(self, usable: np.ndarray) -> float:
+        """`relative_gap` of the start's flows with these usable arcs."""
+        if np.any(self.usable & ~usable):
+            return relative_gap(self.expanded, usable, self.cost, self.state.x, self.od)
+        added = np.flatnonzero(usable & ~self.usable)
+        tail, head = self.expanded.tail[added], self.expanded.head[added]
+        broken = self.dist[:, tail] + self.cost[added] < self.dist[:, head]
+        ok = usable.tolist()
+        dists = (  # lists: the gap sums Python floats
+            self._repair(row.tolist(), added[hit].tolist(), ok) if hit.any() else row.tolist()
+            for row, hit in zip(self.dist, broken)
+        )
+        return _gap(self.expanded, self.origins, dists, self.tstt)
+
+    def _repair(self, dist: list[float], seeds: list[int], ok: list[bool]) -> list[float]:
+        """Lower `dist`, the distances over the start's usable arcs, to those
+        over the arcs `ok`, from the arcs `seeds` that break it."""
+        tail, head, cost, out_arcs = self._tail, self._head, self._cost, self.expanded.out_arcs
+        heap = []
+        for a in seeds:
+            nd, v = dist[tail[a]] + cost[a], head[a]
+            if nd < dist[v]:
+                dist[v] = nd
+                heap.append((nd, v))
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            for a in out_arcs[u]:
+                if ok[a]:
+                    nd, v = d + cost[a], head[a]
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        push(heap, (nd, v))
+        return dist

@@ -264,7 +264,7 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
     # every design's solve starts from the all-diesel equilibrium
     usable = apply_design(problem.expanded, problem.electrified_links(best.design.bits))
     state, metrics = solve(problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol,
-                           start=(baseline.state, baseline.metrics))
+                           start=problem.start())
     assert winner.state.x.tolist() == state.x.tolist()
     assert [row[:3] for row in winner.metrics.trace] == [row[:3] for row in metrics.trace]
     if "switch_cost_per_train" in rate_overrides:
