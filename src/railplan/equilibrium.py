@@ -23,7 +23,11 @@ labels stand, and the sweep never reads a label at or after the current node
 again.  Flows and costs come out bit for bit as if every cost and every label
 were recomputed after each shift.  After a bush update only added arcs can
 move a label (a dropped arc carried no flow and was no min predecessor), so
-the relabel starts at the earliest head of an added arc.
+the relabel starts at the earliest head of an added arc.  Any topological
+order will do: a label pass takes each node's inbound arcs in arc-id order,
+so its labels, ties included, do not depend on the order, and the sweep and
+the relabel bounds need only that every arc runs forward.  So a bush keeps
+its order across updates, and `update_bush` re-sorts only when it must.
 
 A shift is safeguarded by its exact objective change: the step is halved
 while that change is positive.  The change is a sum over the segment arcs,
@@ -164,8 +168,9 @@ class GapMetrics:
 class Bush:
     """Acyclic per-origin subnetwork plus this origin's arc flows.
 
-    `pull` holds the bush arcs sorted by (position of the head in `order`,
-    arc id); the arcs entering order[i] are pull[offsets[i]:offsets[i + 1]].
+    `pos` inverts `order` (-1 off the bush), and `pull` holds the bush arcs
+    sorted by (pos of the head, arc id); the arcs entering order[i] are
+    pull[offsets[i]:offsets[i + 1]].
     """
 
     origin: int  # expanded node index
@@ -173,19 +178,22 @@ class Bush:
     order: list[int]  # topological node order, origin first
     flow: np.ndarray
     demand: float = 0.0
+    pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
 
-    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int]) -> None:
-        """Install a new arc set with its topological order and rebuild `pull`."""
-        pos = np.zeros(expanded.n_nodes, dtype=np.int64)
-        pos[order] = np.arange(len(order))
-        head_pos = pos[expanded.head[arcs]]
+    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None) -> None:
+        """Install a new arc set and rebuild `pull`; `order` None keeps the
+        current order, which must still be topological for `arcs`."""
+        if order is not None:
+            self.order = order
+            self.pos = np.full(expanded.n_nodes, -1, dtype=np.int32)
+            self.pos[order] = np.arange(len(order))
+        head_pos = self.pos[expanded.head[arcs]]
         self.arcs = set(arcs.tolist())
-        self.order = order
         self.pull = arcs[np.lexsort((arcs, head_pos))].astype(np.int32)
-        self.offsets = np.zeros(len(order) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(head_pos, minlength=len(order)), out=self.offsets[1:])
+        self.offsets = np.zeros(len(self.order) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(head_pos, minlength=len(self.order)), out=self.offsets[1:])
 
 
 class CostEngine:
@@ -421,11 +429,14 @@ def update_bush(
     usable: np.ndarray,
     labels: Labels | None = None,
 ) -> bool:
-    """Drop spent arcs, add strictly improving ones, refresh the order.
+    """Drop spent arcs, add strictly improving ones, keep a topological order.
 
     An arc stays while it carries flow or is its head's min predecessor.  An
-    arc joins when L[tail] + c < L[head] with L[tail] < L[head]; the label
-    ordering keeps the bush acyclic, and a topological sort verifies it.
+    arc joins when L[tail] + c < L[head] with L[tail] < L[head], so between
+    two bush nodes; with every min predecessor kept, the node set never
+    changes.  Dropping arcs keeps an order topological, so `bush.order`
+    stays unless an added arc runs backward in it.  Then the bush is
+    re-sorted, without the backward adds on the rare tie that closes a cycle.
     `labels` are the bush's labels at `costs`, when the caller has them.
     Returns True when the arc set changed.
     """
@@ -443,15 +454,16 @@ def update_bush(
     if adds.size == 0 and keep.size == old.size:
         return False
     new_arcs = np.concatenate((keep, adds))
-    try:
-        order = _toposort(expanded, new_arcs, bush.origin)
-    except ValueError:
-        # rare tie pathology: keep only additions consistent with the old order
-        pos = np.full(expanded.n_nodes, -1, dtype=np.int64)
-        pos[bush.order] = np.arange(len(bush.order))
-        adds = adds[pos[expanded.tail[adds]] < pos[expanded.head[adds]]]
-        new_arcs = np.concatenate((keep, adds))
-        order = _toposort(expanded, new_arcs, bush.origin)
+    forward = bush.pos[expanded.tail[adds]] < bush.pos[expanded.head[adds]]
+    order = None
+    if not forward.all():
+        try:
+            order = _toposort(expanded, new_arcs, bush.origin)
+        except ValueError:
+            # rare tie pathology: keep only additions consistent with the old order
+            adds = adds[forward]
+            new_arcs = np.concatenate((keep, adds))
+            order = _toposort(expanded, new_arcs, bush.origin)
     changed = adds.size > 0 or keep.size < old.size
     bush.set_arcs(expanded, new_arcs, order)
     return changed
@@ -725,8 +737,7 @@ class BushSolver:
         engine = self.engine
         tail, head, partner = self._tail, self._head, self._partner
         L, U, pmin, pmax = labels
-        order = bush.order
-        pos = None
+        order, pos = bush.order, bush.pos
         for i in range(len(order) - 1, 0, -1):
             v = order[i]
             if pmax[v] < 0 or pmin[v] == pmax[v]:
@@ -755,8 +766,6 @@ class BushSolver:
                     self._drain(bush, min_path, max_path, max_shift - applied)
             touched = segments + [partner[a] for a in segments]
             self.cost[touched] = engine.costs(self.x, np.array(touched))
-            if pos is None:
-                pos = {u: k for k, u in enumerate(order)}
             first = min(pos[head[a]] for a in touched if a in bush.arcs)
             shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
 
@@ -807,9 +816,8 @@ class BushSolver:
                 if update_bush(self.expanded, bush, self.cost, usable, labels):
                     # a dropped arc carried no flow and was no min predecessor,
                     # so only added arcs move labels: relabel from the first
-                    # head of one in the new order
-                    pos = {u: i for i, u in enumerate(bush.order)}
-                    first = min((pos[self._head[a]] for a in bush.arcs - arcs), default=len(pos))
+                    # head of one in the order
+                    first = min((bush.pos[self._head[a]] for a in bush.arcs - arcs), default=len(bush.order))
                     shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
                 self._equilibrate_bush(bush, labels)
                 if self._moved:

@@ -832,14 +832,16 @@ def sweep(
     values = [float(v) for v in values]
     if not values:
         raise ValidationError("sweep needs at least one value")
+    # each run's directory and stdout line are labelled with its value
+    labels = [f"{axis}_{v:g}" for v in values]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
+    if clashes:
+        raise ValidationError(f"sweep values share a label: {', '.join(clashes)}")
 
     reports: list[RunReport] = []
-    for v in values:
+    for v, label in zip(values, labels):
         sub = replace(scenario, **{attr: v})
-        sub_dir = None
-        if out_dir is not None:
-            sub_dir = Path(out_dir) / f"{axis}_{v:g}"
-        reports.append(optimize_run(sub, sub_dir))
+        reports.append(optimize_run(sub, None if out_dir is None else Path(out_dir) / label))
 
     base_value = getattr(scenario, attr)
     base_idx = values.index(base_value) if base_value in values else 0

@@ -94,7 +94,10 @@ def oracle_toposort(expanded, arcs, origin):
 
 def oracle_update(expanded, bush, costs, usable):
     """(arc set, order) that update_bush should leave on the bush; the bush
-    itself is not modified.  Raises ValueError where update_bush must."""
+    itself is not modified.  The order stays when every added arc runs
+    forward in it; otherwise the new arc set is sorted afresh, and on a cycle
+    the backward adds are dropped before sorting.  Raises ValueError where
+    update_bush must."""
     L, _, pmin, _ = oracle_labels(expanded, bush, costs)
     keep = {a for a in bush.arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
     adds = set()
@@ -107,18 +110,14 @@ def oracle_update(expanded, bush, costs, usable):
         if L[t] + costs[a] < L[h] and L[t] < L[h]:
             adds.add(a)
     new_arcs = keep | adds
-    if new_arcs == bush.arcs:
-        return set(bush.arcs), list(bush.order)
+    pos = {u: i for i, u in enumerate(bush.order)}
+    forward = {a for a in adds if pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]}
+    if forward == adds:
+        return new_arcs, list(bush.order)
     try:
         order = oracle_toposort(expanded, new_arcs, bush.origin)
     except ValueError:
-        pos = {u: i for i, u in enumerate(bush.order)}
-        adds = {
-            a
-            for a in adds
-            if pos.get(int(expanded.tail[a]), -1) < pos.get(int(expanded.head[a]), -1)
-        }
-        new_arcs = keep | adds
+        new_arcs = keep | forward
         order = oracle_toposort(expanded, new_arcs, bush.origin)
     return new_arcs, order
 

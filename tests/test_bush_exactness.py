@@ -52,6 +52,7 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
     free_flow = engine.costs(np.zeros(expanded.n_arcs))
     for origin, dests in od.by_origin().items():
         bush = _initial_bush(expanded, free_flow, engine.usable, origin, dests)
+        nodes = set(bush.order)
         for _ in range(4):
             # few distinct cost values make label ties common
             if tied_costs:
@@ -72,6 +73,14 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             assert bush.arcs == want_arcs
             assert bush.order == want_order
             assert changed == (want_arcs != before)
+            # any topological order of the initial node set, indexed by pos
+            assert set(bush.order) == nodes and len(bush.order) == len(nodes)
+            assert bush.order[0] == bush.origin
+            for a in bush.arcs:
+                assert bush.pos[expanded.tail[a]] < bush.pos[expanded.head[a]]
+            want_pos = np.full(expanded.n_nodes, -1)
+            want_pos[bush.order] = np.arange(len(bush.order))
+            assert bush.pos.tolist() == want_pos.tolist()
 
 
 # where the arcs of one traction pair go: "min"/"max" puts one arc on that

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from railplan import equilibrium
 from railplan.corridors import candidate_corridors
 from railplan.costmodel import ElectrificationRates, RateTable, electrification_costs
 from railplan.equilibrium import (
@@ -244,6 +245,42 @@ def test_update_bush_fixed_point_and_acyclic(two_path_net):
         pos = {u: i for i, u in enumerate(bush.order)}
         for a in bush.arcs:
             assert pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward):
+    # Bush 0 -> {0->1 or 2->1, 0->2} on the diesel arcs of the two-path
+    # network, laid out 0, 2, 1 when 2->1 is in it and 0, 1, 2 otherwise;
+    # at these costs the missing arc joins, forward in the first layout and
+    # backward in the second.
+    expanded, _ = assembled_instance(two_path_network())
+    usable = apply_design(expanded, set())
+    direct, to_mid, mid_to = (expanded.pair_of[l][0] for l in (0, 2, 4))
+    n0, n1, n2 = (expanded.diesel_node(i) for i in range(3))
+    costs = np.ones(expanded.n_arcs)
+    costs[direct] = 10.0 if backward else 1.0
+    kept, added = (direct, mid_to) if backward else (mid_to, direct)
+    order = [n0, n1, n2] if backward else [n0, n2, n1]
+    flow = np.zeros(expanded.n_arcs)
+    flow[[to_mid, kept]] = 1.0
+    arcs = np.array(sorted([to_mid, kept]))
+    bush = Bush(origin=n0, arcs=set(), order=[], flow=flow, demand=1.0)
+    bush.set_arcs(expanded, arcs, order)
+
+    calls = []
+
+    def toposort(*args):
+        calls.append(args)
+        if not backward:
+            raise AssertionError("forward adds keep the order")
+        return _toposort(*args)
+
+    monkeypatch.setattr(equilibrium, "_toposort", toposort)
+    assert update_bush(expanded, bush, costs, usable)
+    assert bush.arcs == {to_mid, kept, added}
+    assert len(calls) == int(backward)
+    assert bush.order == ([n0, n2, n1] if backward else order)
+    assert [bush.pos[n] for n in bush.order] == [0, 1, 2]
 
 
 def test_update_bush_adds_shorter_arc():

@@ -525,6 +525,19 @@ def test_sweep_budget_axis(tmp_path):
         sweep(scenario, "budget", [])
 
 
+def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys):
+    # demand 1 and 1.0000001 both print as 1, so both runs would write demand_1
+    cfg = write_toy(tmp_path)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValidationError, match="demand_1"):
+        sweep(load_scenario(cfg), "demand", [1.0, 2.0, 1.0000001], out)
+    rc = cli.main(["sweep", "--config", str(cfg), "--axis", "demand",
+                   "--values", "1,1.0000001", "--out-dir", str(out)])
+    assert rc == 2
+    assert "demand_1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- writers --------------------------------------------------------------------------
 
 
