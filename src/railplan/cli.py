@@ -34,7 +34,6 @@ def _load(args: argparse.Namespace) -> Scenario:
         scenario = replace(scenario, seed=args.seed)
     if args.tol is not None:
         scenario = replace(scenario, gap_tolerance=args.tol)
-    scenario.validate()
     return scenario
 
 

@@ -83,13 +83,13 @@ class RateTable:
 
     def __post_init__(self):
         if self.beta <= 1.0:
-            raise ValueError("congestion exponent must exceed 1")
+            raise ValueError(f"beta, the congestion exponent, must exceed 1, got {self.beta}")
         if self.switching_cost_mode not in ("fixed", "composed"):
             raise ValueError(f"unknown switching_cost_mode {self.switching_cost_mode!r}")
         if not (0.0 < self.min_notch_fraction <= 1.0):
             raise ValueError("min_notch_fraction must be in (0, 1]")
         if self.notch_count < 1:
-            raise ValueError("need at least one throttle notch")
+            raise ValueError(f"notch_count must be at least 1, got {self.notch_count}")
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,14 @@ def solve_power_speed(
     consist: TrainConsist,
     rates: RateTable,
     throttle: ThrottleTable,
-    v_desired: float | None = None,
 ) -> tuple[float, float, float]:
     """Pick the throttle notch and speed for a link: (P watts, v m/s, t0 hours).
 
     The smallest notch that can hold the desired speed wins and the train
     runs at exactly that speed.  If even the top notch falls short, speed
-    comes from bisecting P = R(v)*v on [0.1, v_desired].
+    comes from bisecting P = R(v)*v between 0.1 m/s and the desired speed.
     """
-    v_d = v_desired if v_desired is not None else (link.desired_speed or rates.desired_speed)
+    v_d = link.desired_speed or rates.desired_speed
     brake = brake_resistance(link, consist, rates, throttle, v_d)
 
     def load(v: float) -> float:
@@ -384,14 +383,8 @@ def build_link_profile(
     )
 
 
-def build_profiles(
-    net: RailNetwork,
-    consist: TrainConsist,
-    rates: RateTable,
-    throttles: Mapping[ArcKind, ThrottleTable] | None = None,
-) -> dict[int, LinkCostProfile]:
-    if throttles is None:
-        throttles = build_throttles(consist, rates)
+def build_profiles(net: RailNetwork, consist: TrainConsist, rates: RateTable) -> dict[int, LinkCostProfile]:
+    throttles = build_throttles(consist, rates)
     return {
         lid: build_link_profile(net.links[lid], consist, rates, throttles)
         for lid in sorted(net.links)

@@ -61,10 +61,12 @@ class DesignVector:
 
 @dataclass
 class GAConfig:
+    """GA settings; `scenario_io.Scenario` inherits them as scenario.cfg keys."""
+
     population: int = 64
     generations: int = 200
     crossover: float = 0.9
-    mutation: float | None = None  # default 1/len(corridors)
+    mutation: float = -1.0  # negative: 1/len(corridors)
     elites: int = 2
     seed: int = 0
     greedy_fraction: float = 0.5
@@ -113,13 +115,13 @@ class DesignProblem:
     od: ODMatrix
     tol: float = 1.0e-6
     max_iter: int = 500
-    generation: int | None = None  # the GA generation being evaluated
-    _cache: dict[Bits, EvaluatedDesign] = field(default_factory=dict, repr=False)
-    _baseline: Solution | None = field(default=None, repr=False)
-    _best: Solution | None = field(default=None, repr=False)
-    _best_key: tuple | None = field(default=None, repr=False)
-    _start: StartTable | None = field(default=None, repr=False)
-    _scores: list[float] | None = field(default=None, repr=False)
+    generation: int | None = field(default=None, init=False)  # the GA generation being evaluated
+    _cache: dict[Bits, EvaluatedDesign] = field(default_factory=dict, init=False, repr=False)
+    _baseline: Solution | None = field(default=None, init=False, repr=False)
+    _best: Solution | None = field(default=None, init=False, repr=False)
+    _best_key: tuple | None = field(default=None, init=False, repr=False)
+    _start: StartTable | None = field(default=None, init=False, repr=False)
+    _scores: list[float] | None = field(default=None, init=False, repr=False)
 
     def _check(self, bits: Bits) -> None:
         if len(bits) != len(self.corridors):
@@ -354,7 +356,7 @@ def evolve(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = len(problem.corridors)
-    p_mut = config.mutation if config.mutation is not None else (1.0 / n if n else 0.0)
+    p_mut = config.mutation if config.mutation >= 0.0 else (1.0 / n if n else 0.0)
     genomes = [tuple(g) for g in population]
 
     def tournament(evals: list[EvaluatedDesign]) -> int:

@@ -767,7 +767,8 @@ class BushSolver:
             touched = segments + [partner[a] for a in segments]
             self.cost[touched] = engine.costs(self.x, np.array(touched))
             first = min(pos[head[a]] for a in touched if a in bush.arcs)
-            shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
+            if first < i:
+                shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
 
     def wardrop_violation(self, bound: float = math.inf) -> float:
         """Max relative L/U spread over flow-carrying nodes, all bushes.
@@ -817,8 +818,10 @@ class BushSolver:
                     # a dropped arc carried no flow and was no min predecessor,
                     # so only added arcs move labels: relabel from the first
                     # head of one in the order
-                    first = min((bush.pos[self._head[a]] for a in bush.arcs - arcs), default=len(bush.order))
-                    shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
+                    added = bush.arcs - arcs
+                    if added:
+                        first = min(bush.pos[self._head[a]] for a in added)
+                        shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
                 self._equilibrate_bush(bush, labels)
                 if self._moved:
                     moved, self._moved = self._moved, {}

@@ -98,20 +98,14 @@ def compute_alpha(link: PhysicalLink, tail: Node, head: Node) -> float:
     return link.alpha
 
 
-def curve_radius_from_alpha(
-    alpha: float,
-    alpha_min: float,
-    alpha_max: float,
-    r_min: float = DEFAULT_MIN_RADIUS_M,
-    r_max: float = DEFAULT_MAX_RADIUS_M,
-) -> float:
+def curve_radius_from_alpha(alpha: float, alpha_min: float, alpha_max: float) -> float:
     """Map terrain difficulty onto a curve radius: hardest terrain, tightest."""
     span = alpha_max - alpha_min
     # spans at float-noise scale are geometry noise, not terrain signal
     degenerate = span <= 1e-9 * max(1.0, abs(alpha_max))
     lam = 0.0 if degenerate else (alpha - alpha_min) / span
     lam = min(max(lam, 0.0), 1.0)
-    return r_max - lam * (r_max - r_min)
+    return DEFAULT_MAX_RADIUS_M - lam * (DEFAULT_MAX_RADIUS_M - DEFAULT_MIN_RADIUS_M)
 
 
 @dataclass

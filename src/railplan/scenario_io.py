@@ -47,12 +47,14 @@ class ValidationError(ValueError):
     """Malformed input data or config."""
 
 
-# --- scenario config -----------------------------------------------------------
+# --- configs ----------------------------------------------------------------------
 
 
 @dataclass
-class Scenario:
-    """One run's inputs and knobs; everything overridable from the config file."""
+class Scenario(design.GAConfig):
+    """One run's inputs and knobs, the GA settings of `design.GAConfig`
+    included; every field but `base_dir` is a scenario.cfg key.  Construction
+    and `replace` validate."""
 
     node_file: str = "nodes.csv"
     link_file: str = "links.csv"
@@ -64,17 +66,13 @@ class Scenario:
     opex_multiplier: float = 1.0
     electrification_cost_multiplier: float = 1.0
     electricity_price_multiplier: float = 1.0
-    seed: int = 0
     gap_tolerance: float = 1.0e-6
     max_iterations: int = 500
     corridor_metric: str = "cost"  # cost | length
-    population: int = 64
-    generations: int = 200
-    crossover: float = 0.9
-    mutation: float = -1.0  # negative: default 1/|corridors|
-    elites: int = 2
-    greedy_fraction: float = 0.5
-    base_dir: str = "."
+    base_dir: str = "."  # where the file names resolve: the config's directory
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not (math.isfinite(self.budget) and self.budget > 0.0):
@@ -92,8 +90,8 @@ class Scenario:
             raise ValidationError(f"corridor_metric must be cost|length, got {self.corridor_metric!r}")
         if not (0.0 <= self.crossover <= 1.0):
             raise ValidationError("crossover probability outside [0, 1]")
-        if math.isnan(self.mutation) or self.mutation > 1.0:
-            raise ValidationError(f"mutation probability above 1 or NaN, got {self.mutation}")
+        if not (math.isfinite(self.mutation) and self.mutation <= 1.0):
+            raise ValidationError(f"mutation probability above 1 or non-finite, got {self.mutation}")
         if not (0.0 <= self.greedy_fraction <= 1.0):
             raise ValidationError(f"greedy_fraction outside [0, 1], got {self.greedy_fraction}")
         if self.population < 2:
@@ -110,98 +108,57 @@ class Scenario:
     def path(self, name: str) -> Path:
         return Path(self.base_dir) / name
 
-    def ga_config(self) -> design.GAConfig:
-        return design.GAConfig(
-            population=self.population,
-            generations=self.generations,
-            crossover=self.crossover,
-            mutation=None if self.mutation < 0.0 else self.mutation,
-            elites=self.elites,
-            seed=self.seed,
-            greedy_fraction=self.greedy_fraction,
-        )
+
+def _schema(cls, skip: tuple[str, ...] = (), spelling: Mapping[str, str] | None = None) -> dict[str, tuple]:
+    """Config key -> (class, field, type of the field's default) per field of
+    a config dataclass; `spelling` renames keys."""
+    spelling = spelling or {}
+    return {
+        spelling.get(f.name, f.name): (cls, f.name, type(f.default))
+        for f in dataclasses.fields(cls)
+        if f.name not in skip
+    }
 
 
-_SCENARIO_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
+def _parse(
+    raw: Mapping[str, str], types: Mapping[str, type], source: str | Path | None, what: str
+) -> dict[str, object]:
+    """Each value of `raw` as the type of its key; unknown keys and
+    non-finite floats are rejected."""
+    values: dict[str, object] = {}
+    for key, text in raw.items():
+        kind = types.get(key)
+        if kind is None:
+            raise ValidationError(f"{source}: unknown {what} key {key!r}")
+        try:
+            value = kind(text)
+        except ValueError as exc:
+            raise ValidationError(f"{source}: bad value for {key}: {exc}") from exc
+        if kind is float and not math.isfinite(value):
+            raise ValidationError(f"{source}: bad value for {key}: non-finite value {text!r}")
+        values[key] = value
+    return values
+
+
+_SCENARIO_TYPES = {key: kind for key, (_, _, kind) in _schema(Scenario, skip=("base_dir",)).items()}
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario config; unknown keys are rejected, paths resolve
     relative to the config file."""
     path = Path(path)
-    raw = kvconfig.load_kv(path)
-    scenario = Scenario(base_dir=str(path.parent))
-    for key, text in raw.items():
-        if key == "base_dir" or key not in _SCENARIO_TYPES:
-            raise ValidationError(f"{path}: unknown scenario key {key!r}")
-        current = getattr(scenario, key)
-        try:
-            if isinstance(current, int):
-                value: object = int(text)
-            elif isinstance(current, float):
-                value = float(text)
-            else:
-                value = text
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad value for {key}: {exc}") from exc
-        setattr(scenario, key, value)
-    scenario.validate()
-    return scenario
+    values = _parse(kvconfig.load_kv(path), _SCENARIO_TYPES, path, "scenario")
+    return Scenario(base_dir=str(path.parent), **values)
 
 
-# --- rates config ----------------------------------------------------------------
-
-_CONSIST_KEYS = {
-    "locomotive_count": ("n_locomotives", int),
-    "railcar_count": ("n_railcars", int),
-    "locomotive_mass_t": ("locomotive_mass_t", float),
-    "railcar_tare_t": ("railcar_tare_t", float),
-    "railcar_cargo_t": ("railcar_cargo_t", float),
-    "locomotive_axles": ("locomotive_axles", int),
-    "railcar_axles": ("railcar_axles", int),
-    "locomotive_drag": ("locomotive_drag", float),
-    "railcar_drag": ("railcar_drag", float),
-}
-
-_RATE_KEYS = {
-    "crew_rate": float,
-    "cargo_rate": float,
-    "fuel_cost_diesel": float,
-    "fuel_cost_electric": float,
-    "eta_diesel": float,
-    "eta_electric": float,
-    "flange_factor": float,
-    "air_factor": float,
-    "bearing_a": float,
-    "bearing_b": float,
-    "flange_b_locomotive": float,
-    "flange_b_railcar": float,
-    "gravity": float,
-    "beta": float,
-    "curve_coefficient": float,
-    "curve_arg_m": float,
-    "brake_grade_equivalent": float,
-    "desired_speed": float,
-    "locomotive_power_diesel_w": float,
-    "locomotive_power_electric_w": float,
-    "notch_count": int,
-    "min_notch_fraction": float,
-    "switch_cost_per_train": float,
-    "switch_hours": float,
-    "switch_crew_equivalents": float,
-    "switch_energy_cost": float,
-    "switching_cost_mode": str,
-}
-
-_ELEC_KEYS = {
-    "ocs_min": float,
-    "ocs_max": float,
-    "substation_min": float,
-    "substation_max": float,
-    "transmission_min": float,
-    "transmission_max": float,
-    "public_works_min": float,
-    "public_works_max": float,
+# rates.cfg keys are the fields of the three rates dataclasses, except that the
+# consist counts are spelled `locomotive_count` and `railcar_count`, the signal
+# cost mapping is read from the `signal_*` keys, and `ppi_capital` is one of
+# the `ppi_*` producer-price factors.
+_RATE_FIELDS = {
+    **_schema(TrainConsist, spelling={"n_locomotives": "locomotive_count", "n_railcars": "railcar_count"}),
+    **_schema(RateTable),
+    **_schema(ElectrificationRates, skip=("signal_cost", "ppi_capital")),
 }
 
 _SIGNAL_KEYS = {
@@ -212,12 +169,10 @@ _SIGNAL_KEYS = {
 
 _PPI_KEYS = ("ppi_capital", "ppi_operations", "ppi_fuel", "ppi_switching")
 
-
-def _parse_rate(conv, text: str):
-    value = conv(text)
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
+_RATES_TYPES = {
+    **{key: kind for key, (_, _, kind) in _RATE_FIELDS.items()},
+    **dict.fromkeys((*_SIGNAL_KEYS, *_PPI_KEYS), float),
+}
 
 
 def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, ElectrificationRates]:
@@ -227,31 +182,18 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
     the crew/cargo rates, fuel on both energy prices, switching on the flat
     per-train figure, capital inside the electrification rates.
     """
-    raw = kvconfig.load_kv(path) if path else {}
-    consist_args: dict[str, object] = {}
-    rate_args: dict[str, object] = {}
-    elec_args: dict[str, object] = {}
+    values = _parse(kvconfig.load_kv(path) if path else {}, _RATES_TYPES, path, "rates")
+    args: dict[type, dict[str, object]] = {TrainConsist: {}, RateTable: {}, ElectrificationRates: {}}
+    for key, (cls, name, _) in _RATE_FIELDS.items():
+        if key in values:
+            args[cls][name] = values[key]
     signal = dict(ElectrificationRates().signal_cost)
-    ppi = {k: 1.0 for k in _PPI_KEYS}
-    for key, text in raw.items():
-        try:
-            if key in _CONSIST_KEYS:
-                attr, conv = _CONSIST_KEYS[key]
-                consist_args[attr] = _parse_rate(conv, text)
-            elif key in _RATE_KEYS:
-                rate_args[key] = _parse_rate(_RATE_KEYS[key], text)
-            elif key in _ELEC_KEYS:
-                elec_args[key] = _parse_rate(_ELEC_KEYS[key], text)
-            elif key in _SIGNAL_KEYS:
-                signal[_SIGNAL_KEYS[key]] = _parse_rate(float, text)
-            elif key in _PPI_KEYS:
-                ppi[key] = _parse_rate(float, text)
-            else:
-                raise ValidationError(f"unknown rates key {key!r}")
-        except ValueError as exc:
-            raise ValidationError(f"bad value for {key}: {exc}") from exc
-    consist = TrainConsist(**consist_args)
-    rates = RateTable(**rate_args)
+    signal.update({cls: values[key] for key, cls in _SIGNAL_KEYS.items() if key in values})
+    ppi = {key: values.get(key, 1.0) for key in _PPI_KEYS}
+    try:
+        rates = RateTable(**args[RateTable])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     rates = replace(
         rates,
         crew_rate=rates.crew_rate * ppi["ppi_operations"],
@@ -260,8 +202,10 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
         fuel_cost_electric=rates.fuel_cost_electric * ppi["ppi_fuel"],
         switch_cost_per_train=rates.switch_cost_per_train * ppi["ppi_switching"],
     )
-    elec = ElectrificationRates(signal_cost=signal, ppi_capital=ppi["ppi_capital"], **elec_args)
-    return consist, rates, elec
+    elec = ElectrificationRates(
+        signal_cost=signal, ppi_capital=ppi["ppi_capital"], **args[ElectrificationRates]
+    )
+    return TrainConsist(**args[TrainConsist]), rates, elec
 
 
 # --- CSV loaders -----------------------------------------------------------------
@@ -516,7 +460,6 @@ def emit_geojson(
     net: RailNetwork,
     flows: Mapping[int, tuple[float, float]],
     path: str | Path | None = None,
-    overlap_tags: Mapping[int, str] | None = None,
 ) -> dict:
     """FeatureCollection with one LineString per physical link."""
     features = []
@@ -537,7 +480,7 @@ def emit_geojson(
                     "electrified": lid in electrified_links,
                     "diesel_tons": xd,
                     "electric_tons": xe,
-                    "overlap": (overlap_tags or {}).get(lid, ""),
+                    "overlap": "",
                 },
             }
         )
@@ -583,9 +526,6 @@ class Assembled:
     scenario: Scenario
     network: RailNetwork
     expanded: ExpandedNetwork
-    consist: TrainConsist
-    rates: RateTable
-    elec: ElectrificationRates
     profiles: dict[int, costmodel.LinkCostProfile]
     link_costs: dict[int, float]
     corridors: list[Corridor]
@@ -614,7 +554,6 @@ def write_solution(
 
 def assemble(scenario: Scenario) -> Assembled:
     """Load everything and apply the scenario multipliers."""
-    scenario.validate()
     consist, rates, elec = load_rates(
         scenario.path(scenario.rates_file) if scenario.rates_file else None
     )
@@ -669,9 +608,6 @@ def assemble(scenario: Scenario) -> Assembled:
         scenario=scenario,
         network=network,
         expanded=expanded,
-        consist=consist,
-        rates=rates,
-        elec=elec,
         profiles=profiles,
         link_costs=link_costs,
         corridors=corridors,
@@ -731,10 +667,9 @@ def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
     """Full pipeline: assemble, GA search, artifacts, report."""
     assembled = assemble(scenario)
     problem = assembled.problem
-    config = scenario.ga_config()
     rng = np.random.default_rng(scenario.seed)
-    population = design.seed_population(config, problem, rng)
-    best, history = design.evolve(population, config, problem, rng)
+    population = design.seed_population(scenario, problem, rng)
+    best, history = design.evolve(population, scenario, problem, rng)
     report = summarize_design(assembled, best.design.bits)
 
     if out_dir is not None:
@@ -838,10 +773,11 @@ def sweep(
     if clashes:
         raise ValidationError(f"sweep values share a label: {', '.join(clashes)}")
 
-    reports: list[RunReport] = []
-    for v, label in zip(values, labels):
-        sub = replace(scenario, **{attr: v})
-        reports.append(optimize_run(sub, None if out_dir is None else Path(out_dir) / label))
+    runs = [replace(scenario, **{attr: v}) for v in values]  # validates every value before any run
+    reports = [
+        optimize_run(run, None if out_dir is None else Path(out_dir) / label)
+        for run, label in zip(runs, labels)
+    ]
 
     base_value = getattr(scenario, attr)
     base_idx = values.index(base_value) if base_value in values else 0

@@ -224,6 +224,20 @@ def test_evolve_reaches_brute_force_optimum():
     assert problem.union_cost(best.design.bits) <= problem.budget
 
 
+def test_negative_mutation_means_one_over_corridors():
+    def run(mutation):
+        problem, _ = yard_line_problem(budget_corridors=2.0)
+        config = GAConfig(population=8, generations=6, seed=3, mutation=mutation)
+        rng = np.random.default_rng(3)
+        best, history = evolve(seed_population(config, problem, rng), config, problem, rng)
+        return best, history, [e.design.bits for e in problem.solved]
+
+    default = run(-1.0)
+    assert len(yard_line_problem()[0].corridors) == 3
+    assert default == run(1.0 / 3)
+    assert default != run(0.0)
+
+
 @pytest.mark.parametrize(
     "rate_overrides",
     [

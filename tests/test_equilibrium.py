@@ -527,6 +527,29 @@ def test_congested_instance_converges():
     assert metrics.iteration < 500
 
 
+def test_partial_label_passes_cover_a_non_empty_range(monkeypatch):
+    # an update that only dropped arcs, or a shift whose earliest touched
+    # head sits at or after the current node, leaves no label to redo
+    ranges = []
+    label_pass = equilibrium.shortest_longest_labels
+
+    def recording(expanded, bush, costs, labels=None, start=1, stop=None):
+        if labels is not None:
+            ranges.append((start, len(bush.order) if stop is None else stop))
+        return label_pass(expanded, bush, costs, labels, start, stop)
+
+    monkeypatch.setattr(equilibrium, "shortest_longest_labels", recording)
+    rng = np.random.default_rng(1)
+    net = random_network(rng, n_nodes=20, extra_links=15, yard_count=2,
+                         capacity_range=(1.0e4, 4.0e4))
+    od = random_od(rng, net, pairs=12)
+    expanded, profiles = assembled_instance(net)
+    _, metrics = solve_equilibrium(expanded, apply_design(expanded, set()), od, profiles,
+                                   tol=1.0e-6, max_iter=500)
+    assert metrics.converged and ranges
+    assert all(start < stop for start, stop in ranges)
+
+
 def test_traction_swap_plateau_instance_converges_quickly():
     # The 60-node optimize instance under rates where electric traction
     # pays, cold-solved for its winning design.  Bushes pass flow round a

@@ -145,6 +145,8 @@ _MULTIPLIERS = (
     [(m, v) for m in _MULTIPLIERS for v in (math.nan, math.inf)]
     + [
         ("mutation", math.nan),
+        ("mutation", -math.inf),
+        ("mutation", math.inf),
         ("greedy_fraction", 3.0),
         ("greedy_fraction", -0.5),
         ("greedy_fraction", math.nan),
@@ -164,11 +166,116 @@ def test_scenario_rejects_max_iterations_below_one(tmp_path):
         load_scenario(cfg)
 
 
-def test_ga_config_mapping():
-    s = Scenario(population=12, generations=7, mutation=0.2)
-    cfg = s.ga_config()
-    assert (cfg.population, cfg.generations, cfg.mutation) == (12, 7, 0.2)
-    assert Scenario().ga_config().mutation is None
+def test_scenario_rejects_non_finite_mutation_at_load(tmp_path):
+    # a negative mutation means 1/|corridors|, but -inf is no setting
+    for value in ("-inf", "nan"):
+        cfg = write_toy(tmp_path, extra_cfg=f"mutation = {value}\n")
+        with pytest.raises(ValidationError, match="mutation"):
+            load_scenario(cfg)
+    cfg = write_toy(tmp_path, extra_cfg="mutation = -1\n")
+    assert load_scenario(cfg).mutation == -1.0
+
+
+def test_scenario_validates_on_construction_and_replace():
+    from dataclasses import replace
+
+    with pytest.raises(ValidationError, match="population"):
+        Scenario(population=1)
+    with pytest.raises(ValidationError, match="budget"):
+        replace(Scenario(), budget=-1.0)
+
+
+# --- config schema ----------------------------------------------------------------------
+
+# Every key the two config files accept, with the type it parses to.
+RATES_KEYS = {
+    "locomotive_count": int, "railcar_count": int, "locomotive_mass_t": float,
+    "railcar_tare_t": float, "railcar_cargo_t": float, "locomotive_axles": int,
+    "railcar_axles": int, "locomotive_drag": float, "railcar_drag": float,
+    "crew_rate": float, "cargo_rate": float, "fuel_cost_diesel": float,
+    "fuel_cost_electric": float, "eta_diesel": float, "eta_electric": float,
+    "flange_factor": float, "air_factor": float, "bearing_a": float, "bearing_b": float,
+    "flange_b_locomotive": float, "flange_b_railcar": float, "gravity": float,
+    "beta": float, "curve_coefficient": float, "curve_arg_m": float,
+    "brake_grade_equivalent": float, "desired_speed": float,
+    "locomotive_power_diesel_w": float, "locomotive_power_electric_w": float,
+    "notch_count": int, "min_notch_fraction": float, "switch_cost_per_train": float,
+    "switch_hours": float, "switch_crew_equivalents": float, "switch_energy_cost": float,
+    "switching_cost_mode": str,
+    "ocs_min": float, "ocs_max": float, "substation_min": float, "substation_max": float,
+    "transmission_min": float, "transmission_max": float, "public_works_min": float,
+    "public_works_max": float,
+    "signal_low": float, "signal_medium": float, "signal_high": float,
+    "ppi_capital": float, "ppi_operations": float, "ppi_fuel": float, "ppi_switching": float,
+}
+
+SCENARIO_KEYS = {
+    "node_file": str, "link_file": str, "od_file": str, "corridor_file": str,
+    "rates_file": str, "budget": float, "demand_multiplier": float,
+    "opex_multiplier": float, "electrification_cost_multiplier": float,
+    "electricity_price_multiplier": float, "seed": int, "gap_tolerance": float,
+    "max_iterations": int, "corridor_metric": str, "population": int,
+    "generations": int, "crossover": float, "mutation": float, "elites": int,
+    "greedy_fraction": float,
+}
+
+_SIGNALS = {"signal_low": SignalClass.LOW, "signal_medium": SignalClass.MEDIUM, "signal_high": SignalClass.HIGH}
+
+
+def _sample(key, kind):
+    """A text that parses to a valid, non-default value of `key`."""
+    special = {"switching_cost_mode": "composed", "corridor_metric": "length", "beta": "1.5"}
+    return special.get(key, {int: "7", float: "0.25", str: "x.csv"}[kind])
+
+
+def _loaded_rate(key, consist, rates, elec):
+    if key in _SIGNALS:
+        return elec.signal_cost[_SIGNALS[key]]
+    if key == "ppi_capital":
+        return elec.ppi_capital
+    name = {"locomotive_count": "n_locomotives", "railcar_count": "n_railcars"}.get(key, key)
+    for obj in (consist, rates, elec):
+        if hasattr(obj, name):
+            return getattr(obj, name)
+    return None  # the other ppi factors scale rates; see the overrides test
+
+
+def test_rates_schema(tmp_path):
+    assert len(RATES_KEYS) == 51
+    f = tmp_path / "rates.cfg"
+    for key, kind in RATES_KEYS.items():
+        text = _sample(key, kind)
+        f.write_text(f"{key} = {text}\n")
+        got = _loaded_rate(key, *load_rates(f))
+        if got is not None:
+            assert type(got) is kind and got == kind(text), key
+        bad = {int: "2.5", float: "nan", str: None}[kind]
+        if bad is not None:
+            f.write_text(f"{key} = {bad}\n")
+            with pytest.raises(ValidationError, match=key):
+                load_rates(f)
+    for key in ("n_locomotives", "signal_cost"):
+        f.write_text(f"{key} = 1\n")
+        with pytest.raises(ValidationError, match="unknown rates key"):
+            load_rates(f)
+
+
+def test_scenario_schema(tmp_path):
+    assert len(SCENARIO_KEYS) == 20
+    cfg = tmp_path / "scenario.cfg"
+    for key, kind in SCENARIO_KEYS.items():
+        text = _sample(key, kind)
+        cfg.write_text(f"{key} = {text}\n")
+        got = getattr(load_scenario(cfg), key)
+        assert type(got) is kind and got == kind(text), key
+        bad = {int: "2.5", float: "inf", str: None}[kind]
+        if bad is not None:
+            cfg.write_text(f"{key} = {bad}\n")
+            with pytest.raises(ValidationError, match=key):
+                load_scenario(cfg)
+    cfg.write_text("base_dir = /elsewhere\n")
+    with pytest.raises(ValidationError, match="unknown scenario key"):
+        load_scenario(cfg)
 
 
 # --- rates ----------------------------------------------------------------------------
@@ -212,6 +319,19 @@ def test_load_rates_rejects_unknown(tmp_path):
     f.write_text("crew_rate = fast\n")
     with pytest.raises(ValidationError, match="bad value"):
         load_rates(f)
+
+
+@pytest.mark.parametrize("line, key", [("beta = 0.5", "beta"), ("notch_count = 0", "notch_count")])
+def test_load_rates_rejects_broken_rate_invariants(tmp_path, capsys, line, key):
+    f = tmp_path / "rates.cfg"
+    f.write_text(line + "\n")
+    with pytest.raises(ValidationError, match=key):
+        load_rates(f)
+    cfg = write_toy(tmp_path, extra_cfg="rates_file = rates.cfg\n")
+    rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 @pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
@@ -313,7 +433,7 @@ def test_geojson_emit_and_validate(tmp_path):
     bundle = assemble(load_scenario(cfg))
     flows = {lid: (1000.0 * lid, 10.0) for lid in bundle.network.links}
     out = tmp_path / "net.geojson"
-    doc = emit_geojson({0, 1}, bundle.network, flows, out, overlap_tags={0: "common"})
+    doc = emit_geojson({0, 1}, bundle.network, flows, out)
     validate_geojson(doc)
     reread = json.loads(out.read_text())
     validate_geojson(reread)
@@ -321,7 +441,6 @@ def test_geojson_emit_and_validate(tmp_path):
     by_id = {f["properties"]["link_id"]: f for f in reread["features"]}
     assert by_id[0]["properties"]["electrified"] is True
     assert by_id[2]["properties"]["electrified"] is False
-    assert by_id[0]["properties"]["overlap"] == "common"
     assert by_id[1]["properties"]["diesel_tons"] == 1000.0
     assert by_id[0]["geometry"]["coordinates"] == [[-100.0, 40.0], [-99.6, 40.0]]
 
@@ -535,6 +654,14 @@ def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys):
                    "--values", "1,1.0000001", "--out-dir", str(out)])
     assert rc == 2
     assert "demand_1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_an_invalid_value_before_any_run(tmp_path):
+    cfg = write_toy(tmp_path)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValidationError, match="budget"):
+        sweep(load_scenario(cfg), "budget", [1.0e11, -5.0], out)
     assert not out.exists()
 
 
