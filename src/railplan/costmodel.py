@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .network import ArcKind, PhysicalLink, RailNetwork, SignalClass
+from .network import ArcKind, PhysicalLink, RailNetwork, SignalClass, terrain_fraction
 
 TON_KG = 1000.0
 
@@ -90,6 +90,8 @@ class RateTable:
             raise ValueError("min_notch_fraction must be in (0, 1]")
         if self.notch_count < 1:
             raise ValueError(f"notch_count must be at least 1, got {self.notch_count}")
+        if not self.desired_speed > 0.0:
+            raise ValueError(f"desired_speed must be positive, got {self.desired_speed}")
 
 
 @dataclass(frozen=True)
@@ -465,17 +467,12 @@ def electrification_cost(
 ) -> float:
     """Capital cost of wiring one link, interpolated by terrain difficulty.
 
-    lambda = (alpha - alpha_min)/(alpha_max - alpha_min) picks the spot
-    between the easy-terrain and hard-terrain component sums; a degenerate
-    range (alpha_max == alpha_min) counts as easy everywhere.
+    The terrain fraction lambda (`network.terrain_fraction`) picks the spot
+    between the easy-terrain and hard-terrain component sums.
     """
     if link.alpha is None:
         raise ValueError(f"link {link.id}: alpha not computed")
-    span = alpha_max - alpha_min
-    # spans at float-noise scale are geometry noise, not terrain signal
-    degenerate = span <= 1e-9 * max(1.0, abs(alpha_max))
-    lam = 0.0 if degenerate else (link.alpha - alpha_min) / span
-    lam = min(max(lam, 0.0), 1.0)
+    lam = terrain_fraction(link.alpha, alpha_min, alpha_max)
     per_km = lam * elec.max_sum + (1.0 - lam) * elec.min_sum + elec.signal_cost[link.signal_class]
     return link.length_km * per_km * elec.ppi_capital
 

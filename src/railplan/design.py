@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class DesignProblem:
         return self.expanded.net.with_reverse_twins(self.member_links(bits))
 
     def union_cost(self, bits: Bits) -> float:
-        return sum(self.link_costs[l] for l in self.member_links(bits))
+        return sum((self.link_costs[l] for l in self.member_links(bits)), 0.0)
 
     def electrified_km(self, bits: Bits) -> float:
         return self.expanded.net.total_length_km(self.member_links(bits))
@@ -198,25 +198,34 @@ class DesignProblem:
         """All-diesel reference equilibrium."""
         return self.evaluate(tuple([0] * len(self.corridors)))
 
+    def _baseline_solution(self) -> Solution:
+        """The kept all-diesel solution, solved on first use."""
+        if self._baseline is None:
+            self.baseline()
+        return self._baseline
+
     def baseline_state(self) -> FlowState:
         """All-diesel flow state."""
-        self.baseline()
-        return self._baseline.state
+        return self._baseline_solution().state
 
     def start(self) -> StartTable:
         """The all-diesel equilibrium that every design is screened against."""
         if self._start is None:
-            self.baseline()
-            base = self._baseline
+            base = self._baseline_solution()
             self._start = StartTable(
                 self.expanded, self.profiles, self.od, base.state, base.metrics, base.usable
             )
         return self._start
 
     def corridor_scores(self) -> list[float]:
-        """`repair`'s benefit/cost score per corridor."""
+        """`repair`'s benefit/cost score per corridor: the free-flow
+        diesel-vs-electric fuel saving per ton, times baseline flow, per
+        capital dollar."""
         if self._scores is None:
-            self._scores = _corridor_scores(self)
+            p = self.profiles
+            self._scores = _per_capital_dollar(
+                self, lambda lid: p[lid].diesel.fuel_cost_per_ton - p[lid].electric.fuel_cost_per_ton
+            )
         return self._scores
 
     def solution(self, bits: Bits) -> Solution:
@@ -246,24 +255,20 @@ def electric_tonnage_share(expanded: ExpandedNetwork, state: FlowState) -> float
     return 0.0 if moved <= 0.0 else electric / moved
 
 
-def _corridor_scores(problem: DesignProblem) -> list[float]:
-    """Static benefit/cost score per corridor from the all-diesel baseline.
-
-    Benefit: free-flow diesel-vs-electric saving per ton on each member link
-    (twins included) times that link's baseline flow.
-    """
+def _per_capital_dollar(problem: DesignProblem, weight: Callable[[int], float]) -> list[float]:
+    """Per corridor: the all-diesel baseline flow times `weight(link)`, summed
+    over its links and their reverse twins, per capital dollar (inf for a
+    corridor that costs nothing)."""
     flows = problem.baseline_state().physical_flows(problem.expanded)
     net = problem.expanded.net
-    scores = []
+    out = []
     for c in problem.corridors:
-        benefit = 0.0
+        total = 0.0
         for lid in net.with_reverse_twins(c.link_ids):
-            prof = problem.profiles[lid]
-            saving = prof.diesel.fuel_cost_per_ton - prof.electric.fuel_cost_per_ton
             xd, xe = flows[lid]
-            benefit += saving * (xd + xe)
-        scores.append(benefit / c.cost_usd if c.cost_usd > 0.0 else math.inf)
-    return scores
+            total += weight(lid) * (xd + xe)
+        out.append(total / c.cost_usd if c.cost_usd > 0.0 else math.inf)
+    return out
 
 
 def repair(bits: Bits, problem: DesignProblem) -> Bits:
@@ -288,20 +293,6 @@ def repair(bits: Bits, problem: DesignProblem) -> Bits:
     return tuple(current)
 
 
-def _density(problem: DesignProblem) -> np.ndarray:
-    """Baseline tonnage-km moved per capital dollar, per corridor."""
-    flows = problem.baseline_state().physical_flows(problem.expanded)
-    net = problem.expanded.net
-    out = []
-    for c in problem.corridors:
-        tkm = 0.0
-        for lid in net.with_reverse_twins(c.link_ids):
-            xd, xe = flows[lid]
-            tkm += (xd + xe) * net.links[lid].length_km
-        out.append(tkm / c.cost_usd if c.cost_usd > 0.0 else math.inf)
-    return np.array(out)
-
-
 def _greedy_fill(problem: DesignProblem, density: np.ndarray) -> Bits:
     order = sorted(range(len(density)), key=lambda i: (-density[i], i))
     bits = [0] * len(density)
@@ -324,7 +315,9 @@ def seed_population(
     n = len(problem.corridors)
     if n == 0:
         return [()] * config.population
-    density = _density(problem)
+    # baseline tonnage-km moved per capital dollar
+    links = problem.expanded.net.links
+    density = np.array(_per_capital_dollar(problem, lambda lid: links[lid].length_km))
     n_greedy = int(round(config.population * config.greedy_fraction))
     population: list[Bits] = []
     for k in range(n_greedy):
@@ -337,9 +330,6 @@ def seed_population(
 
 
 def _evaluate_all(genomes: list[Bits], problem: DesignProblem) -> list[EvaluatedDesign]:
-    for g in dict.fromkeys(genomes):
-        if g not in problem._cache:
-            problem.evaluate(g)
     return [problem.evaluate(g) for g in genomes]
 
 

@@ -98,13 +98,19 @@ def compute_alpha(link: PhysicalLink, tail: Node, head: Node) -> float:
     return link.alpha
 
 
-def curve_radius_from_alpha(alpha: float, alpha_min: float, alpha_max: float) -> float:
-    """Map terrain difficulty onto a curve radius: hardest terrain, tightest."""
+def terrain_fraction(alpha: float, alpha_min: float, alpha_max: float) -> float:
+    """Terrain difficulty lambda = (alpha - alpha_min)/(alpha_max - alpha_min),
+    clamped to [0, 1]; a degenerate range counts as easy everywhere."""
     span = alpha_max - alpha_min
     # spans at float-noise scale are geometry noise, not terrain signal
     degenerate = span <= 1e-9 * max(1.0, abs(alpha_max))
     lam = 0.0 if degenerate else (alpha - alpha_min) / span
-    lam = min(max(lam, 0.0), 1.0)
+    return min(max(lam, 0.0), 1.0)
+
+
+def curve_radius_from_alpha(alpha: float, alpha_min: float, alpha_max: float) -> float:
+    """Map terrain difficulty onto a curve radius: hardest terrain, tightest."""
+    lam = terrain_fraction(alpha, alpha_min, alpha_max)
     return DEFAULT_MAX_RADIUS_M - lam * (DEFAULT_MAX_RADIUS_M - DEFAULT_MIN_RADIUS_M)
 
 
@@ -117,13 +123,18 @@ class RailNetwork:
     @classmethod
     def build(cls, nodes: Iterable[Node], links: Iterable[PhysicalLink]) -> "RailNetwork":
         """Validate, fill alphas and missing curve radii, index twins."""
+        # every range test below is written so that NaN fails it
         node_map: dict[int, Node] = {}
         for n in nodes:
             if n.id in node_map:
                 raise ValueError(f"duplicate node id {n.id}")
+            if not (-90.0 <= n.lat <= 90.0 and -180.0 <= n.lon <= 180.0):
+                raise ValueError(f"node {n.id}: lat {n.lat}, lon {n.lon} out of range")
             if n.is_yard:
-                if n.switching_cost is not None and n.switching_cost < 0:
-                    raise ValueError(f"node {n.id}: negative switching cost")
+                if n.switching_cost is not None and not 0.0 <= n.switching_cost < math.inf:
+                    raise ValueError(
+                        f"node {n.id}: negative switching cost or non-finite {n.switching_cost}"
+                    )
             elif n.switching_cost is not None:
                 raise ValueError(f"node {n.id}: switching cost on a non-yard")
             node_map[n.id] = n
@@ -134,13 +145,20 @@ class RailNetwork:
                 raise ValueError(f"duplicate link id {l.id}")
             if l.tail not in node_map or l.head not in node_map:
                 raise ValueError(f"link {l.id}: dangling endpoint reference")
-            # written so that NaN fails every test
             if not 0.0 < l.length_km < math.inf:
                 raise ValueError(f"link {l.id}: nonpositive or non-finite length {l.length_km}")
             if not 0.0 < l.capacity_tpd < math.inf:
                 raise ValueError(f"link {l.id}: nonpositive or non-finite capacity {l.capacity_tpd}")
             if not abs(l.grade) < 0.1:
                 raise ValueError(f"link {l.id}: grade {l.grade} out of range")
+            for name in ("k_f", "k_a"):
+                v = getattr(l, name)
+                if v is not None and not 0.0 <= v < math.inf:
+                    raise ValueError(f"link {l.id}: {name} {v} must be finite and non-negative")
+            if l.desired_speed is not None and not 0.0 < l.desired_speed < math.inf:
+                raise ValueError(
+                    f"link {l.id}: desired_speed {l.desired_speed} must be finite and positive"
+                )
             link_map[l.id] = l
 
         for l in link_map.values():
@@ -194,7 +212,7 @@ class RailNetwork:
 
     def total_length_km(self, link_ids: Iterable[int] | None = None) -> float:
         ids = self.links.keys() if link_ids is None else link_ids
-        return sum(self.links[i].length_km for i in ids)
+        return sum((self.links[i].length_km for i in ids), 0.0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Scenario configs, file formats, and the end-to-end run pipelines.
 
 All configs are flat ``key = value`` text.  Tabular data is CSV with fixed
-headers; electrified networks are emitted as GeoJSON LineString collections.
+headers, and every table, input or artifact, is read by `_read_csv` and
+written by `_write_csv`; electrified networks are emitted as GeoJSON
+LineString collections.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -208,87 +210,112 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
     return TrainConsist(**args[TrainConsist]), rates, elec
 
 
-# --- CSV loaders -----------------------------------------------------------------
+# --- CSV tables -------------------------------------------------------------------
 
 
-def _require_columns(reader: csv.DictReader, required: set[str], optional: set[str], what: str) -> None:
-    got = set(reader.fieldnames or [])
-    missing = required - got
-    unknown = got - required - optional
-    if missing:
-        raise ValidationError(f"{what}: missing columns {sorted(missing)}")
-    if unknown:
-        raise ValidationError(f"{what}: unknown columns {sorted(unknown)}")
+# One rule formats every cell: None is empty, a float is written by `repr`, so
+# it reads back bit for bit, a tuple or list is its items joined by `;`, and
+# anything else is `str`.  For the types in `_AS_IS` that is the csv module's
+# own documented rule, which it applies faster; `_cell` converts the rest.
+_AS_IS = {float, int, str, type(None)}
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):  # a float subclass, such as a numpy float
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if type(v) in _AS_IS else _cell(v) for v in row] for row in rows)
+
+
+_Columns = Mapping[str, Callable[[str], object]]  # column name -> cell parser
+
+
+def _read_csv(
+    path: str | Path, what: str, required: _Columns, optional: _Columns | None = None, key: int = 1
+) -> list[dict[str, object]]:
+    """The rows of a CSV table, each stripped cell parsed by its column's
+    parser; an optional column left out of the file reads as empty cells.
+
+    The header must hold every `required` column and no column that is
+    neither required nor optional, and no row may hold more cells than the
+    header.  A row repeating an earlier row's values in the first `key`
+    required columns, the `what` of the row, is rejected.
+    """
+    columns = {**required, **(optional or {})}
+    key_columns = list(required)[:key]
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        got = set(reader.fieldnames or ())
+        missing = required.keys() - got
+        unknown = got - columns.keys()
+        if missing:
+            raise ValidationError(f"{path}: missing columns {sorted(missing)}")
+        if unknown:
+            raise ValidationError(f"{path}: unknown columns {sorted(unknown)}")
+        rows: list[dict[str, object]] = []
+        seen: set[tuple] = set()
+        for raw in reader:
+            if None in raw:  # DictReader files cells beyond the header under None
+                raise ValidationError(f"{path}, line {reader.line_num}: more cells than columns")
+            row = {}
+            for column, parse in columns.items():
+                try:
+                    row[column] = parse((raw.get(column) or "").strip())
+                except ValueError as exc:
+                    raise ValidationError(f"{path}, line {reader.line_num}, {column}: {exc}") from exc
+            ident = tuple(row[c] for c in key_columns)
+            if ident in seen:
+                raise ValidationError(f"{path}: duplicate {what} {', '.join(map(str, ident))}")
+            seen.add(ident)
+            rows.append(row)
+    return rows
+
+
+def _or_none(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """A column parser that reads an empty cell as None."""
+    return lambda text: parse(text) if text else None
+
+
+def _signal_class(text: str) -> SignalClass:
+    return SignalClass((text or "low").lower())
+
+
+def _ids(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(";") if t)
+
+
+_NODE_COLUMNS = {
+    "id": int, "lat": float, "lon": float, "is_yard": kvconfig.coerce_bool,
+    "switching_cost": _or_none(float),
+}
+_LINK_COLUMNS = {
+    "id": int, "tail": int, "head": int, "length_km": float, "grade": float,
+    "curve_radius_m": _or_none(float), "capacity_tpd": float,
+    "signal_class": _signal_class, "candidate": kvconfig.coerce_bool,
+}
+_LINK_OPTIONAL = dict.fromkeys(("k_f", "k_a", "desired_speed"), _or_none(float))
+_OD_COLUMNS = {"origin": int, "destination": int, "tons_per_day": float}
+_CORRIDOR_COLUMNS = {
+    "corridor_id": int, "yard_a": int, "yard_b": int, "length_km": float,
+    "cost_usd": float, "link_ids": _ids,
+}
+_DESIGN_COLUMNS = {"corridor_id": int}
 
 
 def load_nodes(path: str | Path) -> list[Node]:
-    nodes: list[Node] = []
-    seen: set[int] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, {"id", "lat", "lon", "is_yard", "switching_cost"}, set(), str(path))
-        for row in reader:
-            nid = int(row["id"])
-            if nid in seen:
-                raise ValidationError(f"{path}: duplicate node id {nid}")
-            seen.add(nid)
-            raw_cost = (row["switching_cost"] or "").strip()
-            nodes.append(
-                Node(
-                    id=nid,
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                    is_yard=kvconfig.coerce_bool(row["is_yard"]),
-                    switching_cost=float(raw_cost) if raw_cost else None,
-                )
-            )
-    return nodes
-
-
-_LINK_REQUIRED = {
-    "id", "tail", "head", "length_km", "grade", "curve_radius_m",
-    "capacity_tpd", "signal_class", "candidate",
-}
-_LINK_OPTIONAL = {"k_f", "k_a", "desired_speed"}
+    return [Node(**row) for row in _read_csv(path, "node id", _NODE_COLUMNS)]
 
 
 def load_links(path: str | Path) -> list[PhysicalLink]:
-    links: list[PhysicalLink] = []
-    seen: set[int] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, _LINK_REQUIRED, _LINK_OPTIONAL, str(path))
-        for row in reader:
-            lid = int(row["id"])
-            if lid in seen:
-                raise ValidationError(f"{path}: duplicate link id {lid}")
-            seen.add(lid)
-
-            def opt_float(col: str) -> float | None:
-                raw = (row.get(col) or "").strip()
-                return float(raw) if raw else None
-
-            try:
-                signal = SignalClass((row["signal_class"] or "low").strip().lower())
-            except ValueError as exc:
-                raise ValidationError(f"{path}: link {lid}: {exc}") from exc
-            links.append(
-                PhysicalLink(
-                    id=lid,
-                    tail=int(row["tail"]),
-                    head=int(row["head"]),
-                    length_km=float(row["length_km"]),
-                    grade=float(row["grade"]),
-                    curve_radius_m=opt_float("curve_radius_m"),
-                    capacity_tpd=float(row["capacity_tpd"]),
-                    signal_class=signal,
-                    candidate=kvconfig.coerce_bool(row["candidate"]),
-                    k_f=opt_float("k_f"),
-                    k_a=opt_float("k_a"),
-                    desired_speed=opt_float("desired_speed"),
-                )
-            )
-    return links
+    return [PhysicalLink(**row) for row in _read_csv(path, "link id", _LINK_COLUMNS, _LINK_OPTIONAL)]
 
 
 def load_network(node_path: str | Path, link_path: str | Path) -> RailNetwork:
@@ -301,95 +328,51 @@ def load_network(node_path: str | Path, link_path: str | Path) -> RailNetwork:
 
 
 def load_od(path: str | Path) -> ODMatrix:
-    demand: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, {"origin", "destination", "tons_per_day"}, set(), str(path))
-        for row in reader:
-            key = (int(row["origin"]), int(row["destination"]))
-            if key in demand:
-                raise ValidationError(f"{path}: duplicate OD pair {key}")
-            demand[key] = float(row["tons_per_day"])
+    rows = _read_csv(path, "OD pair", _OD_COLUMNS, key=2)
     try:
-        return ODMatrix(demand)
+        return ODMatrix({(r["origin"], r["destination"]): r["tons_per_day"] for r in rows})
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_corridors(path: str | Path, corridors: Iterable[Corridor]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["corridor_id", "yard_a", "yard_b", "length_km", "cost_usd", "link_ids"])
-        for c in corridors:
-            writer.writerow(
-                [c.id, c.yard_a, c.yard_b, repr(float(c.length_km)), repr(float(c.cost_usd)),
-                 ";".join(str(l) for l in c.link_ids)]
-            )
+    _write_csv(
+        path,
+        _CORRIDOR_COLUMNS,
+        ((c.id, c.yard_a, c.yard_b, c.length_km, c.cost_usd, c.link_ids) for c in corridors),
+    )
 
 
 def load_corridors(path: str | Path) -> list[Corridor]:
-    out: list[Corridor] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader,
-            {"corridor_id", "yard_a", "yard_b", "length_km", "cost_usd", "link_ids"},
-            set(),
-            str(path),
-        )
-        for row in reader:
-            links = tuple(int(t) for t in row["link_ids"].split(";") if t)
-            if not links:
-                raise ValidationError(f"{path}: corridor {row['corridor_id']} has no links")
-            out.append(
-                Corridor(
-                    id=int(row["corridor_id"]),
-                    link_ids=links,
-                    yard_a=int(row["yard_a"]),
-                    yard_b=int(row["yard_b"]),
-                    length_km=float(row["length_km"]),
-                    cost_usd=float(row["cost_usd"]),
-                )
-            )
+    rows = _read_csv(path, "corridor id", _CORRIDOR_COLUMNS)
+    out = [Corridor(id=row.pop("corridor_id"), **row) for row in rows]
+    for c in out:
+        if not c.link_ids:
+            raise ValidationError(f"{path}: corridor {c.id} has no links")
     if [c.id for c in out] != list(range(len(out))):
         raise ValidationError(f"{path}: corridor ids must be 0..n-1 in order")
     return out
 
 
-# --- CSV writers -------------------------------------------------------------------
-
-
 def write_flows(path: str | Path, expanded: ExpandedNetwork, state: FlowState) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arc_id", "kind", "physical_link", "flow_tpd", "cost_per_ton"])
-        for arc in expanded.arcs:
-            writer.writerow(
-                [
-                    arc.id,
-                    arc.kind.value,
-                    "" if arc.physical_link is None else arc.physical_link,
-                    repr(float(state.x[arc.id])),
-                    repr(float(state.cost[arc.id])),
-                ]
-            )
+    x, cost = state.x.tolist(), state.cost.tolist()
+    _write_csv(
+        path,
+        ("arc_id", "kind", "physical_link", "flow_tpd", "cost_per_ton"),
+        ((a.id, a.kind.value, a.physical_link, x[a.id], cost[a.id]) for a in expanded.arcs),
+    )
 
 
 def write_arcs(path: str | Path, expanded: ExpandedNetwork) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"])
-        for arc in expanded.arcs:
-            writer.writerow(
-                [
-                    arc.id,
-                    arc.kind.value,
-                    expanded.node_label(arc.tail),
-                    expanded.node_label(arc.head),
-                    "" if arc.physical_link is None else arc.physical_link,
-                    repr(arc.fixed_cost),
-                ]
-            )
+    label = expanded.node_label
+    _write_csv(
+        path,
+        ("arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"),
+        (
+            (a.id, a.kind.value, label(a.tail), label(a.head), a.physical_link, a.fixed_cost)
+            for a in expanded.arcs
+        ),
+    )
 
 
 def write_link_costs(
@@ -397,59 +380,37 @@ def write_link_costs(
     profiles: Mapping[int, costmodel.LinkCostProfile],
     link_costs: Mapping[int, float],
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "link_id", "t0_hr", "congestion_coef", "diesel_fuel_per_ton",
-                "electric_fuel_per_ton", "electrification_cost_usd",
-            ]
-        )
-        for lid in sorted(profiles):
-            p = profiles[lid]
-            writer.writerow(
-                [
-                    lid,
-                    repr(p.t0_hr),
-                    repr(p.congestion_coef),
-                    repr(p.diesel.fuel_cost_per_ton),
-                    repr(p.electric.fuel_cost_per_ton),
-                    repr(link_costs.get(lid, float("nan"))),
-                ]
-            )
+    _write_csv(
+        path,
+        (
+            "link_id", "t0_hr", "congestion_coef", "diesel_fuel_per_ton",
+            "electric_fuel_per_ton", "electrification_cost_usd",
+        ),
+        (
+            (lid, p.t0_hr, p.congestion_coef, p.diesel.fuel_cost_per_ton,
+             p.electric.fuel_cost_per_ton, link_costs.get(lid, math.nan))
+            for lid, p in sorted(profiles.items())
+        ),
+    )
 
 
 def write_gap_trace(path: str | Path, metrics: GapMetrics) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "beckmann", "relative_gap", "seconds"])
-        for it, beck, gap, secs in metrics.trace:
-            # an empty gap cell marks an iteration whose gap was not computed
-            gap_cell = "" if gap is None else repr(float(gap))
-            writer.writerow([it, repr(float(beck)), gap_cell, repr(float(secs))])
+    """One row per iteration; an empty gap cell marks an iteration whose gap
+    was not computed."""
+    _write_csv(path, ("iteration", "beckmann", "relative_gap", "seconds"), metrics.trace)
 
 
 def write_generations(path: str | Path, history: Iterable[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_cost", "mean_cost", "budget_used", "electrified_km"])
-        for gen, best, mean, used, km in history:
-            writer.writerow([gen, repr(float(best)), repr(float(mean)), repr(float(used)), repr(float(km))])
+    header = ("generation", "best_cost", "mean_cost", "budget_used", "electrified_km")
+    _write_csv(path, header, history)
 
 
 def write_design(path: str | Path, selected: Iterable[int]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["corridor_id"])
-        for cid in sorted(selected):
-            writer.writerow([cid])
+    _write_csv(path, _DESIGN_COLUMNS, ((cid,) for cid in sorted(selected)))
 
 
 def load_design(path: str | Path) -> list[int]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader, {"corridor_id"}, set(), str(path))
-        return [int(row["corridor_id"]) for row in reader]
+    return [row["corridor_id"] for row in _read_csv(path, "corridor id", _DESIGN_COLUMNS)]
 
 
 # --- GeoJSON ------------------------------------------------------------------------
@@ -629,8 +590,8 @@ class RunReport:
     candidate_km: float
     line_mile_share: float
     tonnage_share: float
-    selected_corridors: tuple[int, ...]
     gap: float
+    selected_corridors: tuple[int, ...]
     solves: int  # distinct designs solved in the run
     unconverged_solves: int
 
@@ -708,20 +669,12 @@ def write_report(report: RunReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(format_report(report) + "\n")
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["baseline_cost", repr(float(report.baseline_cost))])
-        writer.writerow(["optimized_cost", repr(float(report.optimized_cost))])
-        writer.writerow(["roi", repr(float(report.roi))])
-        writer.writerow(["budget", repr(float(report.budget))])
-        writer.writerow(["budget_used", repr(float(report.budget_used))])
-        writer.writerow(["electrified_km", repr(float(report.electrified_km))])
-        writer.writerow(["candidate_km", repr(float(report.candidate_km))])
-        writer.writerow(["line_mile_share", repr(float(report.line_mile_share))])
-        writer.writerow(["tonnage_share", repr(float(report.tonnage_share))])
-        writer.writerow(["gap", repr(float(report.gap))])
-        writer.writerow(["selected_corridors", ";".join(map(str, report.selected_corridors))])
+    rows = [
+        (f.name, getattr(report, f.name))
+        for f in dataclasses.fields(RunReport)
+        if f.name not in ("solves", "unconverged_solves")  # report.txt only
+    ]
+    _write_csv(out / "report.csv", ("metric", "value"), rows)
 
 
 # --- sweeps --------------------------------------------------------------------------
@@ -808,28 +761,7 @@ def sweep(
 
 def write_sweep(rows: list[SweepRow], path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "axis", "value", "best_cost", "budget_used", "selected",
-                "common_with_base", "added_vs_base", "removed_vs_base", "nested_wrt_prev",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.axis,
-                    repr(float(r.value)),
-                    repr(float(r.best_cost)),
-                    repr(float(r.budget_used)),
-                    ";".join(map(str, r.selected)),
-                    ";".join(map(str, r.common_with_base)),
-                    ";".join(map(str, r.added_vs_base)),
-                    ";".join(map(str, r.removed_vs_base)),
-                    r.nested_wrt_prev,
-                ]
-            )
+    _write_csv(path, [f.name for f in dataclasses.fields(SweepRow)], map(dataclasses.astuple, rows))
 
 
 # --- fixed designs -------------------------------------------------------------------

@@ -238,6 +238,25 @@ def test_negative_mutation_means_one_over_corridors():
     assert default != run(0.0)
 
 
+def test_evaluate_counts_one_lookup_per_population_slot(monkeypatch):
+    # reads of the all-diesel solution by the seeding, `repair` and the
+    # screen are no lookups; the GA looks each slot up once per generation
+    problem, _ = yard_line_problem(budget_corridors=2.0)
+    calls = []
+    evaluate = DesignProblem.evaluate
+    monkeypatch.setattr(DesignProblem, "evaluate",
+                        lambda self, bits: calls.append(tuple(bits)) or evaluate(self, bits))
+    config = GAConfig(population=8, generations=6, seed=3)
+    rng = np.random.default_rng(3)
+    population = seed_population(config, problem, rng)
+    problem.corridor_scores()
+    problem.start()
+    problem.baseline_state()
+    assert calls == [(0, 0, 0)]
+    evolve(population, config, problem, rng)
+    assert len(calls) == 1 + config.population * (config.generations + 1)
+
+
 @pytest.mark.parametrize(
     "rate_overrides",
     [

@@ -1,9 +1,11 @@
 """Scenario configs, CSV formats, GeoJSON, pipelines, and the CLI."""
 
 import csv
+import io
 import json
 import math
 import re
+import types
 
 import pytest
 
@@ -12,6 +14,7 @@ from railplan.corridors import Corridor
 from railplan.network import SignalClass
 from railplan.scenario_io import (
     Scenario,
+    SweepRow,
     ValidationError,
     assemble,
     assign_run,
@@ -19,6 +22,7 @@ from railplan.scenario_io import (
     load_corridors,
     load_design,
     load_links,
+    load_network,
     load_nodes,
     load_od,
     load_rates,
@@ -31,6 +35,7 @@ from railplan.scenario_io import (
     write_design,
     write_flows,
     write_gap_trace,
+    write_sweep,
 )
 
 
@@ -321,7 +326,15 @@ def test_load_rates_rejects_unknown(tmp_path):
         load_rates(f)
 
 
-@pytest.mark.parametrize("line, key", [("beta = 0.5", "beta"), ("notch_count = 0", "notch_count")])
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("beta = 0.5", "beta"),
+        ("notch_count = 0", "notch_count"),
+        ("desired_speed = -5", "desired_speed"),
+        ("desired_speed = 0", "desired_speed"),
+    ],
+)
 def test_load_rates_rejects_broken_rate_invariants(tmp_path, capsys, line, key):
     f = tmp_path / "rates.cfg"
     f.write_text(line + "\n")
@@ -397,6 +410,12 @@ def test_csv_error_cases(tmp_path):
     h.write_text(OD_CSV + "0,2,5\n")
     with pytest.raises(ValidationError, match="duplicate OD"):
         load_od(h)
+    f.write_text(NODES_CSV.replace("40.0,-99.6", "north,-99.6"))
+    with pytest.raises(ValidationError, match="nodes.csv, line 3, lat"):
+        load_nodes(f)
+    f.write_text(NODES_CSV.replace("-99.6,0,", "-99.6,0,,7"))
+    with pytest.raises(ValidationError, match="line 3: more cells than columns"):
+        load_nodes(f)
     h.write_text("origin,destination,tons_per_day\n2,2,5\n")
     with pytest.raises(ValidationError, match="self-loop"):
         load_od(h)
@@ -423,6 +442,46 @@ def test_design_round_trip(tmp_path):
     path = tmp_path / "design.csv"
     write_design(path, [3, 1, 2])
     assert load_design(path) == [1, 2, 3]
+    path.write_text("corridor_id\n1\n1\n")
+    with pytest.raises(ValidationError, match="duplicate corridor id 1"):
+        load_design(path)
+
+
+def _with_cell(table, column, value):
+    """The CSV `table` with `column` of its first row set to `value`."""
+    rows = list(csv.DictReader(io.StringIO(table)))
+    rows[0][column] = value
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, column, value, message",
+    [
+        ("nodes.csv", "lat", "nan", "lat"),
+        ("nodes.csv", "lat", "500", "lat"),
+        ("nodes.csv", "lon", "inf", "lon"),
+        ("nodes.csv", "lon", "-180.5", "lon"),
+        ("nodes.csv", "switching_cost", "nan", "switching cost"),
+        ("links.csv", "k_f", "nan", "k_f"),
+        ("links.csv", "k_a", "-1", "k_a"),
+        ("links.csv", "desired_speed", "-5", "desired_speed"),
+        ("links.csv", "desired_speed", "0", "desired_speed"),
+        ("links.csv", "desired_speed", "inf", "desired_speed"),
+    ],
+)
+def test_load_network_rejects_meaningless_inputs(tmp_path, capsys, name, column, value, message):
+    cfg = write_toy(tmp_path)
+    table = {"nodes.csv": NODES_CSV, "links.csv": LINKS_CSV}[name]
+    (tmp_path / name).write_text(_with_cell(table, column, value))
+    with pytest.raises(ValidationError, match=message):
+        load_network(tmp_path / "nodes.csv", tmp_path / "links.csv")
+    rc = cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 # --- geojson --------------------------------------------------------------------------
@@ -693,6 +752,41 @@ def test_gap_trace_and_flow_writers(tmp_path):
     write_gap_trace(tmp_path / "trace.csv", metrics)
     with open(tmp_path / "trace.csv") as fh:
         assert [r["relative_gap"] for r in csv.DictReader(fh)] == ["", repr(3.0e-7)]
+
+
+def test_csv_cell_formats(tmp_path):
+    # floats by repr, also where a sum over no links is taken; empty cells for
+    # an uncomputed gap and for no ids; `;`-joined ids; bools as True/False
+    cfg = write_toy(tmp_path)
+    (tmp_path / "none.csv").write_text("corridor_id\n")
+    rc = cli.main(["report", "--config", str(cfg), "--design", str(tmp_path / "none.csv"),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    report = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert "budget_used,0.0" in report
+    assert "electrified_km,0.0" in report
+    assert report[-1] == "selected_corridors,"
+    bundle = assemble(load_scenario(cfg))
+    assert repr(bundle.problem.union_cost((0,) * len(bundle.corridors))) == "0.0"
+    assert repr(bundle.network.total_length_km([])) == "0.0"
+
+    metrics = types.SimpleNamespace(trace=[(1, 2.0, None, 0.5), (2, 1.5, 3.0e-7, 1.0)])
+    write_gap_trace(tmp_path / "trace.csv", metrics)
+    assert (tmp_path / "trace.csv").read_text().splitlines() == [
+        "iteration,beckmann,relative_gap,seconds", "1,2.0,,0.5", "2,1.5,3e-07,1.0",
+    ]
+
+    rows = [
+        SweepRow("budget", 1.0e9, 2.5, 0.0, (0, 2), (0, 2), (), (), True),
+        SweepRow("budget", 5.0e8, 3.25, 1.0e8, (2,), (2,), (), (0,), False),
+    ]
+    write_sweep(rows, tmp_path / "sweep_report.csv")
+    assert (tmp_path / "sweep_report.csv").read_text().splitlines() == [
+        "axis,value,best_cost,budget_used,selected,common_with_base,added_vs_base,"
+        "removed_vs_base,nested_wrt_prev",
+        "budget,1000000000.0,2.5,0.0,0;2,0;2,,,True",
+        "budget,500000000.0,3.25,100000000.0,2,2,,0,False",
+    ]
 
 
 # --- cli -----------------------------------------------------------------------------
