@@ -32,6 +32,11 @@ def corridor_cost(link_ids: tuple[int, ...] | list[int], link_costs: Mapping[int
     return sum(link_costs[l] for l in link_ids)
 
 
+def corridor_length_km(net: RailNetwork, link_ids: tuple[int, ...] | list[int]) -> float:
+    """Summed length of a corridor's links."""
+    return sum(net.links[l].length_km for l in link_ids)
+
+
 def _lex_dijkstra(
     adjacency: dict[int, list[tuple[int, int, float]]],
     source: int,
@@ -122,7 +127,7 @@ def candidate_corridors(
                 link_ids=path,
                 yard_a=a,
                 yard_b=b,
-                length_km=sum(net.links[l].length_km for l in path),
+                length_km=corridor_length_km(net, path),
                 cost_usd=corridor_cost(path, link_costs),
             )
         )

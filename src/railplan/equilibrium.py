@@ -13,7 +13,11 @@ reference (`tests/oracles.py`).
 
 Each bush stores a pull adjacency: its arc ids sorted by (topological
 position of the head, arc id), with one offset per position, so a label pass
-is one loop over an int array.  A sweep visits the nodes in reverse
+is one flat loop over a slice of it that writes a node's labels when the head
+changes.  Every bush node but the origin keeps an inbound arc, since
+`update_bush` keeps each min predecessor, so the loop writes every position
+of the slice; it meets the arcs in the same order as a loop per node would,
+so ties resolve as they would there.  A sweep visits the nodes in reverse
 topological order with at most one Newton shift per node.  A shift moves the
 flow of the segment arcs only, so only their costs and those of their
 traction partners are recomputed.  The labels are then recomputed only at
@@ -90,7 +94,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -345,12 +348,15 @@ def shortest_longest_labels(
 ) -> Labels:
     """Min labels over all bush arcs and max labels over flow-carrying arcs.
 
-    One pass over the pull adjacency in topological order: each node takes
-    the lexicographic minimum of (L[tail] + c, arc id) over its inbound bush
-    arcs, and the maximum of U[tail] + c (lowest arc id on ties) over its
-    inbound flow-carrying arcs.  Returns lists (L, U, pred_min, pred_max);
-    nodes without flow-carrying inbound arcs keep U = -inf and never seed a
-    flow shift.
+    One flat loop over the pull adjacency, in topological order of the
+    heads: each node takes the lexicographic minimum of (L[tail] + c, arc id)
+    over its inbound bush arcs, and the maximum of U[tail] + c (lowest arc id
+    on ties) over its inbound flow-carrying arcs, and its labels are written
+    when the next head starts.  Arcs come in (head position, arc id) order,
+    so a strict comparison keeps the lowest arc id on a tie.  Only nodes with
+    an inbound bush arc are written; every bush node but the origin has one
+    (`update_bush`).  Returns lists (L, U, pred_min, pred_max); nodes without
+    flow-carrying inbound arcs keep U = -inf and never seed a flow shift.
 
     Given `labels` from an earlier call on this bush, only the nodes at
     positions start..stop-1 of bush.order are relabelled, in place; the
@@ -364,32 +370,35 @@ def shortest_longest_labels(
         labels[0][bush.origin] = 0.0
         labels[1][bush.origin] = 0.0
     L, U, pmin, pmax = labels
-    order = bush.order
     if stop is None:
-        stop = len(order)
+        stop = len(bush.order)
     if start >= stop:
         return labels
     seg = bush.pull[bush.offsets[start] : bush.offsets[stop]]
-    entries = zip(
+    heads = expanded.head[seg].tolist()
+    if not heads:
+        return labels
+    # an unreached tail has L = inf and U = -inf, so its candidates never win
+    inf, ninf = math.inf, -math.inf
+    v, lv, uv, am, ax = heads[0], inf, ninf, -1, -1
+    for h, a, t, c, carrying in zip(
+        heads,
         seg.tolist(),
         expanded.tail[seg].tolist(),
         costs[seg].tolist(),
         (bush.flow[seg] > 0.0).tolist(),
-    )
-    # an unreached tail has L = inf and U = -inf, so its candidates never win
-    inf, ninf = math.inf, -math.inf
-    bounds = bush.offsets[start : stop + 1].tolist()
-    for v, lo, hi in zip(order[start:stop], bounds, bounds[1:]):
-        lv, uv, am, ax = inf, ninf, -1, -1
-        for a, t, c, carrying in islice(entries, hi - lo):
-            nl = L[t] + c
-            if nl < lv:
-                lv, am = nl, a
-            if carrying:
-                nu = U[t] + c
-                if nu > uv:
-                    uv, ax = nu, a
-        L[v], U[v], pmin[v], pmax[v] = lv, uv, am, ax
+    ):
+        if h != v:
+            L[v], U[v], pmin[v], pmax[v] = lv, uv, am, ax
+            v, lv, uv, am, ax = h, inf, ninf, -1, -1
+        nl = L[t] + c
+        if nl < lv:
+            lv, am = nl, a
+        if carrying:
+            nu = U[t] + c
+            if nu > uv:
+                uv, ax = nu, a
+    L[v], U[v], pmin[v], pmax[v] = lv, uv, am, ax
     return labels
 
 
@@ -442,10 +451,11 @@ def update_bush(
     """
     if labels is None:
         labels = shortest_longest_labels(expanded, bush, costs)
-    L, _, pmin, _ = labels
-    L = np.array(L)
+    n = expanded.n_nodes
+    L = np.fromiter(labels[0], float, n)
+    pmin = np.fromiter(labels[2], np.int64, n)
     old = bush.pull.astype(np.int64)
-    keep = old[(bush.flow[old] > 0.0) | (np.array(pmin)[expanded.head[old]] == old)]
+    keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
     outside = np.asarray(usable, dtype=bool).copy()
     outside[old] = False
     Lt, Lh = L[expanded.tail], L[expanded.head]
@@ -778,10 +788,11 @@ class BushSolver:
         spread, which is still above `bound`.
         """
         worst = 0.0
+        n = self.expanded.n_nodes
         for bush in self.bushes:
             L, U, _, _ = shortest_longest_labels(self.expanded, bush, self.cost)
             nodes = bush.order[1:]  # all but the origin
-            lo, up = np.array(L)[nodes], np.array(U)[nodes]
+            lo, up = np.fromiter(L, float, n)[nodes], np.fromiter(U, float, n)[nodes]
             ok = (up > -math.inf) & np.isfinite(lo)
             if ok.any():
                 lo, up = lo[ok], up[ok]

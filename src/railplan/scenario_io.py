@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import costmodel, design, kvconfig
-from .corridors import Corridor, candidate_corridors
+from .corridors import Corridor, candidate_corridors, corridor_cost, corridor_length_km
 from .costmodel import (
     ElectrificationRates,
     RateTable,
@@ -541,10 +541,20 @@ def assemble(scenario: Scenario) -> Assembled:
 
     if scenario.corridor_file:
         corridors = load_corridors(scenario.path(scenario.corridor_file))
+        yards = set(network.yards())
         for c in corridors:
-            bad = [l for l in c.link_ids if l not in network.links]
+            bad = [l for l in c.link_ids if l not in link_costs]
             if bad:
-                raise ValidationError(f"corridor {c.id}: unknown links {bad}")
+                raise ValidationError(f"corridor {c.id}: unknown links {bad}: not candidate links of the network")
+            if not {c.yard_a, c.yard_b} <= yards:
+                raise ValidationError(f"corridor {c.id}: yard_a {c.yard_a} or yard_b {c.yard_b} is not a yard")
+            # the expressions candidate_corridors writes, so a saved file reloads
+            for name, given, links in (
+                ("cost_usd", c.cost_usd, corridor_cost(c.link_ids, link_costs)),
+                ("length_km", c.length_km, corridor_length_km(network, c.link_ids)),
+            ):
+                if not (math.isfinite(given) and math.isclose(given, links, rel_tol=1e-9)):
+                    raise ValidationError(f"corridor {c.id}: {name} {given!r} differs from its links' {links!r}")
     else:
         if scenario.corridor_metric == "length":
             weights = {lid: l.length_km for lid, l in network.links.items()}

@@ -78,9 +78,48 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             assert bush.order[0] == bush.origin
             for a in bush.arcs:
                 assert bush.pos[expanded.tail[a]] < bush.pos[expanded.head[a]]
+            # every node but the origin keeps an inbound arc, so a label pass
+            # writes every position it covers
+            assert set(bush.order[1:]) <= {int(expanded.head[a]) for a in bush.arcs}
             want_pos = np.full(expanded.n_nodes, -1)
             want_pos[bush.order] = np.arange(len(bush.order))
             assert bush.pos.tolist() == want_pos.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares, data=st.data())
+def test_partial_label_pass_matches_oracle(seed, load, electrified_share, data):
+    rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    engine = CostEngine(expanded, profiles, usable)
+    costs = engine.costs(np.zeros(expanded.n_arcs))
+    origin, dests = next(iter(od.by_origin().items()))
+    bush = _initial_bush(expanded, costs, engine.usable, origin, dests)
+    for _ in range(2):  # grow the bush so that nodes have several inbound arcs
+        update_bush(expanded, bush, rng.uniform(0.5, 5.0, expanded.n_arcs), engine.usable)
+    arcs = bush.pull.astype(np.int64)
+    bush.flow[arcs] = np.where(rng.random(arcs.size) < 0.6, rng.uniform(0.0, 1.0e4, arcs.size), 0.0)
+    costs = rng.integers(1, 4, expanded.n_arcs).astype(float)
+    labels = shortest_longest_labels(expanded, bush, costs)
+    before = [list(part) for part in labels]
+
+    n = len(bush.order)
+    start = data.draw(st.integers(1, n))
+    stop = data.draw(st.integers(start, n))
+    # change only arcs into positions >= start: earlier labels stand
+    late = arcs[bush.pos[expanded.head[arcs]] >= start]
+    costs[late] = rng.integers(1, 4, late.size).astype(float)
+    bush.flow[late] = np.where(rng.random(late.size) < 0.5, rng.uniform(0.0, 1.0e4, late.size), 0.0)
+
+    got = shortest_longest_labels(expanded, bush, costs, labels, start, stop)
+    assert got is labels
+    want = oracle_labels(expanded, bush, costs)
+    relabelled = set(bush.order[start:stop])
+    for w, have, old in zip(want, got, before):
+        for node in range(expanded.n_nodes):
+            expected = w[node].item() if node in relabelled else old[node]
+            assert have[node] == expected
+            if bush.pos[node] < start:
+                assert w[node].item() == old[node]
 
 
 # where the arcs of one traction pair go: "min"/"max" puts one arc on that

@@ -609,6 +609,72 @@ def test_assemble_corridor_metric_and_file(tmp_path):
         assemble(replace(s, corridor_file="broken.csv"))
 
 
+def write_yard_line(tmp_path, n_nodes=7):
+    """A line of links both ways with a yard at every even node, so
+    (n_nodes - 1) // 2 corridors; written with the toy scenario settings."""
+    nodes = "".join(f"{i},40.0,{-100.0 + 0.4 * i},{int(i % 2 == 0)},\n" for i in range(n_nodes))
+    links = "".join(
+        f"{2 * i + k},{i + k},{i + 1 - k},{40 + 5 * i},0.0,20000,50000,low,1\n"
+        for i in range(n_nodes - 1)
+        for k in (0, 1)
+    )
+    (tmp_path / "nodes.csv").write_text(NODES_CSV.splitlines()[0] + "\n" + nodes)
+    (tmp_path / "links.csv").write_text(LINKS_CSV.splitlines()[0] + "\n" + links)
+    (tmp_path / "od.csv").write_text(f"origin,destination,tons_per_day\n0,{n_nodes - 1},20000\n")
+    (tmp_path / "scenario.cfg").write_text(SCENARIO_CFG)
+    return tmp_path / "scenario.cfg"
+
+
+def saved_corridors(tmp_path):
+    """A yard line and the corridors.csv that `railplan corridors` writes for it."""
+    cfg = write_yard_line(tmp_path)
+    assert cli.main(["corridors", "--config", str(cfg), "--out-dir", str(tmp_path / "saved")]) == 0
+    return cfg, tmp_path / "saved" / "corridors.csv"
+
+
+def test_saved_corridor_file_reloads_unchanged(tmp_path):
+    cfg, path = saved_corridors(tmp_path)
+    from dataclasses import replace
+
+    generated = assemble(load_scenario(cfg)).corridors
+    assert len(generated) == 3
+    assert assemble(replace(load_scenario(cfg), corridor_file=str(path))).corridors == generated
+
+
+@pytest.mark.parametrize(
+    ("corridor", "column", "value"),
+    [(0, "cost_usd", "nan"), (1, "yard_a", "9999"), (2, "cost_usd", "1.0"), (1, "length_km", "1e300")],
+)
+def test_corridor_file_must_match_network(tmp_path, capsys, corridor, column, value):
+    cfg, path = saved_corridors(tmp_path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[corridor][column] = value
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with open(cfg, "a") as fh:
+        fh.write(f"corridor_file = {path}\n")
+    capsys.readouterr()
+    assert cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"corridor {corridor}: " in err and column in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_corridor_file_rejects_non_candidate_links(tmp_path, capsys):
+    cfg, path = saved_corridors(tmp_path)
+    links = (tmp_path / "links.csv").read_text().splitlines()
+    links[1] = links[1][: -len(",1")] + ",0"  # link 0 of corridor 0 is no candidate
+    (tmp_path / "links.csv").write_text("\n".join(links) + "\n")
+    with open(cfg, "a") as fh:
+        fh.write(f"corridor_file = {path}\n")
+    capsys.readouterr()
+    assert cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "corridor 0: unknown links [0]" in capsys.readouterr().err
+
+
 # --- pipelines ------------------------------------------------------------------------
 
 
