@@ -3,14 +3,25 @@
 Forces are newtons, masses metric tons (converted to kg inside), speeds m/s,
 powers watts, money dollars.  Link travel times are hours; energy prices are
 $/J, so the fuel term converts its free-flow time to seconds.
+
+All links are priced in one array pass per traction: one comparison against
+the throttle levels picks the notch, and the speed bisection runs in lockstep
+over the links still open.  Arrays see only +, -, *, / and comparisons, each
+correctly rounded in numpy as in Python, in the scalar order, so every link
+gets the bits of a one-link scalar pass (`tests/oracles.py`).  numpy's
+`arcsin` can differ from libm `asin` in the last bit, so the curve term takes
+`math.asin` per link.  The one-link functions are the array pass on one link.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .network import ArcKind, PhysicalLink, RailNetwork, SignalClass, terrain_fraction
 
@@ -184,23 +195,42 @@ def curve_resistance(train_mass_t: float, curve_radius_m: float, rates: RateTabl
     )
 
 
-def _davis_resistance(link: PhysicalLink, consist: TrainConsist, v: float, rates: RateTable) -> float:
-    """All speed-dependent and geometric terms, without braking."""
+# per-link arrays: grade, curve resistance (N), k_f, k_a, desired speed (m/s), length (km)
+_Links = namedtuple("_Links", "grade curve k_f k_a v_d length_km")
+
+
+def _gather(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateTable) -> _Links:
+    """The links' inputs to the resistance, defaults filled in."""
+    m = consist.train_mass_t
+    rows = [
+        (l.grade, curve_resistance(m, l.curve_radius_m, rates), rates.flange_factor if l.k_f is None else l.k_f,
+         rates.air_factor if l.k_a is None else l.k_a, l.desired_speed or rates.desired_speed, l.length_km)
+        for l in links
+    ]
+    return _Links(*np.array(rows, dtype=float).reshape(len(rows), 6).T.copy())
+
+
+def _davis(t: _Links, v, consist: TrainConsist, rates: RateTable) -> np.ndarray:
+    """All speed-dependent and geometric terms at speeds v, without braking."""
     return (
         bearing_resistance(consist, rates)
-        + flange_resistance(v, consist, rates, link.k_f)
-        + air_resistance(v, consist, rates, link.k_a)
-        + grade_resistance(consist.train_mass_t, link.grade, rates)
-        + curve_resistance(consist.train_mass_t, link.curve_radius_m, rates)
+        + flange_resistance(v, consist, rates, t.k_f)
+        + air_resistance(v, consist, rates, t.k_a)
+        + grade_resistance(consist.train_mass_t, t.grade, rates)
+        + t.curve
     )
 
 
+def _brake(t: _Links, consist: TrainConsist, rates: RateTable, min_power: float) -> np.ndarray:
+    """`brake_resistance` of every link."""
+    incidental = rates.brake_grade_equivalent * consist.train_mass_t * TON_KG * rates.gravity
+    base = _davis(t, t.v_d, consist, rates)
+    steep = (t.grade < 0.0) & ~((base + incidental) * t.v_d >= min_power)
+    return np.where(steep, min_power / t.v_d - base, incidental)
+
+
 def brake_resistance(
-    link: PhysicalLink,
-    consist: TrainConsist,
-    rates: RateTable,
-    throttle: ThrottleTable,
-    v_desired: float | None = None,
+    link: PhysicalLink, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable
 ) -> float:
     """Brake force on the link.
 
@@ -209,25 +239,14 @@ def brake_resistance(
     the train past its desired speed, the brake instead balances minimum
     throttle power at that speed.
     """
-    v_d = v_desired if v_desired is not None else (link.desired_speed or rates.desired_speed)
-    incidental = rates.brake_grade_equivalent * consist.train_mass_t * TON_KG * rates.gravity
-    if link.grade >= 0.0:
-        return incidental
-    base = _davis_resistance(link, consist, v_d, rates)
-    if (base + incidental) * v_d >= throttle.min_power:
-        return incidental
-    return throttle.min_power / v_d - base
+    return float(_brake(_gather([link], consist, rates), consist, rates, throttle.min_power)[0])
 
 
 def total_resistance(
-    link: PhysicalLink,
-    consist: TrainConsist,
-    v: float,
-    rates: RateTable,
-    brake_force: float = 0.0,
+    link: PhysicalLink, consist: TrainConsist, v: float, rates: RateTable, brake_force: float = 0.0
 ) -> float:
     """Full resistance at speed v; pass the precomputed link brake force."""
-    return _davis_resistance(link, consist, v, rates) + brake_force
+    return float(_davis(_gather([link], consist, rates), v, consist, rates)[0] + brake_force)
 
 
 # --- power/speed fixpoint ----------------------------------------------------
@@ -237,11 +256,38 @@ _BISECTION_TOL = 1.0e-8  # m/s
 _BISECTION_MAX_ITER = 200
 
 
+def _power_speed(t: _Links, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable):
+    """`solve_power_speed` of every link: arrays P and v, P nan and v 0 where
+    a link is impassable."""
+    brake = _brake(t, consist, rates, throttle.min_power)
+    levels = np.array(throttle.levels)
+    fits = levels >= ((_davis(t, t.v_d, consist, rates) + brake) * t.v_d)[:, None]
+    hit = fits.any(axis=1)
+    p, v = np.where(hit, levels[fits.argmax(axis=1)], throttle.max_power), t.v_d.copy()
+    slow = np.flatnonzero(~hit)
+    s, brake = _Links(*(a[slow] for a in t)), brake[slow]
+
+    def over(speed: np.ndarray) -> np.ndarray:
+        return (_davis(s, speed, consist, rates) + brake) * speed > throttle.max_power
+
+    lo, hi = np.full(len(slow), _V_FLOOR), s.v_d
+    stuck = over(lo)
+    bisecting = ~stuck
+    for _ in range(_BISECTION_MAX_ITER):
+        if not bisecting.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = over(mid)
+        hi = np.where(bisecting & up, mid, hi)
+        lo = np.where(bisecting & ~up, mid, lo)
+        bisecting &= ~(hi - lo < _BISECTION_TOL)
+    v[slow] = np.where(stuck, 0.0, 0.5 * (lo + hi))
+    p[slow[stuck]] = math.nan
+    return p, v
+
+
 def solve_power_speed(
-    link: PhysicalLink,
-    consist: TrainConsist,
-    rates: RateTable,
-    throttle: ThrottleTable,
+    link: PhysicalLink, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable
 ) -> tuple[float, float, float]:
     """Pick the throttle notch and speed for a link: (P watts, v m/s, t0 hours).
 
@@ -249,32 +295,11 @@ def solve_power_speed(
     runs at exactly that speed.  If even the top notch falls short, speed
     comes from bisecting P = R(v)*v between 0.1 m/s and the desired speed.
     """
-    v_d = link.desired_speed or rates.desired_speed
-    brake = brake_resistance(link, consist, rates, throttle, v_d)
-
-    def load(v: float) -> float:
-        return total_resistance(link, consist, v, rates, brake) * v
-
-    needed = load(v_d)
-    for p in throttle.levels:
-        if p >= needed:
-            return p, v_d, link.length_km / (3.6 * v_d)
-
-    p = throttle.levels[-1]
-    lo, hi = _V_FLOOR, v_d
-    if load(lo) > p:
+    (p,), (v,) = (a.tolist() for a in _power_speed(_gather([link], consist, rates), consist, rates, throttle))
+    if v == 0.0:
         raise LinkImpassableError(
-            f"link {link.id}: resistance exceeds {p:.3e} W at any positive speed"
+            f"link {link.id}: resistance exceeds {throttle.max_power:.3e} W at any positive speed"
         )
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if load(mid) > p:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < _BISECTION_TOL:
-            break
-    v = 0.5 * (lo + hi)
     return p, v, link.length_km / (3.6 * v)
 
 
@@ -345,52 +370,41 @@ class LinkCostProfile:
         return congestion_integral(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
 
 
-def build_link_profile(
-    link: PhysicalLink,
-    consist: TrainConsist,
-    rates: RateTable,
-    throttles: Mapping[ArcKind, ThrottleTable] | None = None,
-) -> LinkCostProfile:
+def _profiles(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateTable) -> list[LinkCostProfile]:
+    """The profile of every link, in one array pass per traction (module
+    docstring); impassable sides warn link by link, diesel first."""
     if consist.cargo_mass_t <= 0.0:
         raise ValueError("consist carries no cargo; per-ton costs undefined")
-    if throttles is None:
-        throttles = build_throttles(consist, rates)
     per_ton = consist.cargo_mass_t
+    t, throttles, sides = _gather(links, consist, rates), build_throttles(consist, rates), []
+    for kind, eta, fuel_cost in (
+        (ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel),
+        (ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric),
+    ):
+        p, v = _power_speed(t, consist, rates, throttles[kind])
+        ok = v > 0.0
+        t0 = np.where(ok, t.length_km / (3.6 * np.where(ok, v, 1.0)), math.inf)
+        fuel = np.where(ok, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, math.inf)
+        columns = (p.tolist(), v.tolist(), t0.tolist(), fuel.tolist(), ok.tolist())
+        sides.append((ok, t0, map(TractionProfile, *columns)))
+    (ok, t0, diesels), (_, _, electrics) = sides
+    # the congestion clock runs on the diesel free-flow time
+    coef = np.where(ok, t0 * (rates.crew_rate + rates.cargo_rate) / per_ton, math.inf)
+    out = []
+    for link, diesel, electric, t0_hr, c in zip(links, diesels, electrics, t0.tolist(), coef.tolist()):
+        for kind, side in ((ArcKind.DIESEL, diesel), (ArcKind.ELECTRIC, electric)):
+            if not side.reachable:
+                warnings.warn(f"link {link.id}: impassable under {kind.value} traction")
+        out.append(LinkCostProfile(link.id, link.capacity_tpd, t0_hr, c, rates.beta, diesel, electric))
+    return out
 
-    def traction_profile(kind: ArcKind, eta: float, fuel_cost: float) -> TractionProfile:
-        try:
-            p, v, t0 = solve_power_speed(link, consist, rates, throttles[kind])
-        except LinkImpassableError:
-            warnings.warn(f"link {link.id}: impassable under {kind.value} traction")
-            return TractionProfile(math.nan, 0.0, math.inf, math.inf, False)
-        fuel = (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton
-        return TractionProfile(p, v, t0, fuel, True)
 
-    diesel = traction_profile(ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel)
-    electric = traction_profile(ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric)
-    if diesel.reachable:
-        coef = diesel.t0_hr * (rates.crew_rate + rates.cargo_rate) / per_ton
-        t0 = diesel.t0_hr
-    else:
-        coef = math.inf
-        t0 = math.inf
-    return LinkCostProfile(
-        link_id=link.id,
-        capacity_tpd=link.capacity_tpd,
-        t0_hr=t0,
-        congestion_coef=coef,
-        beta=rates.beta,
-        diesel=diesel,
-        electric=electric,
-    )
+def build_link_profile(link: PhysicalLink, consist: TrainConsist, rates: RateTable) -> LinkCostProfile:
+    return _profiles([link], consist, rates)[0]
 
 
 def build_profiles(net: RailNetwork, consist: TrainConsist, rates: RateTable) -> dict[int, LinkCostProfile]:
-    throttles = build_throttles(consist, rates)
-    return {
-        lid: build_link_profile(net.links[lid], consist, rates, throttles)
-        for lid in sorted(net.links)
-    }
+    return {p.link_id: p for p in _profiles([net.links[lid] for lid in sorted(net.links)], consist, rates)}
 
 
 # --- switching ---------------------------------------------------------------

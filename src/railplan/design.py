@@ -30,6 +30,7 @@ from .equilibrium import (
     FlowState,
     GapMetrics,
     ODMatrix,
+    flow_cost,
     solve_equilibrium,
 )
 from .network import ArcKind, ExpandedNetwork, apply_design
@@ -180,7 +181,7 @@ class DesignProblem:
         )
         result = EvaluatedDesign(
             design=DesignVector(bits),
-            total_cost=float(state.x @ state.cost),
+            total_cost=flow_cost(state.x, state.cost),
             electric_share=electric_tonnage_share(self.expanded, state),
             gap=metrics.relative_gap,
             budget_used=self.union_cost(bits),
@@ -223,9 +224,10 @@ class DesignProblem:
         capital dollar."""
         if self._scores is None:
             p = self.profiles
-            self._scores = _per_capital_dollar(
-                self, lambda lid: p[lid].diesel.fuel_cost_per_ton - p[lid].electric.fuel_cost_per_ton
-            )
+            self._scores = _per_capital_dollar(self, lambda lid: (  # no saving across an impassable side
+                p[lid].diesel.fuel_cost_per_ton - p[lid].electric.fuel_cost_per_ton
+                if p[lid].diesel.reachable and p[lid].electric.reachable else 0.0
+            ))
         return self._scores
 
     def solution(self, bits: Bits) -> Solution:

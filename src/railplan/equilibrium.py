@@ -232,10 +232,10 @@ class CostEngine:
             self.partner[arc.id] = arc.partner
             self.is_traction[arc.id] = True
 
-        self.diesel_arcs = np.array(
-            [d for d, _ in (expanded.pair_of[l] for l in sorted(expanded.pair_of))],
-            dtype=np.int64,
-        )
+        diesel = np.array([d for _, (d, _) in sorted(expanded.pair_of.items())], dtype=np.int64)
+        # a pair with an impassable diesel side carries no flow, and its
+        # integral, inf * 0, would be nan: it adds nothing to the objective
+        self.diesel_arcs = diesel[np.isfinite(self.kc[diesel])]
         self.electric_arcs = self.partner[self.diesel_arcs]
         passable = np.isfinite(self.fixed) & np.isfinite(self.kc)
         self.usable = passable if usable is None else (np.asarray(usable, dtype=bool) & passable)
@@ -261,7 +261,7 @@ class CostEngine:
         d = self.diesel_arcs
         total = x[d] + x[self.electric_arcs]
         congestion = congestion_integral(self.kc[d], total, self.cap[d], self.beta)
-        return float(congestion.sum() + self.fixed @ x)
+        return float(congestion.sum() + flow_cost(x, self.fixed))
 
 
 # --- shortest paths -----------------------------------------------------------
@@ -912,7 +912,13 @@ def relative_gap(
     """(total cost - cost on current shortest paths) / latter; 0 for no demand."""
     origins = od.by_origin()
     dists = (_dijkstra(expanded, costs, expanded.diesel_node(r), usable)[0] for r in origins)
-    return _gap(expanded, origins, dists, float(x @ costs))
+    return _gap(expanded, origins, dists, flow_cost(x, costs))
+
+
+def flow_cost(x: np.ndarray, costs: np.ndarray) -> float:
+    """x . costs, where an arc without flow adds nothing, even at the
+    infinite cost of an impassable traction side."""
+    return float(x @ np.where(x == 0.0, 0.0, costs))
 
 
 def _gap(

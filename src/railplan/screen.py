@@ -34,6 +34,7 @@ from .equilibrium import (
     ODMatrix,
     _dijkstra,
     _gap,
+    flow_cost,
     relative_gap,
 )
 from .network import ExpandedNetwork
@@ -57,7 +58,7 @@ class StartTable:
         self.passable = engine.usable
         self.usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
         self.cost = engine.costs(state.x)
-        self.tstt = float(state.x @ self.cost)
+        self.tstt = flow_cost(state.x, self.cost)
         self.origins = od.by_origin()
         rows = [_dijkstra(expanded, self.cost, expanded.diesel_node(r), self.usable)[0] for r in self.origins]
         self.dist = np.array(rows).reshape(len(rows), expanded.n_nodes)

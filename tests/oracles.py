@@ -8,6 +8,10 @@ objective change of a flow shift, and a sweep that recomputes every cost and
 every label after each flow shift or drain.  The property tests require the
 solver to agree with them exactly, bit for bit.
 
+The scalar link profile: one link and one traction at a time, the notch by
+a loop over the throttle levels and the speed by a scalar bisection.
+`costmodel.build_profiles` must give its bits.
+
 Also a method-of-successive-averages equilibrium, the dense cost Jacobian,
 the per-arc generalized cost and an exhaustive design search.
 """
@@ -16,10 +20,24 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 
 import numpy as np
 
-from railplan.costmodel import LinkCostProfile
+from railplan.costmodel import (
+    LinkCostProfile,
+    LinkImpassableError,
+    TractionProfile,
+    air_resistance,
+    bearing_resistance,
+    curve_resistance,
+    flange_resistance,
+    grade_resistance,
+    TON_KG,
+    _BISECTION_MAX_ITER,
+    _BISECTION_TOL,
+    _V_FLOOR,
+)
 from railplan.design import DesignProblem, EvaluatedDesign
 from railplan.equilibrium import (
     BushSolver,
@@ -254,6 +272,81 @@ class FullRelabelSolver(BushSolver):
                     self._drain(bush, min_path, max_path, remainder)
             self.cost = engine.costs(self.x)
             L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)
+
+
+def oracle_davis(link, consist, v, rates):
+    """All speed-dependent and geometric terms, without braking."""
+    return (
+        bearing_resistance(consist, rates)
+        + flange_resistance(v, consist, rates, link.k_f)
+        + air_resistance(v, consist, rates, link.k_a)
+        + grade_resistance(consist.train_mass_t, link.grade, rates)
+        + curve_resistance(consist.train_mass_t, link.curve_radius_m, rates)
+    )
+
+
+def oracle_brake(link, consist, rates, throttle):
+    """Incidental braking, or on a steep downgrade the force that balances
+    the minimum notch at the desired speed."""
+    v_d = link.desired_speed or rates.desired_speed
+    incidental = rates.brake_grade_equivalent * consist.train_mass_t * TON_KG * rates.gravity
+    if link.grade >= 0.0:
+        return incidental
+    base = oracle_davis(link, consist, v_d, rates)
+    if (base + incidental) * v_d >= throttle.min_power:
+        return incidental
+    return throttle.min_power / v_d - base
+
+
+def oracle_power_speed(link, consist, rates, throttle):
+    """(P, v, t0): the smallest notch holding the desired speed, else the top
+    notch at the bisected speed; raises LinkImpassableError."""
+    v_d = link.desired_speed or rates.desired_speed
+    brake = oracle_brake(link, consist, rates, throttle)
+
+    def load(v):
+        return (oracle_davis(link, consist, v, rates) + brake) * v
+
+    needed = load(v_d)
+    for p in throttle.levels:
+        if p >= needed:
+            return p, v_d, link.length_km / (3.6 * v_d)
+    p = throttle.levels[-1]
+    lo, hi = _V_FLOOR, v_d
+    if load(lo) > p:
+        raise LinkImpassableError(f"link {link.id}: resistance exceeds {p:.3e} W at any positive speed")
+    for _ in range(_BISECTION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if load(mid) > p:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < _BISECTION_TOL:
+            break
+    v = 0.5 * (lo + hi)
+    return p, v, link.length_km / (3.6 * v)
+
+
+def oracle_link_profile(link, consist, rates, throttles):
+    """The link's cost profile, warning for each impassable side, diesel
+    first."""
+    per_ton = consist.cargo_mass_t
+
+    def side(kind, eta, fuel_cost):
+        try:
+            p, v, t0 = oracle_power_speed(link, consist, rates, throttles[kind])
+        except LinkImpassableError:
+            warnings.warn(f"link {link.id}: impassable under {kind.value} traction")
+            return TractionProfile(math.nan, 0.0, math.inf, math.inf, False)
+        return TractionProfile(p, v, t0, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, True)
+
+    diesel = side(ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel)
+    electric = side(ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric)
+    if diesel.reachable:
+        t0, coef = diesel.t0_hr, diesel.t0_hr * (rates.crew_rate + rates.cargo_rate) / per_ton
+    else:
+        t0, coef = math.inf, math.inf
+    return LinkCostProfile(link.id, link.capacity_tpd, t0, coef, rates.beta, diesel, electric)
 
 
 def generalized_cost(profile: LinkCostProfile, x_d: float, x_e: float, kind: ArcKind) -> float:

@@ -1,9 +1,12 @@
 """Train physics, link cost profiles, switching, and electrification capital."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from railplan.costmodel import (
@@ -32,6 +35,7 @@ from railplan.costmodel import (
 )
 from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, SignalClass
 
+from oracles import oracle_brake, oracle_link_profile, oracle_power_speed
 from synth import line_network
 
 G = 9.80665
@@ -308,6 +312,114 @@ def test_profile_impassable_side_warns(consist):
     assert not prof.diesel.reachable
     assert prof.congestion_coef == math.inf
     assert prof.electric.reachable
+
+
+# --- the array build against the scalar oracle ----------------------------------
+
+# default rates, then weak locomotives: many sides impassable, diesel and electric
+PROFILE_RATES = [
+    RateTable(),
+    RateTable(locomotive_power_electric_w=2.0e3),
+    RateTable(locomotive_power_diesel_w=2.5e5, locomotive_power_electric_w=4.0e5, notch_count=3),
+]
+
+
+def random_links_network(seed):
+    """A chain of random links: grades from steep downgrades that need the
+    brake to steep upgrades that need the bisection, some with their own
+    k_f, k_a and desired speed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    nodes = [Node(i, 40.0, -100.0 + 0.1 * i) for i in range(n + 1)]
+
+    def maybe(lo, hi):
+        return float(rng.uniform(lo, hi)) if rng.random() < 0.3 else None
+
+    links = [
+        PhysicalLink(
+            id=i, tail=i, head=i + 1,
+            length_km=float(rng.uniform(1.0, 400.0)),
+            grade=float(rng.choice([0.0, rng.uniform(-0.035, 0.035)])),
+            curve_radius_m=float(rng.choice([16.0, rng.uniform(16.0, 2000.0), 50000.0])),
+            capacity_tpd=float(rng.uniform(1.0e4, 1.0e5)),
+            k_f=maybe(0.0, 3.0), k_a=maybe(0.0, 3.0), desired_speed=maybe(5.0, 40.0),
+        )
+        for i in range(n)
+    ]
+    return RailNetwork.build(nodes, links)
+
+
+def same_fields(a, b):
+    """== on every field, nan equal to nan (an impassable side's power)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return a == b or (a != a and b != b)
+
+
+def recorded(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = build()
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rates_index=st.integers(0, len(PROFILE_RATES) - 1))
+def test_build_profiles_matches_scalar_oracle(seed, rates_index):
+    rates, consist = PROFILE_RATES[rates_index], TrainConsist()
+    net = random_links_network(seed)
+    throttles = build_throttles(consist, rates)
+    got, got_warnings = recorded(lambda: build_profiles(net, consist, rates))
+    want, want_warnings = recorded(
+        lambda: {lid: oracle_link_profile(net.links[lid], consist, rates, throttles) for lid in sorted(net.links)}
+    )
+    assert list(got) == list(want)
+    assert all(same_fields(got[lid], want[lid]) for lid in want)
+    assert got_warnings == want_warnings
+    for lid, link in net.links.items():
+        assert same_fields(recorded(lambda: build_link_profile(link, consist, rates))[0], want[lid])
+        assert brake_resistance(link, consist, rates, throttles[ArcKind.DIESEL]) == oracle_brake(
+            link, consist, rates, throttles[ArcKind.DIESEL]
+        )
+        for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
+            try:
+                expected = oracle_power_speed(link, consist, rates, throttles[kind])
+            except LinkImpassableError as err:
+                with pytest.raises(LinkImpassableError) as raised:
+                    solve_power_speed(link, consist, rates, throttles[kind])
+                assert str(raised.value) == str(err)
+            else:
+                assert solve_power_speed(link, consist, rates, throttles[kind]) == expected
+
+
+def test_profile_oracle_draws_cover_every_branch():
+    """The draws of the property test above reach the notch, the bisection,
+    impassable diesel and electric sides, the downgrade brake, and per-link
+    overrides, under each rate table."""
+    consist = TrainConsist()
+    for rates in PROFILE_RATES:
+        seen = set()
+        for seed in range(20):
+            net = random_links_network(seed)
+            throttles = build_throttles(consist, rates)
+            for link in net.links.values():
+                seen.update(k for k in ("k_f", "k_a", "desired_speed") if getattr(link, k) is not None)
+                incidental = 0.001 * consist.train_mass_t * 1000.0 * G
+                if oracle_brake(link, consist, rates, throttles[ArcKind.DIESEL]) != incidental:
+                    seen.add("brake")
+                for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
+                    try:
+                        p, _, _ = oracle_power_speed(link, consist, rates, throttles[kind])
+                    except LinkImpassableError:
+                        seen.add(f"impassable {kind.value}")
+                        continue
+                    seen.add("notch" if p < throttles[kind].max_power else "top notch")
+        expected = {"k_f", "k_a", "desired_speed", "brake", "notch", "top notch"}
+        if rates is not PROFILE_RATES[0]:
+            expected |= {"impassable diesel", "impassable electric"} if rates.notch_count == 3 else {"impassable electric"}
+        assert expected <= seen, (rates, expected - seen)
 
 
 def test_profile_rejects_cargoless_consist(rates):
