@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import scenario_io
+from .design import design_bits
 from .equilibrium import InfeasibleAssignmentError
 # unused here, but perfbench/tracing.py patches cli.apply_design and needs the name
 from .network import apply_design  # noqa: F401
@@ -69,10 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_transform(scenario: Scenario, args: argparse.Namespace) -> int:
-    assembled = scenario_io.assemble(scenario)
-    expanded = assembled.expanded
-    print(f"nodes: {len(assembled.network.nodes)} physical, {expanded.n_nodes} expanded")
-    print(f"arcs:  {expanded.n_arcs} ({len(assembled.network.links)} links, "
+    problem = scenario_io.assemble(scenario)
+    expanded = problem.expanded
+    print(f"nodes: {len(problem.network.nodes)} physical, {expanded.n_nodes} expanded")
+    print(f"arcs:  {expanded.n_arcs} ({len(problem.network.links)} links, "
           f"{sum(len(v) for v in expanded.switch_arcs_at.values())} switch arcs)")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -82,20 +83,20 @@ def _cmd_transform(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_costs(scenario: Scenario, args: argparse.Namespace) -> int:
-    assembled = scenario_io.assemble(scenario)
+    problem = scenario_io.assemble(scenario)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario_io.write_link_costs(out / "link_costs.csv", assembled.profiles, assembled.link_costs)
+    scenario_io.write_link_costs(out / "link_costs.csv", problem.profiles, problem.link_costs)
     print(f"wrote {out / 'link_costs.csv'}")
     return EXIT_OK
 
 
 def _cmd_corridors(scenario: Scenario, args: argparse.Namespace) -> int:
-    assembled = scenario_io.assemble(scenario)
+    problem = scenario_io.assemble(scenario)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario_io.save_corridors(out / "corridors.csv", assembled.corridors)
-    print(f"{len(assembled.corridors)} corridors, wrote {out / 'corridors.csv'}")
+    scenario_io.save_corridors(out / "corridors.csv", problem.corridors)
+    print(f"{len(problem.corridors)} corridors, wrote {out / 'corridors.csv'}")
     return EXIT_OK
 
 
@@ -142,8 +143,9 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
-    assembled, bits = scenario_io.assemble_design(scenario, scenario_io.load_design(args.design))
-    report = scenario_io.summarize_design(assembled, bits)
+    problem = scenario_io.assemble(scenario)
+    bits = design_bits(scenario_io.load_design(args.design), len(problem.corridors))
+    report = scenario_io.summarize_design(problem, bits)
     scenario_io.write_report(report, args.out_dir)
     print(scenario_io.format_report(report))
     _warn_unconverged([report])

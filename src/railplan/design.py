@@ -33,31 +33,19 @@ from .equilibrium import (
     flow_cost,
     solve_equilibrium,
 )
-from .network import ArcKind, ExpandedNetwork, apply_design
+from .network import ArcKind, ExpandedNetwork, RailNetwork, apply_design
 from .screen import StartTable
 
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DesignVector:
-    bits: Bits
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("design bits must be 0/1")
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[int], n: int) -> "DesignVector":
-        chosen = set(ids)
-        unknown = chosen - set(range(n))
-        if unknown:
-            raise ValueError(f"unknown corridor ids {sorted(unknown)}")
-        return cls(tuple(1 if i in chosen else 0 for i in range(n)))
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
+def design_bits(ids: Iterable[int], n: int) -> Bits:
+    """The bits of the design electrifying corridors `ids` of `n`."""
+    chosen = set(ids)
+    unknown = chosen - set(range(n))
+    if unknown:
+        raise ValueError(f"unknown corridor ids {sorted(unknown)}")
+    return tuple(1 if i in chosen else 0 for i in range(n))
 
 
 @dataclass
@@ -75,13 +63,17 @@ class GAConfig:
 
 @dataclass(frozen=True)
 class EvaluatedDesign:
-    design: DesignVector
+    bits: Bits
     total_cost: float  # $/day at equilibrium
     electric_share: float  # electric tonnage-km over total tonnage-km
     gap: float
     budget_used: float
     electrified_km: float
     converged: bool  # the equilibrium met its gap and Wardrop tolerances
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(i for i, b in enumerate(self.bits) if b)
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,20 @@ class DesignProblem:
     _start: StartTable | None = field(default=None, init=False, repr=False)
     _scores: list[float] | None = field(default=None, init=False, repr=False)
 
-    def _check(self, bits: Bits) -> None:
+    def _check(self, bits: Iterable[int]) -> Bits:
+        """`bits` as a tuple, checked to hold one 0/1 bit per corridor."""
+        bits = tuple(bits)
         if len(bits) != len(self.corridors):
             raise ValueError(
                 f"design has {len(bits)} bits for {len(self.corridors)} corridors"
             )
+        if not set(bits) <= {0, 1}:
+            raise ValueError("design bits must be 0/1")
+        return bits
+
+    @property
+    def network(self) -> RailNetwork:
+        return self.expanded.net
 
     def member_links(self, bits: Bits) -> set[int]:
         """Union of selected corridors' own links (capital is charged here)."""
@@ -140,17 +141,16 @@ class DesignProblem:
 
     def electrified_links(self, bits: Bits) -> set[int]:
         """Member links closed under direction reversal."""
-        return self.expanded.net.with_reverse_twins(self.member_links(bits))
+        return self.network.with_reverse_twins(self.member_links(bits))
 
     def union_cost(self, bits: Bits) -> float:
         return sum((self.link_costs[l] for l in self.member_links(bits)), 0.0)
 
     def electrified_km(self, bits: Bits) -> float:
-        return self.expanded.net.total_length_km(self.member_links(bits))
+        return self.network.total_length_km(self.member_links(bits))
 
     def evaluate(self, bits: Bits) -> EvaluatedDesign:
-        bits = tuple(bits)
-        self._check(bits)
+        bits = self._check(bits)
         hit = self._cache.get(bits)
         if hit is not None:
             return hit
@@ -180,7 +180,7 @@ class DesignProblem:
             start=start,
         )
         result = EvaluatedDesign(
-            design=DesignVector(bits),
+            bits=bits,
             total_cost=flow_cost(state.x, state.cost),
             electric_share=electric_tonnage_share(self.expanded, state),
             gap=metrics.relative_gap,
@@ -233,11 +233,10 @@ class DesignProblem:
     def solution(self, bits: Bits) -> Solution:
         """Full solution of a design: the kept one for the all-diesel and the
         best design, otherwise a fresh solve, which is not kept."""
-        bits = tuple(bits)
+        bits = self._check(bits)
         for kept in (self._best, self._baseline):
-            if kept is not None and kept.evaluated.design.bits == bits:
+            if kept is not None and kept.evaluated.bits == bits:
                 return kept
-        self._check(bits)
         return self._solve(bits)
 
 
@@ -262,7 +261,7 @@ def _per_capital_dollar(problem: DesignProblem, weight: Callable[[int], float]) 
     over its links and their reverse twins, per capital dollar (inf for a
     corridor that costs nothing)."""
     flows = problem.baseline_state().physical_flows(problem.expanded)
-    net = problem.expanded.net
+    net = problem.network
     out = []
     for c in problem.corridors:
         total = 0.0
@@ -280,8 +279,7 @@ def repair(bits: Bits, problem: DesignProblem) -> Bits:
     score ties, lowest id last.  Union cost is recomputed after every
     removal so shared links are charged once throughout.
     """
-    bits = tuple(bits)
-    problem._check(bits)
+    bits = problem._check(bits)
     if problem.union_cost(bits) <= problem.budget:
         return bits
     scores = problem.corridor_scores()
@@ -318,7 +316,7 @@ def seed_population(
     if n == 0:
         return [()] * config.population
     # baseline tonnage-km moved per capital dollar
-    links = problem.expanded.net.links
+    links = problem.network.links
     density = np.array(_per_capital_dollar(problem, lambda lid: links[lid].length_km))
     n_greedy = int(round(config.population * config.greedy_fraction))
     population: list[Bits] = []

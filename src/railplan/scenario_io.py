@@ -102,6 +102,8 @@ class Scenario(design.GAConfig):
             raise ValidationError(f"generations must be at least 0, got {self.generations}")
         if self.elites < 0 or self.elites >= self.population:
             raise ValidationError("elites must fit inside the population")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be at least 0, got {self.seed}")
         if not (math.isfinite(self.gap_tolerance) and self.gap_tolerance > 0.0):
             raise ValidationError(f"gap tolerance must be positive and finite, got {self.gap_tolerance}")
         if self.max_iterations < 1:
@@ -349,6 +351,9 @@ def load_corridors(path: str | Path) -> list[Corridor]:
     for c in out:
         if not c.link_ids:
             raise ValidationError(f"{path}: corridor {c.id} has no links")
+        repeat = next((l for i, l in enumerate(c.link_ids) if l in c.link_ids[:i]), None)
+        if repeat is not None:
+            raise ValidationError(f"{path}: corridor {c.id} repeats link {repeat}")
     if [c.id for c in out] != list(range(len(out))):
         raise ValidationError(f"{path}: corridor ids must be 0..n-1 in order")
     return out
@@ -482,39 +487,27 @@ def validate_geojson(obj: dict) -> None:
 # --- assembly and pipelines -----------------------------------------------------------
 
 
-@dataclass
-class Assembled:
-    scenario: Scenario
-    network: RailNetwork
-    expanded: ExpandedNetwork
-    profiles: dict[int, costmodel.LinkCostProfile]
-    link_costs: dict[int, float]
-    corridors: list[Corridor]
-    od: ODMatrix
-    problem: design.DesignProblem
-
-
 def write_solution(
     out: Path,
-    assembled: Assembled,
+    problem: design.DesignProblem,
     bits: design.Bits,
     state: FlowState,
     metrics: GapMetrics,
     geojson_name: str,
 ) -> None:
     """flows.csv, gap_trace.csv and the GeoJSON `geojson_name` of one solved design."""
-    write_flows(out / "flows.csv", assembled.expanded, state)
+    write_flows(out / "flows.csv", problem.expanded, state)
     write_gap_trace(out / "gap_trace.csv", metrics)
     emit_geojson(
-        assembled.problem.electrified_links(bits),
-        assembled.network,
-        state.physical_flows(assembled.expanded),
+        problem.electrified_links(bits),
+        problem.network,
+        state.physical_flows(problem.expanded),
         out / geojson_name,
     )
 
 
-def assemble(scenario: Scenario) -> Assembled:
-    """Load everything and apply the scenario multipliers."""
+def assemble(scenario: Scenario) -> design.DesignProblem:
+    """Load everything, apply the scenario multipliers, pose the design problem."""
     consist, rates, elec = load_rates(
         scenario.path(scenario.rates_file) if scenario.rates_file else None
     )
@@ -565,7 +558,7 @@ def assemble(scenario: Scenario) -> Assembled:
             }
         corridors = candidate_corridors(network, weights, link_costs)
 
-    problem = design.DesignProblem(
+    return design.DesignProblem(
         expanded=expanded,
         profiles=profiles,
         corridors=corridors,
@@ -574,16 +567,6 @@ def assemble(scenario: Scenario) -> Assembled:
         od=od,
         tol=scenario.gap_tolerance,
         max_iter=scenario.max_iterations,
-    )
-    return Assembled(
-        scenario=scenario,
-        network=network,
-        expanded=expanded,
-        profiles=profiles,
-        link_costs=link_costs,
-        corridors=corridors,
-        od=od,
-        problem=problem,
     )
 
 
@@ -606,28 +589,27 @@ class RunReport:
     unconverged_solves: int
 
 
-def _candidate_km(assembled: Assembled) -> float:
-    links = {l for c in assembled.corridors for l in c.link_ids}
-    return assembled.network.total_length_km(links)
+def _candidate_km(problem: design.DesignProblem) -> float:
+    links = {l for c in problem.corridors for l in c.link_ids}
+    return problem.network.total_length_km(links)
 
 
-def summarize_design(assembled: Assembled, bits: design.Bits) -> RunReport:
-    problem = assembled.problem
+def summarize_design(problem: design.DesignProblem, bits: design.Bits) -> RunReport:
     baseline = problem.baseline()
     best = problem.evaluate(bits)
-    candidate_km = _candidate_km(assembled)
+    candidate_km = _candidate_km(problem)
     solved = problem.solved
     return RunReport(
         baseline_cost=baseline.total_cost,
         optimized_cost=best.total_cost,
-        roi=(baseline.total_cost - best.total_cost) / assembled.scenario.budget,
-        budget=assembled.scenario.budget,
+        roi=(baseline.total_cost - best.total_cost) / problem.budget,
+        budget=problem.budget,
         budget_used=best.budget_used,
         electrified_km=best.electrified_km,
         candidate_km=candidate_km,
         line_mile_share=(best.electrified_km / candidate_km) if candidate_km > 0.0 else 0.0,
         tonnage_share=best.electric_share,
-        selected_corridors=best.design.selected,
+        selected_corridors=best.selected,
         gap=best.gap,
         solves=len(solved),
         unconverged_solves=sum(not e.converged for e in solved),
@@ -636,23 +618,20 @@ def summarize_design(assembled: Assembled, bits: design.Bits) -> RunReport:
 
 def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Full pipeline: assemble, GA search, artifacts, report."""
-    assembled = assemble(scenario)
-    problem = assembled.problem
+    problem = assemble(scenario)
     rng = np.random.default_rng(scenario.seed)
     population = design.seed_population(scenario, problem, rng)
     best, history = design.evolve(population, scenario, problem, rng)
-    report = summarize_design(assembled, best.design.bits)
+    report = summarize_design(problem, best.bits)
 
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        save_corridors(out / "corridors.csv", assembled.corridors)
+        save_corridors(out / "corridors.csv", problem.corridors)
         write_generations(out / "generations.csv", history)
-        write_design(out / "best_design.csv", best.design.selected)
-        solution = problem.solution(best.design.bits)
-        write_solution(
-            out, assembled, best.design.bits, solution.state, solution.metrics, "electrified.geojson"
-        )
+        write_design(out / "best_design.csv", best.selected)
+        solution = problem.solution(best.bits)
+        write_solution(out, problem, best.bits, solution.state, solution.metrics, "electrified.geojson")
         write_report(report, out)
     return report
 
@@ -777,34 +756,25 @@ def write_sweep(rows: list[SweepRow], path: str | Path) -> None:
 # --- fixed designs -------------------------------------------------------------------
 
 
-def assemble_design(
-    scenario: Scenario, design_ids: Iterable[int] | None
-) -> tuple[Assembled, design.Bits]:
-    """Assemble the scenario and the bits of the design electrifying the
-    corridors `design_ids` (none when None)."""
-    assembled = assemble(scenario)
-    bits = design.DesignVector.from_ids(design_ids or (), len(assembled.corridors)).bits
-    return assembled, bits
-
-
 def assign_run(
     scenario: Scenario,
     design_ids: Iterable[int] | None = None,
     out_dir: str | Path | None = None,
 ) -> tuple[FlowState, GapMetrics]:
-    """Solve one equilibrium, cold, under an optional fixed design."""
-    assembled, bits = assemble_design(scenario, design_ids)
-    usable = apply_design(assembled.expanded, assembled.problem.electrified_links(bits))
+    """Solve one equilibrium, cold, with the corridors `design_ids` electrified."""
+    problem = assemble(scenario)
+    bits = design.design_bits(design_ids or (), len(problem.corridors))
+    usable = apply_design(problem.expanded, problem.electrified_links(bits))
     state, metrics = solve_equilibrium(
-        assembled.expanded,
+        problem.expanded,
         usable,
-        assembled.od,
-        assembled.profiles,
-        tol=scenario.gap_tolerance,
-        max_iter=scenario.max_iterations,
+        problem.od,
+        problem.profiles,
+        tol=problem.tol,
+        max_iter=problem.max_iter,
     )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_solution(out, assembled, bits, state, metrics, "flows.geojson")
+        write_solution(out, problem, bits, state, metrics, "flows.geojson")
     return state, metrics

@@ -513,7 +513,7 @@ def test_criterion_12_budget_sweep(tmp_path):
     from railplan.scenario_io import assemble
 
     bundle = assemble(load_scenario(cfg))
-    budget = 0.45 * bundle.problem.union_cost(tuple([1] * len(bundle.corridors)))
+    budget = 0.45 * bundle.union_cost(tuple([1] * len(bundle.corridors)))
     cfg = _write_region(tmp_path, net, demand, budget=budget)
     scenario = load_scenario(cfg)
 

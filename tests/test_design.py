@@ -14,8 +14,8 @@ from railplan.costmodel import (
 )
 from railplan.design import (
     DesignProblem,
-    DesignVector,
     GAConfig,
+    design_bits,
     electric_tonnage_share,
     evolve,
     repair,
@@ -61,14 +61,14 @@ def yard_line_problem(budget_corridors=2.0, demand=None):
 # --- design vectors and bookkeeping ---------------------------------------------------
 
 
-def test_design_vector_round_trip():
-    v = DesignVector.from_ids([2, 0], 4)
-    assert v.bits == (1, 0, 1, 0)
-    assert v.selected == (0, 2)
+def test_design_bits_from_ids():
+    assert design_bits([2, 0], 4) == (1, 0, 1, 0)
     with pytest.raises(ValueError, match="unknown corridor"):
-        DesignVector.from_ids([5], 3)
+        design_bits([5], 3)
+    problem, _ = yard_line_problem()
+    assert problem.evaluate(design_bits([0, 2], 3)).selected == (0, 2)
     with pytest.raises(ValueError, match="0/1"):
-        DesignVector((0, 2, 1))
+        problem.evaluate((0, 2, 1))
 
 
 def test_member_links_and_twin_closure():
@@ -197,9 +197,9 @@ def test_brute_force_matches_exhaustive_oracle():
         if problem.union_cost(bits) <= problem.budget:
             seen.append((problem.evaluate(bits).total_cost, sum(bits), bits))
     want_cost, _, want_bits = min(seen)
-    assert best.design.bits == want_bits
+    assert best.bits == want_bits
     assert best.total_cost == want_cost
-    assert problem.union_cost(best.design.bits) <= problem.budget
+    assert problem.union_cost(best.bits) <= problem.budget
 
 
 def test_brute_force_caps_width():
@@ -221,7 +221,7 @@ def test_evolve_reaches_brute_force_optimum():
     assert history[0][0] == 0
     best_costs = [row[1] for row in history]
     assert all(a >= b for a, b in zip(best_costs, best_costs[1:]))
-    assert problem.union_cost(best.design.bits) <= problem.budget
+    assert problem.union_cost(best.bits) <= problem.budget
 
 
 def test_negative_mutation_means_one_over_corridors():
@@ -230,7 +230,7 @@ def test_negative_mutation_means_one_over_corridors():
         config = GAConfig(population=8, generations=6, seed=3, mutation=mutation)
         rng = np.random.default_rng(3)
         best, history = evolve(seed_population(config, problem, rng), config, problem, rng)
-        return best, history, [e.design.bits for e in problem.solved]
+        return best, history, [e.bits for e in problem.solved]
 
     default = run(-1.0)
     assert len(yard_line_problem()[0].corridors) == 3
@@ -283,19 +283,19 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
     config = GAConfig(population=8, generations=6, seed=3)
     rng = np.random.default_rng(3)
     best, _ = evolve(seed_population(config, problem, rng), config, problem, rng)
-    assert any(best.design.bits)  # the winner is not the all-diesel design
+    assert any(best.bits)  # the winner is not the all-diesel design
     if rate_overrides.get("fuel_cost_electric") == 1.0:
         assert len({e.total_cost for e in problem.solved}) == 1
     assert len(solves) == len(problem.solved)
 
-    winner = problem.solution(best.design.bits)
+    winner = problem.solution(best.bits)
     baseline = problem.solution((0,) * len(problem.corridors))
     assert len(solves) == len(problem.solved)  # both were kept
     assert winner.evaluated == best
     assert baseline.evaluated == problem.baseline()
     assert problem.baseline_state() is baseline.state
     # every design's solve starts from the all-diesel equilibrium
-    usable = apply_design(problem.expanded, problem.electrified_links(best.design.bits))
+    usable = apply_design(problem.expanded, problem.electrified_links(best.bits))
     state, metrics = solve(problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol,
                            start=problem.start())
     assert winner.state.x.tolist() == state.x.tolist()
@@ -308,9 +308,9 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
         assert winner.state.x.tolist() == baseline.state.x.tolist()
 
     # any other design is solved afresh, to the same numbers
-    kept = (best.design.bits, baseline.evaluated.design.bits)
-    other = next(e for e in problem.solved if e.design.bits not in kept)
-    assert problem.solution(other.design.bits).evaluated == other
+    kept = (best.bits, baseline.evaluated.bits)
+    other = next(e for e in problem.solved if e.bits not in kept)
+    assert problem.solution(other.bits).evaluated == other
     assert len(solves) == len(problem.solved) + 1
 
 

@@ -10,7 +10,7 @@ import types
 import pytest
 
 from railplan import cli
-from railplan.corridors import Corridor
+from railplan.corridors import Corridor, corridor_cost, corridor_length_km
 from railplan.network import SignalClass
 from railplan.scenario_io import (
     Scenario,
@@ -156,6 +156,7 @@ _MULTIPLIERS = (
         ("greedy_fraction", -0.5),
         ("greedy_fraction", math.nan),
         ("generations", -1),
+        ("seed", -1),
     ],
 )
 def test_scenario_rejects_bad_ga_and_multiplier_values(name, value):
@@ -551,7 +552,7 @@ def test_assemble_toy(tmp_path):
     assert len(bundle.network.links) == 4
     assert bundle.od.total == 20000.0
     assert [(c.yard_a, c.yard_b, c.link_ids) for c in bundle.corridors] == [(0, 2, (0, 2))]
-    assert bundle.problem.budget == 1.0e11
+    assert bundle.budget == 1.0e11
     # yard 2 carries its per-node override: 7000 $/train over 7000 t cargo
     d2e, _ = bundle.expanded.switch_arcs_at[2]
     assert bundle.expanded.arcs[d2e].fixed_cost == pytest.approx(1.0, rel=1e-12)
@@ -673,6 +674,29 @@ def test_corridor_file_rejects_non_candidate_links(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert "corridor 0: unknown links [0]" in capsys.readouterr().err
+
+
+def test_corridor_file_rejects_a_repeated_link(tmp_path, capsys):
+    # cost_usd and length_km are recomputed with the repeat, so only the
+    # repeat itself is wrong; union_cost would charge the link once
+    cfg, path = saved_corridors(tmp_path)
+    problem = assemble(load_scenario(cfg))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    first = problem.corridors[0].link_ids[0]
+    ids = (first, *problem.corridors[0].link_ids)
+    rows[0]["link_ids"] = ";".join(map(str, ids))
+    rows[0]["cost_usd"] = repr(corridor_cost(ids, problem.link_costs))
+    rows[0]["length_km"] = repr(corridor_length_km(problem.network, ids))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    with open(cfg, "a") as fh:
+        fh.write(f"corridor_file = {path}\n")
+    capsys.readouterr()
+    assert cli.main(["optimize", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"corridor 0 repeats link {first}" in capsys.readouterr().err
 
 
 # --- pipelines ------------------------------------------------------------------------
@@ -833,7 +857,7 @@ def test_csv_cell_formats(tmp_path):
     assert "electrified_km,0.0" in report
     assert report[-1] == "selected_corridors,"
     bundle = assemble(load_scenario(cfg))
-    assert repr(bundle.problem.union_cost((0,) * len(bundle.corridors))) == "0.0"
+    assert repr(bundle.union_cost((0,) * len(bundle.corridors))) == "0.0"
     assert repr(bundle.network.total_length_km([])) == "0.0"
 
     metrics = types.SimpleNamespace(trace=[(1, 2.0, None, 0.5), (2, 1.5, 3.0e-7, 1.0)])
