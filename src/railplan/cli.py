@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import scenario_io
-from .design import design_bits
 from .equilibrium import InfeasibleAssignmentError
 # unused here, but perfbench/tracing.py patches cli.apply_design and needs the name
 from .network import apply_design  # noqa: F401
@@ -101,8 +100,7 @@ def _cmd_corridors(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_assign(scenario: Scenario, args: argparse.Namespace) -> int:
-    ids = scenario_io.load_design(args.design) if args.design else None
-    state, metrics = scenario_io.assign_run(scenario, ids, args.out_dir)
+    metrics = scenario_io.assign_run(scenario, args.design, args.out_dir).metrics
     status = "" if metrics.converged else " (not converged)"
     print(
         f"equilibrium: gap {metrics.relative_gap:.3e}, Wardrop spread {metrics.wardrop_max:.3e} "
@@ -144,8 +142,7 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
 
 def _cmd_report(scenario: Scenario, args: argparse.Namespace) -> int:
     problem = scenario_io.assemble(scenario)
-    bits = design_bits(scenario_io.load_design(args.design), len(problem.corridors))
-    report = scenario_io.summarize_design(problem, bits)
+    report = scenario_io.summarize_design(problem, scenario_io.stored_design(problem, args.design))
     scenario_io.write_report(report, args.out_dir)
     print(scenario_io.format_report(report))
     _warn_unconverged([report])

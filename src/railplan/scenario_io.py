@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import costmodel, design, kvconfig
-from .corridors import Corridor, candidate_corridors, corridor_cost, corridor_length_km
+from .corridors import Corridor, candidate_corridors, corridor_cost
 from .costmodel import (
     ElectrificationRates,
     RateTable,
@@ -28,21 +28,11 @@ from .costmodel import (
     electrification_costs,
     yard_switch_costs,
 )
-from .equilibrium import (
-    FlowState,
-    GapMetrics,
-    ODMatrix,
-    solve_equilibrium,
-)
-from .network import (
-    ExpandedNetwork,
-    Node,
-    PhysicalLink,
-    RailNetwork,
-    SignalClass,
-    apply_design,
-    expand,
-)
+from .equilibrium import FlowState, GapMetrics, ODMatrix
+from .network import ExpandedNetwork, Node, PhysicalLink, RailNetwork, SignalClass, expand
+# unused here, but perfbench/tracing.py patches both names in this module and needs them
+from .equilibrium import solve_equilibrium  # noqa: F401
+from .network import apply_design  # noqa: F401
 
 
 class ValidationError(ValueError):
@@ -488,20 +478,17 @@ def validate_geojson(obj: dict) -> None:
 
 
 def write_solution(
-    out: Path,
-    problem: design.DesignProblem,
-    bits: design.Bits,
-    state: FlowState,
-    metrics: GapMetrics,
-    geojson_name: str,
+    out_dir: str | Path, problem: design.DesignProblem, solution: design.Solution, geojson_name: str
 ) -> None:
     """flows.csv, gap_trace.csv and the GeoJSON `geojson_name` of one solved design."""
-    write_flows(out / "flows.csv", problem.expanded, state)
-    write_gap_trace(out / "gap_trace.csv", metrics)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_flows(out / "flows.csv", problem.expanded, solution.state)
+    write_gap_trace(out / "gap_trace.csv", solution.metrics)
     emit_geojson(
-        problem.electrified_links(bits),
+        problem.electrified_links(solution.evaluated.bits),
         problem.network,
-        state.physical_flows(problem.expanded),
+        solution.state.physical_flows(problem.expanded),
         out / geojson_name,
     )
 
@@ -544,7 +531,7 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
             # the expressions candidate_corridors writes, so a saved file reloads
             for name, given, links in (
                 ("cost_usd", c.cost_usd, corridor_cost(c.link_ids, link_costs)),
-                ("length_km", c.length_km, corridor_length_km(network, c.link_ids)),
+                ("length_km", c.length_km, network.total_length_km(c.link_ids)),
             ):
                 if not (math.isfinite(given) and math.isclose(given, links, rel_tol=1e-9)):
                     raise ValidationError(f"corridor {c.id}: {name} {given!r} differs from its links' {links!r}")
@@ -630,8 +617,7 @@ def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
         save_corridors(out / "corridors.csv", problem.corridors)
         write_generations(out / "generations.csv", history)
         write_design(out / "best_design.csv", best.selected)
-        solution = problem.solution(best.bits)
-        write_solution(out, problem, best.bits, solution.state, solution.metrics, "electrified.geojson")
+        write_solution(out, problem, problem.solution(best.bits), "electrified.geojson")
         write_report(report, out)
     return report
 
@@ -756,25 +742,29 @@ def write_sweep(rows: list[SweepRow], path: str | Path) -> None:
 # --- fixed designs -------------------------------------------------------------------
 
 
+def stored_design(problem: design.DesignProblem, path: str | Path) -> design.Bits:
+    """The bits of the design stored at `path`; a design whose capital
+    exceeds the budget is rejected."""
+    bits = design.design_bits(load_design(path), len(problem.corridors))
+    used = problem.union_cost(bits)
+    if used > problem.budget:
+        raise ValidationError(
+            f"{path}: the design's capital ${used:,.0f} exceeds the budget ${problem.budget:,.0f}"
+        )
+    return bits
+
+
 def assign_run(
     scenario: Scenario,
-    design_ids: Iterable[int] | None = None,
+    design_file: str | Path | None = None,
     out_dir: str | Path | None = None,
-) -> tuple[FlowState, GapMetrics]:
-    """Solve one equilibrium, cold, with the corridors `design_ids` electrified."""
+) -> design.Solution:
+    """Solve one equilibrium, with the design stored at `design_file`
+    electrified (none: all diesel), the way every design is solved
+    (`design` module docstring)."""
     problem = assemble(scenario)
-    bits = design.design_bits(design_ids or (), len(problem.corridors))
-    usable = apply_design(problem.expanded, problem.electrified_links(bits))
-    state, metrics = solve_equilibrium(
-        problem.expanded,
-        usable,
-        problem.od,
-        problem.profiles,
-        tol=problem.tol,
-        max_iter=problem.max_iter,
-    )
+    bits = stored_design(problem, design_file) if design_file else (0,) * len(problem.corridors)
+    solution = problem.solution(bits)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_solution(out, problem, bits, state, metrics, "flows.geojson")
-    return state, metrics
+        write_solution(out_dir, problem, solution, "flows.geojson")
+    return solution

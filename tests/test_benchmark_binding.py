@@ -7,6 +7,7 @@ scripts, as the benchmark does, on the seed-1 `optimize-small` scenario.
 """
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,3 +53,24 @@ def test_probe_and_tracing_run_on_the_generated_scenario(tmp_path):
     doc = json.loads(spans.read_text())
     named = {doc["names"][span[0]] for span in doc["spans"]}
     assert {"design.evaluate", "equilibrium.solve"} <= named
+
+
+def test_tracing_counts_the_one_solve_of_an_assign(tmp_path):
+    # assign solves through `DesignProblem.solution`, which no span wraps, so
+    # the traced run counts its one solve as made outside a design lookup
+    scenario = tmp_path / "congested"
+    gen = run("perfbench/gen.py", "--workload", "assign-congested", "--seed", "1", "--out", scenario)
+    assert gen.returncode == 0, gen.stderr
+    spans = tmp_path / "spans.json"
+    traced = run(
+        "perfbench/tracing.py", "--spans", spans, "--",
+        "assign", "--config", scenario / "scenario.cfg", "--out-dir", tmp_path / "out",
+    )
+    assert traced.returncode == 0, traced.stderr
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    metrics = layers.layer_metrics(spans)
+    assert metrics["equilibrium.solves"] == 1
+    assert metrics["scenario_io.extra_solves"] == 1
+    assert metrics["equilibrium.iterations"] > 0

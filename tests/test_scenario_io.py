@@ -10,8 +10,9 @@ import types
 import pytest
 
 from railplan import cli
-from railplan.corridors import Corridor, corridor_cost, corridor_length_km
-from railplan.network import SignalClass
+from railplan.corridors import Corridor, corridor_cost
+from railplan.equilibrium import solve_equilibrium
+from railplan.network import SignalClass, apply_design
 from railplan.scenario_io import (
     Scenario,
     SweepRow,
@@ -687,7 +688,7 @@ def test_corridor_file_rejects_a_repeated_link(tmp_path, capsys):
     ids = (first, *problem.corridors[0].link_ids)
     rows[0]["link_ids"] = ";".join(map(str, ids))
     rows[0]["cost_usd"] = repr(corridor_cost(ids, problem.link_costs))
-    rows[0]["length_km"] = repr(corridor_length_km(problem.network, ids))
+    rows[0]["length_km"] = repr(problem.network.total_length_km(ids))
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -763,13 +764,58 @@ def test_summarize_design_shares(tmp_path):
 
 def test_assign_run_with_design(tmp_path):
     cfg = write_toy(tmp_path)
+    write_design(tmp_path / "design.csv", [0])
     out = tmp_path / "assign"
     scenario = load_scenario(cfg)
-    state, metrics = assign_run(scenario, [0], out)
-    assert metrics.relative_gap <= scenario.gap_tolerance
+    solution = assign_run(scenario, tmp_path / "design.csv", out)
+    assert solution.evaluated.selected == (0,)
+    assert solution.metrics.relative_gap <= scenario.gap_tolerance
     assert (out / "flows.csv").exists()
     assert (out / "gap_trace.csv").exists()
     validate_geojson(json.loads((out / "flows.geojson").read_text()))
+
+
+@pytest.mark.parametrize("pays", [False, True], ids=["screened", "pays"])
+def test_assign_run_solves_a_design_as_the_problem_does(tmp_path, pays):
+    # cheap electricity and switching, and no dear yard: electric traction
+    # pays, so the design fails the all-diesel screen and is solved cold
+    if pays:
+        cfg = write_toy(tmp_path, extra_cfg="rates_file = rates.cfg\n")
+        (tmp_path / "nodes.csv").write_text(NODES_CSV.replace(",7000", ","))
+        (tmp_path / "rates.cfg").write_text("fuel_cost_electric = 0.3e-8\nswitch_cost_per_train = 200.0\n")
+    else:
+        cfg = write_toy(tmp_path)
+    write_design(tmp_path / "design.csv", [0])
+    solution = assign_run(load_scenario(cfg), tmp_path / "design.csv")
+
+    problem = assemble(load_scenario(cfg))
+    expected = problem.solution((1,))
+    assert solution.evaluated == expected.evaluated
+    assert solution.state.x.tolist() == expected.state.x.tolist()
+    assert [row[:3] for row in solution.metrics.trace] == [row[:3] for row in expected.metrics.trace]
+    usable = apply_design(problem.expanded, problem.electrified_links((1,)))
+    cold, cold_metrics = solve_equilibrium(
+        problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol, max_iter=problem.max_iter
+    )
+    if pays:
+        assert solution.evaluated.electric_share > 0.0
+        assert solution.state.x.tolist() == cold.x.tolist()
+    else:
+        assert solution.metrics.iteration == 0 < cold_metrics.iteration
+
+
+@pytest.mark.parametrize("command", ["report", "assign"])
+def test_cli_rejects_a_stored_design_over_the_budget(tmp_path, capsys, command):
+    # the toy's one corridor costs $40,000,000
+    cfg = write_toy(tmp_path)
+    cfg.write_text(SCENARIO_CFG.replace("budget = 1.0e11", "budget = 3.9e7"))
+    write_design(tmp_path / "design.csv", [0])
+    capsys.readouterr()
+    rc = cli.main([command, "--config", str(cfg), "--design", str(tmp_path / "design.csv"),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "capital $40,000,000 exceeds the budget $39,000,000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_budget_axis(tmp_path):
