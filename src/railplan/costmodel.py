@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,6 +45,11 @@ class TrainConsist:
     railcar_axles: int = 4
     locomotive_drag: float = 1.56  # K, N*s^2/m^2; 1.56 conventional, 2.06 otherwise
     railcar_drag: float = 1.56
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must not be negative, got {getattr(self, f.name)}")
 
     @property
     def railcar_gross_t(self) -> float:
@@ -103,6 +108,17 @@ class RateTable:
             raise ValueError(f"notch_count must be at least 1, got {self.notch_count}")
         if not self.desired_speed > 0.0:
             raise ValueError(f"desired_speed must be positive, got {self.desired_speed}")
+        for name in ("eta_diesel", "eta_electric"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name}, an efficiency, must be in (0, 1], got {getattr(self, name)}")
+        if not self.gravity > 0.0:
+            raise ValueError(f"gravity must be positive, got {self.gravity}")
+        for name in (
+            "crew_rate", "cargo_rate", "fuel_cost_diesel", "fuel_cost_electric",
+            "switch_cost_per_train", "switch_hours", "switch_crew_equivalents", "switch_energy_cost",
+        ):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -463,6 +479,16 @@ class ElectrificationRates:
         }
     )
     ppi_capital: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name.endswith(("_min", "_max")) and getattr(self, f.name) < 0.0:
+                raise ValueError(f"{f.name} must not be negative, got {getattr(self, f.name)}")
+        for cls, cost in self.signal_cost.items():
+            if cost < 0.0:
+                raise ValueError(f"signal_{cls.value} must not be negative, got {cost}")
+        if not self.ppi_capital > 0.0:
+            raise ValueError(f"ppi_capital must be positive, got {self.ppi_capital}")
 
     @property
     def min_sum(self) -> float:

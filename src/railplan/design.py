@@ -91,13 +91,10 @@ class Solution:
 class DesignProblem:
     """Everything fitness needs, plus memoization of solved genomes.
 
-    The cache keeps the scalars of every solved design.  Full solutions are
-    kept for two designs only: the all-diesel one, and the best one solved
-    while `generation` is set.  Best is the least (total cost, generation,
-    bits), which is the design `evolve` returns: the cheapest, from the first
-    generation that has it, the lowest genome among its ties there.  What
-    depends on the all-diesel solve alone, the screen's `StartTable` and the
-    corridor scores of `repair`, is computed once, when first needed.
+    The cache keeps the scalars of every solved design, and the full solution
+    of the all-diesel one only.  What depends on the all-diesel solve alone,
+    the screen's `StartTable` and the corridor scores of `repair`, is
+    computed once, when first needed.
     """
 
     expanded: ExpandedNetwork
@@ -108,11 +105,8 @@ class DesignProblem:
     od: ODMatrix
     tol: float = 1.0e-6
     max_iter: int = 500
-    generation: int | None = field(default=None, init=False)  # the GA generation being evaluated
     _cache: dict[Bits, EvaluatedDesign] = field(default_factory=dict, init=False, repr=False)
     _baseline: Solution | None = field(default=None, init=False, repr=False)
-    _best: Solution | None = field(default=None, init=False, repr=False)
-    _best_key: tuple | None = field(default=None, init=False, repr=False)
     _start: StartTable | None = field(default=None, init=False, repr=False)
     _scores: list[float] | None = field(default=None, init=False, repr=False)
 
@@ -155,15 +149,10 @@ class DesignProblem:
         if hit is not None:
             return hit
         solution = self._solve(bits)
-        result = solution.evaluated
-        self._cache[bits] = result
+        self._cache[bits] = solution.evaluated
         if not any(bits):
             self._baseline = solution
-        if self.generation is not None:
-            key = (result.total_cost, self.generation, bits)
-            if self._best_key is None or key < self._best_key:
-                self._best, self._best_key = solution, key
-        return result
+        return solution.evaluated
 
     def _solve(self, bits: Bits) -> Solution:
         """Solve a design, starting from the all-diesel equilibrium (module
@@ -231,12 +220,11 @@ class DesignProblem:
         return self._scores
 
     def solution(self, bits: Bits) -> Solution:
-        """Full solution of a design: the kept one for the all-diesel and the
-        best design, otherwise a fresh solve, which is not kept."""
+        """Full solution of a design: the kept all-diesel one once it is
+        solved, otherwise a fresh solve, which is not kept."""
         bits = self._check(bits)
-        for kept in (self._best, self._baseline):
-            if kept is not None and kept.evaluated.bits == bits:
-                return kept
+        if self._baseline is not None and self._baseline.evaluated.bits == bits:
+            return self._baseline
         return self._solve(bits)
 
 
@@ -340,8 +328,10 @@ def evolve(
     rng: np.random.Generator | None = None,
 ) -> tuple[EvaluatedDesign, list[tuple[int, float, float, float, float]]]:
     """Generational GA: tournament of 2, uniform crossover, bit mutation,
-    budget repair, elitism.  Returns the best design ever seen and per-
-    generation history rows (gen, best, mean, budget_used, electrified_km).
+    budget repair, elitism.  Returns the winner, the cheapest design from the
+    first generation that reaches its cost and the lowest genome among its
+    ties there, and per-generation history rows (gen, best, mean,
+    budget_used, electrified_km).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -356,9 +346,7 @@ def evolve(
     history: list[tuple[int, float, float, float, float]] = []
     best: EvaluatedDesign | None = None
     for gen in range(config.generations + 1):
-        problem.generation = gen
         evals = _evaluate_all(genomes, problem)
-        problem.generation = None
         ranked = sorted(range(len(genomes)), key=lambda i: (evals[i].total_cost, genomes[i]))
         gen_best = evals[ranked[0]]
         if best is None or gen_best.total_cost < best.total_cost:

@@ -149,8 +149,9 @@ def load_scenario(path: str | Path) -> Scenario:
 # consist counts are spelled `locomotive_count` and `railcar_count`, the signal
 # cost mapping is read from the `signal_*` keys, and `ppi_capital` is one of
 # the `ppi_*` producer-price factors.
+_CONSIST_SPELLING = {"n_locomotives": "locomotive_count", "n_railcars": "railcar_count"}
 _RATE_FIELDS = {
-    **_schema(TrainConsist, spelling={"n_locomotives": "locomotive_count", "n_railcars": "railcar_count"}),
+    **_schema(TrainConsist, spelling=_CONSIST_SPELLING),
     **_schema(RateTable),
     **_schema(ElectrificationRates, skip=("signal_cost", "ppi_capital")),
 }
@@ -174,7 +175,9 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
 
     The per-category producer-price factors are applied here: operations on
     the crew/cargo rates, fuel on both energy prices, switching on the flat
-    per-train figure, capital inside the electrification rates.
+    per-train figure, capital inside the electrification rates.  A factor
+    must be positive, and each rates dataclass rejects its own meaningless
+    values; both errors name the file and the key.
     """
     values = _parse(kvconfig.load_kv(path) if path else {}, _RATES_TYPES, path, "rates")
     args: dict[type, dict[str, object]] = {TrainConsist: {}, RateTable: {}, ElectrificationRates: {}}
@@ -185,21 +188,28 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
     signal.update({cls: values[key] for key, cls in _SIGNAL_KEYS.items() if key in values})
     ppi = {key: values.get(key, 1.0) for key in _PPI_KEYS}
     try:
+        for key, factor in ppi.items():
+            if not factor > 0.0:
+                raise ValueError(f"{key} must be positive, got {factor}")
+        consist = TrainConsist(**args[TrainConsist])
         rates = RateTable(**args[RateTable])
+        rates = replace(
+            rates,
+            crew_rate=rates.crew_rate * ppi["ppi_operations"],
+            cargo_rate=rates.cargo_rate * ppi["ppi_operations"],
+            fuel_cost_diesel=rates.fuel_cost_diesel * ppi["ppi_fuel"],
+            fuel_cost_electric=rates.fuel_cost_electric * ppi["ppi_fuel"],
+            switch_cost_per_train=rates.switch_cost_per_train * ppi["ppi_switching"],
+        )
+        elec = ElectrificationRates(
+            signal_cost=signal, ppi_capital=ppi["ppi_capital"], **args[ElectrificationRates]
+        )
     except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    rates = replace(
-        rates,
-        crew_rate=rates.crew_rate * ppi["ppi_operations"],
-        cargo_rate=rates.cargo_rate * ppi["ppi_operations"],
-        fuel_cost_diesel=rates.fuel_cost_diesel * ppi["ppi_fuel"],
-        fuel_cost_electric=rates.fuel_cost_electric * ppi["ppi_fuel"],
-        switch_cost_per_train=rates.switch_cost_per_train * ppi["ppi_switching"],
-    )
-    elec = ElectrificationRates(
-        signal_cost=signal, ppi_capital=ppi["ppi_capital"], **args[ElectrificationRates]
-    )
-    return TrainConsist(**args[TrainConsist]), rates, elec
+        message = str(exc)
+        for name, key in _CONSIST_SPELLING.items():  # name the key, not the field
+            message = message.replace(name, key)
+        raise ValidationError(f"{path}: {message}") from exc
+    return consist, rates, elec
 
 
 # --- CSV tables -------------------------------------------------------------------

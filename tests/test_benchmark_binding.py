@@ -30,6 +30,13 @@ def rows(path):
         return len(list(csv.DictReader(fh)))
 
 
+def layer_metrics(spans):
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    return layers.layer_metrics(spans)
+
+
 def test_probe_and_tracing_run_on_the_generated_scenario(tmp_path):
     scenario = tmp_path / "small"
     gen = run("perfbench/gen.py", "--workload", "optimize-small", "--seed", "1", "--out", scenario)
@@ -53,6 +60,11 @@ def test_probe_and_tracing_run_on_the_generated_scenario(tmp_path):
     doc = json.loads(spans.read_text())
     named = {doc["names"][span[0]] for span in doc["spans"]}
     assert {"design.evaluate", "equilibrium.solve"} <= named
+    # the winner is solved once more for its artifacts, outside any design
+    # lookup, so the GA's cache counters do not see it
+    metrics = layer_metrics(spans)
+    assert metrics["scenario_io.extra_solves"] == 1
+    assert metrics["design.unique_solves"] + metrics["design.cache_hits"] == metrics["design.evaluate_calls"]
 
 
 def test_tracing_counts_the_one_solve_of_an_assign(tmp_path):
@@ -67,10 +79,7 @@ def test_tracing_counts_the_one_solve_of_an_assign(tmp_path):
         "assign", "--config", scenario / "scenario.cfg", "--out-dir", tmp_path / "out",
     )
     assert traced.returncode == 0, traced.stderr
-    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    metrics = layers.layer_metrics(spans)
+    metrics = layer_metrics(spans)
     assert metrics["equilibrium.solves"] == 1
     assert metrics["scenario_io.extra_solves"] == 1
     assert metrics["equilibrium.iterations"] > 0

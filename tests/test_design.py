@@ -257,25 +257,35 @@ def test_evaluate_counts_one_lookup_per_population_slot(monkeypatch):
     assert len(calls) == 1 + config.population * (config.generations + 1)
 
 
-@pytest.mark.parametrize(
-    "rate_overrides",
-    [
-        pytest.param({}, id="None"),
-        # at 1 $/J electric traction is never used, so every design ties with
-        # the all-diesel one and the winner is decided by the GA's tie rule
-        pytest.param({"fuel_cost_electric": 1.0}, id="1.0"),
-        # cheap electricity and switching: electric traction pays, so the
-        # winner's equilibrium differs from the all-diesel one
-        pytest.param({"fuel_cost_electric": 0.3e-8, "switch_cost_per_train": 200.0}, id="pays"),
-    ],
-)
-def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
-    import railplan.design as design_module
+# at 1 $/J electric traction is never used, so every design ties with the
+# all-diesel one and the winner is decided by the GA's tie rule
+ALL_TIE_RATES = {"fuel_cost_electric": 1.0}
+# cheap electricity and switching: electric traction pays, so the winner's
+# equilibrium differs from the all-diesel one
+PAYS_RATES = {"fuel_cost_electric": 0.3e-8, "switch_cost_per_train": 200.0}
 
+
+def line_problem(rate_overrides):
+    """Five all-yard nodes in a line, at half the all-corridor capital."""
     net = line_network(n_nodes=5, yards=(0, 1, 2, 3, 4))
     rates = RateTable(**rate_overrides)
     problem = build_problem(net, ODMatrix({(0, 4): 4.0e4, (1, 3): 1.0e4}), budget=1.0, rates=rates)
     problem.budget = 0.5 * sum(c.cost_usd for c in problem.corridors)
+    return problem
+
+
+@pytest.mark.parametrize(
+    "rate_overrides",
+    [
+        pytest.param({}, id="None"),
+        pytest.param(ALL_TIE_RATES, id="1.0"),
+        pytest.param(PAYS_RATES, id="pays"),
+    ],
+)
+def test_each_design_solved_once_and_winner_solved_again(monkeypatch, rate_overrides):
+    import railplan.design as design_module
+
+    problem = line_problem(rate_overrides)
     solve = design_module.solve_equilibrium
     solves = []
     monkeypatch.setattr(design_module, "solve_equilibrium",
@@ -284,13 +294,14 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
     rng = np.random.default_rng(3)
     best, _ = evolve(seed_population(config, problem, rng), config, problem, rng)
     assert any(best.bits)  # the winner is not the all-diesel design
-    if rate_overrides.get("fuel_cost_electric") == 1.0:
+    if rate_overrides == ALL_TIE_RATES:
         assert len({e.total_cost for e in problem.solved}) == 1
     assert len(solves) == len(problem.solved)
 
     winner = problem.solution(best.bits)
+    assert len(solves) == len(problem.solved) + 1  # the winner is solved once more
     baseline = problem.solution((0,) * len(problem.corridors))
-    assert len(solves) == len(problem.solved)  # both were kept
+    assert len(solves) == len(problem.solved) + 1  # the all-diesel one is kept
     assert winner.evaluated == best
     assert baseline.evaluated == problem.baseline()
     assert problem.baseline_state() is baseline.state
@@ -300,7 +311,7 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
                            start=problem.start())
     assert winner.state.x.tolist() == state.x.tolist()
     assert [row[:3] for row in winner.metrics.trace] == [row[:3] for row in metrics.trace]
-    if "switch_cost_per_train" in rate_overrides:
+    if rate_overrides == PAYS_RATES:
         assert winner.evaluated.electric_share > 0.0
         assert winner.metrics.iteration > 0  # the winner was solved, not screened
     else:
@@ -311,7 +322,36 @@ def test_each_design_solved_once_and_winner_kept(monkeypatch, rate_overrides):
     kept = (best.bits, baseline.evaluated.bits)
     other = next(e for e in problem.solved if e.bits not in kept)
     assert problem.solution(other.bits).evaluated == other
-    assert len(solves) == len(problem.solved) + 1
+    assert len(solves) == len(problem.solved) + 2
+
+
+@pytest.mark.parametrize(
+    "rate_overrides",
+    [pytest.param(ALL_TIE_RATES, id="1.0"), pytest.param(PAYS_RATES, id="pays")],
+)
+def test_winner_is_lowest_genome_at_least_cost_in_first_generation_reaching_it(
+    monkeypatch, rate_overrides
+):
+    import railplan.design as design_module
+
+    problem = line_problem(rate_overrides)
+    evaluate_all = design_module._evaluate_all
+    generations = []
+    monkeypatch.setattr(design_module, "_evaluate_all",
+                        lambda genomes, p: generations.append(list(genomes)) or evaluate_all(genomes, p))
+    config = GAConfig(population=8, generations=6, seed=3)
+    rng = np.random.default_rng(3)
+    best, _ = evolve(seed_population(config, problem, rng), config, problem, rng)
+    assert len(generations) == config.generations + 1
+
+    cost = {e.bits: e.total_cost for e in problem.solved}
+    least = min(cost[g] for genomes in generations for g in genomes)
+    first = next(genomes for genomes in generations if any(cost[g] == least for g in genomes))
+    assert best.bits == min(g for g in first if cost[g] == least)
+    if rate_overrides == ALL_TIE_RATES:
+        assert len(set(cost.values())) == 1
+    else:
+        assert len(set(cost.values())) > 1
 
 
 def test_design_fitness_does_not_depend_on_evaluation_order():

@@ -335,6 +335,22 @@ def test_load_rates_rejects_unknown(tmp_path):
         ("notch_count = 0", "notch_count"),
         ("desired_speed = -5", "desired_speed"),
         ("desired_speed = 0", "desired_speed"),
+        ("eta_diesel = 0", "eta_diesel"),
+        ("eta_electric = -0.5", "eta_electric"),
+        ("eta_electric = 1.5", "eta_electric"),
+        ("gravity = 0", "gravity"),
+        ("crew_rate = -520", "crew_rate"),
+        ("cargo_rate = -1", "cargo_rate"),
+        ("fuel_cost_electric = -2.8e-8", "fuel_cost_electric"),
+        ("switch_cost_per_train = -1", "switch_cost_per_train"),
+        ("switch_hours = -1.5", "switch_hours"),
+        ("locomotive_mass_t = -195", "locomotive_mass_t"),
+        ("locomotive_count = -1", "locomotive_count"),
+        ("ocs_min = -1e6", "ocs_min"),
+        ("signal_high = -1", "signal_high"),
+        ("ppi_capital = -1", "ppi_capital"),
+        ("ppi_capital = 0", "ppi_capital"),
+        ("ppi_fuel = -1", "ppi_fuel"),
     ],
 )
 def test_load_rates_rejects_broken_rate_invariants(tmp_path, capsys, line, key):
