@@ -34,7 +34,11 @@ class LinkImpassableError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConsist:
-    """The representative train unit moving all demand."""
+    """The representative train unit moving all demand.
+
+    No locomotives or no railcars is legal here, for the resistance of one
+    group of units; a scenario's train needs both, and cargo (`load_rates`).
+    """
 
     n_locomotives: int = 3
     n_railcars: int = 100
@@ -106,6 +110,11 @@ class RateTable:
             raise ValueError("min_notch_fraction must be in (0, 1]")
         if self.notch_count < 1:
             raise ValueError(f"notch_count must be at least 1, got {self.notch_count}")
+        if self.notch_count > 1 and self.min_notch_fraction == 1.0:
+            raise ValueError("min_notch_fraction must be below 1 when notch_count > 1, or the notches coincide")
+        for name in ("locomotive_power_diesel_w", "locomotive_power_electric_w"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.desired_speed > 0.0:
             raise ValueError(f"desired_speed must be positive, got {self.desired_speed}")
         for name in ("eta_diesel", "eta_electric"):

@@ -54,8 +54,7 @@ little flow can leave every pair total as it was, so the exact change is
 rounding noise plus the fixed-cost terms, and it can stay positive at every
 halving; the flow would then never leave the dearer segment, and the
 Wardrop spread, which counts any flow above 0, would never close.  To first
-order the change is -diff * dx, with diff > 0 the segment cost difference,
-so that is the change booked, and the recorded objective never rises.
+order the change is -diff * dx, with diff > 0 the segment cost difference.
 
 Each iteration ends with one step along its own flow change, against the
 linear tail where bushes sharing arcs push flow back and forth over them.
@@ -66,7 +65,7 @@ is the objective's slope along d (the interaction is symmetric), read on the
 arcs of d and their partners.  t is t_max where g(t_max) <= 0, else the root
 of g, bisected until the bracket stops shrinking in floats; there is no step
 where g(0) >= 0.  The step is kept only when `CostEngine.beckmann` strictly
-falls, and that exact change is booked.  Flows stay non-negative and
+falls.  Flows stay non-negative and
 conserving, and the unchanged stopping rule is checked after the step on the
 flows as they are, so a stop still means spread and gap within tolerance.
 
@@ -92,7 +91,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -143,11 +141,10 @@ class ODMatrix:
 
 @dataclass
 class FlowState:
-    """Arc flows (tons/day), their costs ($/ton), and the objective value."""
+    """Arc flows (tons/day) and their costs ($/ton)."""
 
     x: np.ndarray
     cost: np.ndarray
-    beckmann: float
 
     def physical_flows(self, expanded: ExpandedNetwork) -> dict[int, tuple[float, float]]:
         return expanded.aggregate_flows(self.x)
@@ -158,13 +155,11 @@ class GapMetrics:
     relative_gap: float
     iteration: int
     beckmann: float
-    seconds: float
     wardrop_max: float = math.inf
     # both the relative gap and the Wardrop spread within tolerance
     converged: bool = False
-    # (iteration, beckmann, relative gap or None where it was not computed, seconds)
-    trace: list[tuple[int, float, float | None, float]] = field(default_factory=list)
-    shift_beckmann: list[float] = field(default_factory=list)
+    # (iteration, beckmann, relative gap or None where it was not computed)
+    trace: list[tuple[int, float, float | None]] = field(default_factory=list)
 
 
 @dataclass
@@ -562,14 +557,12 @@ class BushSolver:
         profiles: dict[int, LinkCostProfile],
         tol: float = 1.0e-6,
         max_iter: int = 500,
-        record_shift_beckmann: bool = False,
     ):
         self.expanded = expanded
         self.engine = CostEngine(expanded, profiles, usable)
         self.od = od
         self.tol = tol
         self.max_iter = max_iter
-        self.record = record_shift_beckmann
         self.bushes: list[Bush] = []
         self._tail = expanded.tail.tolist()
         self._head = expanded.head.tolist()
@@ -591,8 +584,6 @@ class BushSolver:
             raise ValueError(f"total demand {od.total:.3e} t/day overflows the objective") from None
         self.x = np.zeros(expanded.n_arcs)
         self.cost = self.engine.costs(self.x)
-        self.shift_beckmann: list[float] = []
-        self._beckmann = 0.0
         self._moved: dict[int, float] = {}  # arc -> flow moved, by the bush being swept
 
     def _flow_eps(self, bush: Bush) -> float:
@@ -656,26 +647,24 @@ class BushSolver:
             halvings += 1
         if df > 0.0:
             return 0.0
-        self._move(bush, min_path, max_path, dx, df)
+        self._move(bush, min_path, max_path, dx)
         return dx
 
     def _drain(self, bush: Bush, min_path: list[int], max_path: list[int], dx: float) -> bool:
         """Move numerically dead flow dx (at most the bush's flow eps) from
-        the max to the min segment whole, without the safeguard, and book
-        the first-order objective change -diff * dx; returns False, with
-        nothing moved, unless dx > 0 and the max segment costs more."""
+        the max to the min segment whole, without the safeguard; returns
+        False, with nothing moved, unless dx > 0 and the max segment costs
+        more."""
         if dx <= 0.0:
             return False
         diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
         if diff <= 0.0:
             return False
-        self._move(bush, min_path, max_path, dx, -diff * dx)
+        self._move(bush, min_path, max_path, dx)
         return True
 
-    def _move(
-        self, bush: Bush, min_path: list[int], max_path: list[int], dx: float, df: float
-    ) -> None:
-        """Move dx from the max to the min segment and book df."""
+    def _move(self, bush: Bush, min_path: list[int], max_path: list[int], dx: float) -> None:
+        """Move dx from the max to the min segment."""
         moved = self._moved
         for a in min_path:
             bush.flow[a] += dx
@@ -685,9 +674,6 @@ class BushSolver:
             bush.flow[a] -= dx
             self.x[a] -= dx
             moved[a] = moved.get(a, 0.0) - dx
-        self._beckmann += df
-        if self.record:
-            self.shift_beckmann.append(self._beckmann)
 
     def _extrapolate(self, steps: list[tuple[Bush, np.ndarray, np.ndarray]], beckmann: float) -> float:
         """Step along this iteration's moves, (bush, arc ids, flow moved) per
@@ -728,9 +714,6 @@ class BushSolver:
             bush.flow[arcs] = np.maximum(bush.flow[arcs] + lo * d_b, 0.0)
         touched = np.concatenate((idx, engine.partner[idx]))
         self.cost[touched] = engine.costs(self.x, touched)
-        self._beckmann += after - beckmann
-        if self.record:
-            self.shift_beckmann.append(self._beckmann)
         return after
 
     def _equilibrate_bush(self, bush: Bush, labels: Labels) -> None:
@@ -802,7 +785,6 @@ class BushSolver:
         return worst
 
     def solve(self) -> tuple[FlowState, GapMetrics]:
-        started = time.perf_counter()
         origins = self.od.by_origin()
         usable = self.engine.usable
         free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs))
@@ -811,11 +793,8 @@ class BushSolver:
             self.bushes.append(bush)
             self.x += bush.flow
         self.cost = self.engine.costs(self.x)
-        self._beckmann = self.engine.beckmann(self.x)
-        if self.record:
-            self.shift_beckmann.append(self._beckmann)
 
-        trace: list[tuple[int, float, float | None, float]] = []
+        trace: list[tuple[int, float, float | None]] = []
         gap = math.inf
         wardrop = math.inf
         iteration = 0
@@ -841,9 +820,6 @@ class BushSolver:
             if beckmann > prev_beckmann + 1.0e-9 * max(1.0, abs(prev_beckmann)):
                 raise AssertionError("objective increased across an iteration")
             prev_beckmann = beckmann
-            # _beckmann stays on the accumulated track: resyncing it to the
-            # recompute here could inject a float-noise rise into the recorded
-            # per-shift sequence
 
             # A stop needs both the spread and the gap within tolerance.  A
             # spread known to exceed it rules a stop out, so the spread is only
@@ -854,19 +830,17 @@ class BushSolver:
             checked = wardrop <= self.tol or last
             if checked:
                 gap = relative_gap(self.expanded, usable, self.cost, self.x, self.od)
-            trace.append((iteration, beckmann, gap if checked else None, time.perf_counter() - started))
+            trace.append((iteration, beckmann, gap if checked else None))
             if checked and gap <= self.tol and wardrop <= self.tol:
                 break
-        state = FlowState(x=self.x.copy(), cost=self.cost.copy(), beckmann=prev_beckmann)
+        state = FlowState(x=self.x.copy(), cost=self.cost.copy())
         metrics = GapMetrics(
             relative_gap=gap,
             iteration=iteration,
             beckmann=prev_beckmann,
-            seconds=time.perf_counter() - started,
             wardrop_max=wardrop,
             converged=gap <= self.tol and wardrop <= self.tol,
             trace=trace,
-            shift_beckmann=self.shift_beckmann,
         )
         return state, metrics
 
@@ -878,7 +852,6 @@ def solve_equilibrium(
     profiles: dict[int, LinkCostProfile],
     tol: float = 1.0e-6,
     max_iter: int = 500,
-    record_shift_beckmann: bool = False,
     start: StartTable | None = None,
 ) -> tuple[FlowState, GapMetrics]:
     """One equilibrium; `start` is a converged solve to screen first (module
@@ -887,16 +860,7 @@ def solve_equilibrium(
         screened = start.screen(usable, tol)
         if screened is not None:
             return screened
-    solver = BushSolver(
-        expanded,
-        usable,
-        od,
-        profiles,
-        tol=tol,
-        max_iter=max_iter,
-        record_shift_beckmann=record_shift_beckmann,
-    )
-    return solver.solve()
+    return BushSolver(expanded, usable, od, profiles, tol=tol, max_iter=max_iter).solve()
 
 
 # --- diagnostics ----------------------------------------------------------------

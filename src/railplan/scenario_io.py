@@ -176,8 +176,9 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
     The per-category producer-price factors are applied here: operations on
     the crew/cargo rates, fuel on both energy prices, switching on the flat
     per-train figure, capital inside the electrification rates.  A factor
-    must be positive, and each rates dataclass rejects its own meaningless
-    values; both errors name the file and the key.
+    must be positive, the train needs locomotives and cargo, and each rates
+    dataclass rejects its own meaningless values; every error names the
+    file and the key.
     """
     values = _parse(kvconfig.load_kv(path) if path else {}, _RATES_TYPES, path, "rates")
     args: dict[type, dict[str, object]] = {TrainConsist: {}, RateTable: {}, ElectrificationRates: {}}
@@ -192,6 +193,9 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
             if not factor > 0.0:
                 raise ValueError(f"{key} must be positive, got {factor}")
         consist = TrainConsist(**args[TrainConsist])
+        for name in ("n_locomotives", "n_railcars", "railcar_cargo_t"):  # a throttle ladder and cargo
+            if not getattr(consist, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(consist, name)}")
         rates = RateTable(**args[RateTable])
         rates = replace(
             rates,
@@ -402,7 +406,7 @@ def write_link_costs(
 def write_gap_trace(path: str | Path, metrics: GapMetrics) -> None:
     """One row per iteration; an empty gap cell marks an iteration whose gap
     was not computed."""
-    _write_csv(path, ("iteration", "beckmann", "relative_gap", "seconds"), metrics.trace)
+    _write_csv(path, ("iteration", "beckmann", "relative_gap"), metrics.trace)
 
 
 def write_generations(path: str | Path, history: Iterable[tuple]) -> None:
@@ -446,7 +450,6 @@ def emit_geojson(
                     "electrified": lid in electrified_links,
                     "diesel_tons": xd,
                     "electric_tons": xe,
-                    "overlap": "",
                 },
             }
         )

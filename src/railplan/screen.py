@@ -22,7 +22,6 @@ distances can grow, and the screen calls `relative_gap` itself.
 from __future__ import annotations
 
 import heapq
-import time
 
 import numpy as np
 
@@ -68,7 +67,6 @@ class StartTable:
     def screen(self, usable: np.ndarray | None, tol: float) -> tuple[FlowState, GapMetrics] | None:
         """The start's flows at iteration 0 when they meet the stopping rule
         of a solve with these usable arcs and `tol`, else None."""
-        started = time.perf_counter()
         state, metrics = self.state, self.metrics
         usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
         if metrics.wardrop_max > tol or np.any(state.x[~usable] > 0.0):
@@ -76,15 +74,13 @@ class StartTable:
         gap = self.relative_gap(usable)
         if gap > tol:
             return None
-        seconds = time.perf_counter() - started
-        return FlowState(x=state.x.copy(), cost=self.cost.copy(), beckmann=metrics.beckmann), GapMetrics(
+        return FlowState(x=state.x.copy(), cost=self.cost.copy()), GapMetrics(
             relative_gap=gap,
             iteration=0,
             beckmann=metrics.beckmann,
-            seconds=seconds,
             wardrop_max=metrics.wardrop_max,
             converged=True,
-            trace=[(0, metrics.beckmann, gap, seconds)],
+            trace=[(0, metrics.beckmann, gap)],
         )
 
     def relative_gap(self, usable: np.ndarray) -> float:

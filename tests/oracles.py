@@ -6,7 +6,8 @@ label pass over `out_arcs`, per-arc keep and add rules for the bush update, a
 node-by-node Wardrop spread, a Bellman-Ford relative gap, a dict-based
 objective change of a flow shift, and a sweep that recomputes every cost and
 every label after each flow shift or drain.  The property tests require the
-solver to agree with them exactly, bit for bit.
+solver to agree with them exactly, bit for bit.  A recording solver books
+the objective after every move the solver makes, from outside it.
 
 The scalar link profile: one link and one traction at a time, the notch by
 a loop over the throttle levels and the speed by a scalar bisection.
@@ -204,13 +205,56 @@ def oracle_relative_gap(expanded, usable, costs, x, od):
     return (tstt - sptt) / sptt
 
 
-class FullRelabelSolver(BushSolver):
-    """BushSolver whose sweep recomputes all costs, all derivatives and a
-    full scalar label pass after every applied shift, and whose safeguard
-    evaluates the dict-based `shift_delta` at every halving.  Flow at or
-    below the bush's flow eps is drained whole, booked at -diff * dx."""
+class RecordingSolver(BushSolver):
+    """BushSolver that books the objective after every move in
+    `shift_beckmann`: seeded with the objective before the first move, then
+    the running sum of each move's change.  An accepted shift adds its exact
+    change, `_objective_change` at the applied dx; a drain adds its first
+    order change -diff * dx; a step taken along the iteration's flow change
+    adds the exact change `_extrapolate` computed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shift_beckmann: list[float] = []
+
+    def _seed(self):
+        if not self.shift_beckmann:
+            self.shift_beckmann.append(self.engine.beckmann(self.x))
+
+    def _book(self, change):
+        self.shift_beckmann.append(self.shift_beckmann[-1] + change)
 
     def _apply_shift(self, bush, min_path, max_path, dx):
+        self._seed()
+        terms = self._shift_terms(min_path, max_path)
+        applied = super()._apply_shift(bush, min_path, max_path, dx)
+        if applied > 0.0:
+            self._book(self._objective_change(terms, applied))
+        return applied
+
+    def _drain(self, bush, min_path, max_path, dx):
+        self._seed()
+        diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
+        drained = super()._drain(bush, min_path, max_path, dx)
+        if drained:
+            self._book(-diff * dx)
+        return drained
+
+    def _extrapolate(self, steps, beckmann):
+        self._seed()
+        after = super()._extrapolate(steps, beckmann)
+        if after != beckmann:
+            self._book(after - beckmann)
+        return after
+
+
+class FullRelabelSolver(RecordingSolver):
+    """RecordingSolver whose sweep recomputes all costs, all derivatives and
+    a full scalar label pass after every applied shift, and whose safeguard
+    evaluates, and books, the dict-based `shift_delta` at every halving."""
+
+    def _apply_shift(self, bush, min_path, max_path, dx):
+        self._seed()
         if dx <= 0.0:
             return 0.0
         deltas = {a: dx for a in min_path}
@@ -225,15 +269,9 @@ class FullRelabelSolver(BushSolver):
             halvings += 1
         if df > 0.0:
             return 0.0
-        self._move(bush, min_path, max_path, dx, df)
+        self._move(bush, min_path, max_path, dx)
+        self._book(df)
         return dx
-
-    def _drain(self, bush, min_path, max_path, dx):
-        diff = float(sum(self.cost[a] for a in max_path) - sum(self.cost[a] for a in min_path))
-        if dx <= 0.0 or diff <= 0.0:
-            return False
-        self._move(bush, min_path, max_path, dx, -diff * dx)
-        return True
 
     def _equilibrate_bush(self, bush, labels):
         engine = self.engine
@@ -392,7 +430,7 @@ def msa_reference(
         y = _aon_flows(expanded, cost, engine.usable, od)
         x += (y - x) / k
         cost = engine.costs(x)
-    return FlowState(x=x, cost=cost, beckmann=engine.beckmann(x))
+    return FlowState(x=x, cost=cost)
 
 
 def jacobian(

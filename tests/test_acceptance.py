@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force, generalized_cost, jacobian, msa_reference
+from oracles import RecordingSolver, brute_force, generalized_cost, jacobian, msa_reference
 from synth import (
     assembled_instance,
     bidirectional,
@@ -245,10 +245,9 @@ def test_criterion_05_shift_monotonicity():
     for name, net, od, electrified, rates in _hand_instances():
         expanded, profiles = assembled_instance(net, rates=rates)
         usable = apply_design(expanded, electrified)
-        _, metrics = solve_equilibrium(
-            expanded, usable, od, profiles, tol=1.0e-8, record_shift_beckmann=True
-        )
-        seq = np.asarray(metrics.shift_beckmann)
+        solver = RecordingSolver(expanded, usable, od, profiles, tol=1.0e-8)
+        solver.solve()
+        seq = np.asarray(solver.shift_beckmann)
         shifts += max(0, len(seq) - 1)
         if len(seq) > 1:
             worst = max(worst, float(np.max(np.diff(seq))))

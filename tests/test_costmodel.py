@@ -438,6 +438,13 @@ def test_rate_table_validation():
         RateTable(min_notch_fraction=0.0)
     with pytest.raises(ValueError):
         RateTable(notch_count=0)
+    # one notch runs at full power whatever the fraction; more would coincide
+    assert ThrottleTable.uniform(1.0, 1, 1.0).levels == (1.0,)
+    RateTable(min_notch_fraction=1.0, notch_count=1)
+    with pytest.raises(ValueError, match="min_notch_fraction"):
+        RateTable(min_notch_fraction=1.0, notch_count=2)
+    with pytest.raises(ValueError, match="locomotive_power_electric_w"):
+        RateTable(locomotive_power_electric_w=0.0)
 
 
 # --- switching --------------------------------------------------------------------

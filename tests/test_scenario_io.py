@@ -346,6 +346,13 @@ def test_load_rates_rejects_unknown(tmp_path):
         ("switch_hours = -1.5", "switch_hours"),
         ("locomotive_mass_t = -195", "locomotive_mass_t"),
         ("locomotive_count = -1", "locomotive_count"),
+        # no throttle ladder, or no cargo to charge per ton
+        ("locomotive_count = 0", "locomotive_count"),
+        ("locomotive_power_diesel_w = 0", "locomotive_power_diesel_w"),
+        ("locomotive_power_electric_w = 0", "locomotive_power_electric_w"),
+        ("min_notch_fraction = 1", "min_notch_fraction"),
+        ("railcar_count = 0", "railcar_count"),
+        ("railcar_cargo_t = 0", "railcar_cargo_t"),
         ("ocs_min = -1e6", "ocs_min"),
         ("signal_high = -1", "signal_high"),
         ("ppi_capital = -1", "ppi_capital"),
@@ -808,7 +815,7 @@ def test_assign_run_solves_a_design_as_the_problem_does(tmp_path, pays):
     expected = problem.solution((1,))
     assert solution.evaluated == expected.evaluated
     assert solution.state.x.tolist() == expected.state.x.tolist()
-    assert [row[:3] for row in solution.metrics.trace] == [row[:3] for row in expected.metrics.trace]
+    assert solution.metrics.trace == expected.metrics.trace
     usable = apply_design(problem.expanded, problem.electrified_links((1,)))
     cold, cold_metrics = solve_equilibrium(
         problem.expanded, usable, problem.od, problem.profiles, tol=problem.tol, max_iter=problem.max_iter
@@ -818,6 +825,26 @@ def test_assign_run_solves_a_design_as_the_problem_does(tmp_path, pays):
         assert solution.state.x.tolist() == cold.x.tolist()
     else:
         assert solution.metrics.iteration == 0 < cold_metrics.iteration
+
+
+def test_equal_runs_write_byte_identical_artifacts(tmp_path):
+    # nothing an artifact holds depends on the wall clock: equal runs into
+    # separate directories write the same files, byte for byte
+    cfg = write_toy(tmp_path)
+    (tmp_path / "links.csv").write_text(THREE_ROUTE_LINKS_CSV)
+    scenario = load_scenario(cfg)
+    for command, run in (
+        ("assign", lambda out: assign_run(scenario, out_dir=out)),
+        ("optimize", lambda out: optimize_run(scenario, out)),
+    ):
+        first, second = tmp_path / command / "first", tmp_path / command / "second"
+        run(first)
+        run(second)
+        names = sorted(path.name for path in first.iterdir())
+        assert "gap_trace.csv" in names
+        assert sorted(path.name for path in second.iterdir()) == names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), (command, name)
 
 
 @pytest.mark.parametrize("command", ["report", "assign"])
@@ -898,9 +925,9 @@ def test_gap_trace_and_flow_writers(tmp_path):
     assert len(trows) == metrics.iteration
     assert float(trows[-1]["relative_gap"]) == metrics.relative_gap
     # iterations whose gap was not computed get an empty cell
-    assert [r["relative_gap"] == "" for r in trows] == [gap is None for _, _, gap, _ in metrics.trace]
+    assert [r["relative_gap"] == "" for r in trows] == [gap is None for _, _, gap in metrics.trace]
 
-    metrics.trace = [(1, 2.0, None, 0.1), (2, 1.5, 3.0e-7, 0.2)]
+    metrics.trace = [(1, 2.0, None), (2, 1.5, 3.0e-7)]
     write_gap_trace(tmp_path / "trace.csv", metrics)
     with open(tmp_path / "trace.csv") as fh:
         assert [r["relative_gap"] for r in csv.DictReader(fh)] == ["", repr(3.0e-7)]
@@ -922,10 +949,10 @@ def test_csv_cell_formats(tmp_path):
     assert repr(bundle.union_cost((0,) * len(bundle.corridors))) == "0.0"
     assert repr(bundle.network.total_length_km([])) == "0.0"
 
-    metrics = types.SimpleNamespace(trace=[(1, 2.0, None, 0.5), (2, 1.5, 3.0e-7, 1.0)])
+    metrics = types.SimpleNamespace(trace=[(1, 2.0, None), (2, 1.5, 3.0e-7)])
     write_gap_trace(tmp_path / "trace.csv", metrics)
     assert (tmp_path / "trace.csv").read_text().splitlines() == [
-        "iteration,beckmann,relative_gap,seconds", "1,2.0,,0.5", "2,1.5,3e-07,1.0",
+        "iteration,beckmann,relative_gap", "1,2.0,", "2,1.5,3e-07",
     ]
 
     rows = [
