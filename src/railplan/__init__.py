@@ -3,123 +3,10 @@
 Expands a physical rail network into diesel/electric twin arcs joined by yard
 switching, prices traction from train physics, solves the congestion
 equilibrium, and searches corridor electrification designs under a capital
-budget.
+budget.  The package root holds the names of the README's library example;
+everything else is imported from its module.
 """
 
-from .corridors import Corridor, candidate_corridors, corridor_cost
-from .costmodel import (
-    ElectrificationRates,
-    LinkCostProfile,
-    LinkImpassableError,
-    RateTable,
-    ThrottleTable,
-    TractionProfile,
-    TrainConsist,
-    build_link_profile,
-    build_profiles,
-    build_throttles,
-    electrification_cost,
-    electrification_costs,
-    solve_power_speed,
-    switching_cost_per_ton,
-    yard_switch_costs,
-)
-from .design import (
-    DesignProblem,
-    EvaluatedDesign,
-    GAConfig,
-    design_bits,
-    evolve,
-    repair,
-    seed_population,
-)
-from .equilibrium import (
-    BushSolver,
-    FlowState,
-    GapMetrics,
-    InfeasibleAssignmentError,
-    ODMatrix,
-    relative_gap,
-    solve_equilibrium,
-)
-from .network import (
-    ArcKind,
-    ExpandedArc,
-    ExpandedNetwork,
-    Node,
-    PhysicalLink,
-    RailNetwork,
-    SignalClass,
-    apply_design,
-    compute_alpha,
-    expand,
-    haversine_km,
-)
-from .scenario_io import (
-    RunReport,
-    Scenario,
-    ValidationError,
-    assemble,
-    emit_geojson,
-    load_scenario,
-    optimize_run,
-    sweep,
-    validate_geojson,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ArcKind",
-    "BushSolver",
-    "Corridor",
-    "DesignProblem",
-    "ElectrificationRates",
-    "EvaluatedDesign",
-    "ExpandedArc",
-    "ExpandedNetwork",
-    "FlowState",
-    "GAConfig",
-    "GapMetrics",
-    "InfeasibleAssignmentError",
-    "LinkCostProfile",
-    "LinkImpassableError",
-    "Node",
-    "ODMatrix",
-    "PhysicalLink",
-    "RailNetwork",
-    "RateTable",
-    "RunReport",
-    "Scenario",
-    "SignalClass",
-    "ThrottleTable",
-    "TractionProfile",
-    "TrainConsist",
-    "ValidationError",
-    "apply_design",
-    "assemble",
-    "build_link_profile",
-    "build_profiles",
-    "build_throttles",
-    "candidate_corridors",
-    "compute_alpha",
-    "corridor_cost",
-    "design_bits",
-    "electrification_cost",
-    "electrification_costs",
-    "emit_geojson",
-    "evolve",
-    "expand",
-    "haversine_km",
-    "load_scenario",
-    "optimize_run",
-    "relative_gap",
-    "repair",
-    "seed_population",
-    "solve_equilibrium",
-    "solve_power_speed",
-    "sweep",
-    "switching_cost_per_ton",
-    "validate_geojson",
-    "yard_switch_costs",
-]
+from .costmodel import RateTable, TrainConsist, build_profiles, yard_switch_costs
+from .equilibrium import ODMatrix, solve_equilibrium
+from .network import apply_design, expand

@@ -1,6 +1,7 @@
 """Command line entry point.
 
-Exit codes: 0 success, 2 validation failure, 3 infeasible problem.
+Exit codes: 0 success, 2 validation failure (a bad input, or a path that
+cannot be read or written), 3 infeasible problem.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = _load(args)
         return _COMMANDS[args.command](scenario, args)
-    except (ValidationError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleAssignmentError as exc:

@@ -1,10 +1,10 @@
 """Candidate electrification corridors: yard-to-yard shortest paths.
 
-A corridor is a yard pair's shortest path that survives a second, pruned
-search stopped at the first yard reached, i.e. an adjacent-yard geodesic
-with no yard in its interior.  Ties pick the lexicographically smallest
-link-id sequence and direction duplicates collapse to one corridor per
-undirected link set.
+A corridor is a yard pair's shortest path with no yard in its interior: an
+adjacent-yard geodesic.  One search per yard finds every yard pair's path,
+and a pair is kept when no link but its last ends at a yard.  Ties pick the
+lexicographically smallest link-id sequence and direction duplicates
+collapse to one corridor per undirected link set.
 """
 
 from __future__ import annotations
@@ -35,13 +35,8 @@ def corridor_cost(link_ids: tuple[int, ...] | list[int], link_costs: Mapping[int
 def _lex_dijkstra(
     adjacency: dict[int, list[tuple[int, int, float]]],
     source: int,
-    prune_at: set[int] | None = None,
 ) -> dict[int, tuple[int, ...]]:
-    """Shortest paths as link-id tuples, smallest sequence winning ties.
-
-    With prune_at, settled yards other than the source are not expanded, so
-    every returned path ends at the first yard it touches.
-    """
+    """Shortest paths as link-id tuples, smallest sequence winning ties."""
     best: dict[int, tuple[float, tuple[int, ...]]] = {source: (0.0, ())}
     settled: set[int] = set()
     heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), source)]
@@ -51,8 +46,6 @@ def _lex_dijkstra(
             continue
         settled.add(u)
         best[u] = (dist, path)
-        if prune_at is not None and u != source and u in prune_at:
-            continue
         for link_id, v, w in adjacency.get(u, ()):
             if v in settled:
                 continue
@@ -65,7 +58,7 @@ def candidate_corridors(
     weights: Mapping[int, float],
     link_costs: Mapping[int, float],
 ) -> list[Corridor]:
-    """Corridor set from the two-search intersection over candidate links.
+    """Corridor set over candidate links (module docstring).
 
     weights is the routing metric per link (free-flow cost or length);
     link_costs the electrification capital per link.  Yards unreachable from
@@ -83,28 +76,21 @@ def candidate_corridors(
             raise ValueError(f"link {lid}: nonpositive corridor weight")
         adjacency.setdefault(link.tail, []).append((lid, link.head, w))
 
-    full: dict[tuple[int, int], tuple[int, ...]] = {}
-    pruned: dict[tuple[int, int], tuple[int, ...]] = {}
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for y in yards:
-        reach_full = _lex_dijkstra(adjacency, y)
-        reach_pruned = _lex_dijkstra(adjacency, y, prune_at=yard_set)
+        reach = _lex_dijkstra(adjacency, y)
         connected = False
         for t in yards:
-            if t == y:
-                continue
-            p = reach_full.get(t)
-            if p:
-                full[(y, t)] = p
+            p = reach.get(t)
+            if p:  # the source's own path is empty
+                paths[(y, t)] = p
                 connected = True
-            p = reach_pruned.get(t)
-            if p:
-                pruned[(y, t)] = p
         if not connected and len(yards) > 1:
             warnings.warn(f"yard {y}: unreachable from every other yard; skipped")
 
     kept: dict[frozenset[frozenset[int]], tuple[tuple[int, ...], int, int]] = {}
-    for (a, b), path in sorted(full.items()):
-        if pruned.get((a, b)) != path:
+    for (a, b), path in sorted(paths.items()):
+        if any(net.links[l].head in yard_set for l in path[:-1]):
             continue
         key = frozenset(
             frozenset((net.links[l].tail, net.links[l].head)) for l in path

@@ -202,9 +202,7 @@ class DesignProblem:
         """The all-diesel equilibrium that every design is screened against."""
         if self._start is None:
             base = self._baseline_solution()
-            self._start = StartTable(
-                self.expanded, self.profiles, self.od, base.state, base.metrics, base.usable
-            )
+            self._start = StartTable(self.expanded, self.od, base.state, base.metrics, base.usable)
         return self._start
 
     def corridor_scores(self) -> list[float]:

@@ -208,6 +208,13 @@ def load_rates(path: str | Path | None) -> tuple[TrainConsist, RateTable, Electr
         elec = ElectrificationRates(
             signal_cost=signal, ppi_capital=ppi["ppi_capital"], **args[ElectrificationRates]
         )
+        try:  # the notches must differ in floats, not only in (0, 1]
+            costmodel.build_throttles(consist, rates)
+        except ValueError:
+            raise ValueError(
+                f"min_notch_fraction {rates.min_notch_fraction!r} with notch_count "
+                f"{rates.notch_count} gives throttle notches of equal power"
+            ) from None
     except ValueError as exc:
         message = str(exc)
         for name, key in _CONSIST_SPELLING.items():  # name the key, not the field

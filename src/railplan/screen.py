@@ -2,21 +2,25 @@
 `equilibrium`).
 
 A `StartTable` keeps what every screen shares: the arc costs at the start's
-flows (costs do not depend on which arcs are usable), their total, and each
-origin's distances D over the start's usable arcs.  Only arcs usable here
-and not in the start can shorten a path.  One comparison, D[tail] + c <
-D[head], finds the origins where one does; their distances are repaired by
-a Dijkstra seeded at the broken heads that relaxes the usable arcs only
-while a label strictly falls.  The gap is then `relative_gap` bit for bit.
-Float addition of a non-negative cost is monotone, so a full Dijkstra's
-label is the least float path sum over the usable arcs, and so is every
-label of a labelling that some path reaches and no usable arc lowers.  The
-repair ends in one: its labels only fall to path sums, a node that fell
-relaxes its out-arcs at its final label, and an arc out of a node that did
-not fall is a start arc, which D leaves nothing to lower, or was compared.
-The shortest-path costs are summed in `relative_gap`'s origin and
-destination order.  Where an arc usable in the start is not usable here,
-distances can grow, and the screen calls `relative_gap` itself.
+flows, their total, and each origin's distances D over the start's usable
+arcs.  The costs are the start solve's own `FlowState.cost`, which is
+`CostEngine.costs` of its flows: costs do not depend on which arcs are
+usable.  An impassable traction side costs inf, so no usable mask needs to
+leave it out: it never passes D[tail] + c < D[head], never lowers a label,
+and carries no flow.  Only arcs usable here and not in the start can shorten
+a path.  One comparison, D[tail] + c < D[head], finds the origins where one
+does; their distances are repaired by a Dijkstra seeded at the broken heads
+that relaxes the usable arcs only while a label strictly falls.  The gap is
+then `relative_gap` bit for bit.  Float addition of a non-negative cost is
+monotone, so a full Dijkstra's label is the least float path sum over the
+usable arcs, and so is every label of a labelling that some path reaches and
+no usable arc lowers.  The repair ends in one: its labels only fall to path
+sums, a node that fell relaxes its out-arcs at its final label, and an arc
+out of a node that did not fall is a start arc, which D leaves nothing to
+lower, or was compared.  The shortest-path costs are summed in
+`relative_gap`'s origin and destination order.  Where an arc usable in the
+start is not usable here, distances can grow, and the screen calls
+`relative_gap` itself.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ import heapq
 
 import numpy as np
 
-from .costmodel import LinkCostProfile
 from .equilibrium import (
-    CostEngine,
     FlowState,
     GapMetrics,
     ODMatrix,
@@ -46,17 +48,14 @@ class StartTable:
     def __init__(
         self,
         expanded: ExpandedNetwork,
-        profiles: dict[int, LinkCostProfile],
         od: ODMatrix,
         state: FlowState,
         metrics: GapMetrics,
         usable: np.ndarray | None,
     ):
-        engine = CostEngine(expanded, profiles)
         self.expanded, self.od, self.state, self.metrics = expanded, od, state, metrics
-        self.passable = engine.usable
-        self.usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
-        self.cost = engine.costs(state.x)
+        self.usable = np.ones(expanded.n_arcs, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
+        self.cost = state.cost
         self.tstt = flow_cost(state.x, self.cost)
         self.origins = od.by_origin()
         rows = [_dijkstra(expanded, self.cost, expanded.diesel_node(r), self.usable)[0] for r in self.origins]
@@ -68,7 +67,7 @@ class StartTable:
         """The start's flows at iteration 0 when they meet the stopping rule
         of a solve with these usable arcs and `tol`, else None."""
         state, metrics = self.state, self.metrics
-        usable = self.passable if usable is None else np.asarray(usable, dtype=bool) & self.passable
+        usable = np.ones(self.expanded.n_arcs, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
         if metrics.wardrop_max > tol or np.any(state.x[~usable] > 0.0):
             return None
         gap = self.relative_gap(usable)

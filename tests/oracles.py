@@ -14,7 +14,8 @@ a loop over the throttle levels and the speed by a scalar bisection.
 `costmodel.build_profiles` must give its bits.
 
 Also a method-of-successive-averages equilibrium, the dense cost Jacobian,
-the per-arc generalized cost and an exhaustive design search.
+the per-arc generalized cost, an exhaustive design search, and corridor
+enumeration by two searches per yard.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import warnings
 
 import numpy as np
 
+from railplan.corridors import Corridor, corridor_cost
 from railplan.costmodel import (
     LinkCostProfile,
     LinkImpassableError,
@@ -476,3 +478,56 @@ def brute_force(problem: DesignProblem) -> EvaluatedDesign:
             best, best_key = cand, key
     assert best is not None  # the empty design is always feasible
     return best
+
+
+def _pruned_lex_dijkstra(adjacency, source, prune_at):
+    """Shortest paths as link-id tuples, smallest sequence winning ties; a
+    settled node of prune_at other than the source is not expanded."""
+    best = {}
+    heap = [(0.0, (), source)]
+    while heap:
+        dist, path, u = heapq.heappop(heap)
+        if u in best:
+            continue
+        best[u] = path
+        if u != source and u in prune_at:
+            continue
+        for link_id, v, w in adjacency.get(u, ()):
+            if v not in best:
+                heapq.heappush(heap, (dist + w, path + (link_id,), v))
+    return best
+
+
+def oracle_corridors(net, weights, link_costs):
+    """`candidate_corridors` by two searches per yard: a yard pair's shortest
+    path is kept when a second search, which expands no yard but the source,
+    finds the same path."""
+    yards = net.yards()
+    adjacency = {}
+    for lid in sorted(net.links):
+        link = net.links[lid]
+        if link.candidate:
+            if float(weights[lid]) <= 0.0:
+                raise ValueError(f"link {lid}: nonpositive corridor weight")
+            adjacency.setdefault(link.tail, []).append((lid, link.head, float(weights[lid])))
+    full, pruned = {}, {}
+    for y in yards:
+        reach_full = _pruned_lex_dijkstra(adjacency, y, set())
+        reach_pruned = _pruned_lex_dijkstra(adjacency, y, set(yards))
+        others = [t for t in yards if t != y]
+        full.update({(y, t): reach_full[t] for t in others if t in reach_full})
+        pruned.update({(y, t): reach_pruned[t] for t in others if t in reach_pruned})
+        if len(yards) > 1 and not any(t in reach_full for t in others):
+            warnings.warn(f"yard {y}: unreachable from every other yard; skipped")
+    kept = {}
+    for (a, b), path in sorted(full.items()):
+        if pruned.get((a, b)) != path:
+            continue
+        key = frozenset(frozenset((net.links[l].tail, net.links[l].head)) for l in path)
+        if key not in kept or path < kept[key][0]:
+            kept[key] = (path, a, b)
+    rows = sorted(kept.values(), key=lambda r: (r[1], r[2], r[0]))
+    return [
+        Corridor(i, path, a, b, net.total_length_km(path), corridor_cost(path, link_costs))
+        for i, (path, a, b) in enumerate(rows)
+    ]

@@ -1,14 +1,18 @@
 """The array-native bush hot path agrees bit for bit with the scalar oracles
 of oracles.py on random and overloaded networks."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from railplan.costmodel import RateTable
 from railplan.equilibrium import (
     BushSolver,
     CostEngine,
     _initial_bush,
     shortest_longest_labels,
+    solve_equilibrium,
     update_bush,
 )
 from railplan.network import apply_design
@@ -30,7 +34,7 @@ loads = st.sampled_from(sorted(CAPACITY))
 electrified_shares = st.sampled_from([0.0, 0.5, 1.0])
 
 
-def instance(seed, load, electrified_share):
+def instance(seed, load, electrified_share, rates=None):
     rng = np.random.default_rng(seed)
     net = random_network(
         rng,
@@ -40,9 +44,28 @@ def instance(seed, load, electrified_share):
         capacity_range=CAPACITY[load],
     )
     od = random_od(rng, net, pairs=int(rng.integers(1, 6)))
-    expanded, profiles = assembled_instance(net)
+    expanded, profiles = assembled_instance(net, rates=rates)
     electrified = {lid for lid in sorted(net.links) if rng.random() < electrified_share}
     return rng, expanded, profiles, apply_design(expanded, electrified), od
+
+
+RATES = {
+    "default": RateTable(),
+    "pays": RateTable(fuel_cost_electric=0.3e-8, switch_cost_per_train=200.0),
+    # 2 kW electric locomotives: impassable electric sides, at cost inf
+    "weak": RateTable(locomotive_power_electric_w=2.0e3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares, rates=st.sampled_from(sorted(RATES)))
+def test_a_cold_solve_returns_the_cost_engines_costs_of_its_flows(seed, load, electrified_share, rates):
+    # screen.StartTable takes a solve's costs as they are
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # impassable sides
+        _, expanded, profiles, usable, od = instance(seed, load, electrified_share, RATES[rates])
+    state, _ = solve_equilibrium(expanded, usable, od, profiles, max_iter=100)
+    assert state.cost.tolist() == CostEngine(expanded, profiles).costs(state.x).tolist()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,23 @@
 """Yard-to-yard corridor enumeration."""
 
+import warnings
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from railplan.corridors import candidate_corridors, corridor_cost
-from railplan.costmodel import ElectrificationRates, electrification_costs
+from railplan.costmodel import (
+    ElectrificationRates,
+    RateTable,
+    TrainConsist,
+    build_profiles,
+    electrification_costs,
+)
 from railplan.network import Node, PhysicalLink, RailNetwork
 
+from oracles import oracle_corridors
 from synth import grid3x3_network, random_network
 
 
@@ -136,3 +146,46 @@ def test_enumeration_deterministic(grid3x3):
     first = candidate_corridors(grid3x3, w, costs)
     second = candidate_corridors(grid3x3, w, costs)
     assert first == second
+
+
+def _weights(kind, net, rng):
+    """Routing weights per link: unit and small integers tie often, tenths
+    sum inexactly, and `assemble` routes by length or free-flow cost."""
+    ids = sorted(net.links)
+    if kind == "unit":
+        return unit_weights(net)
+    if kind == "integer":
+        return {lid: float(k) for lid, k in zip(ids, rng.integers(1, 4, len(ids)))}
+    if kind == "tenths":
+        return {lid: 0.1 * float(k) for lid, k in zip(ids, rng.integers(1, 10, len(ids)))}
+    if kind == "length":
+        return {lid: l.length_km for lid, l in net.links.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # impassable sides
+        profiles = build_profiles(net, TrainConsist(), RateTable())
+    return {lid: p.congestion_coef + p.diesel.fuel_cost_per_ton for lid, p in profiles.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["unit", "integer", "tenths", "length", "free_flow"]),
+)
+def test_one_search_per_yard_matches_the_two_search_oracle(seed, kind):
+    rng = np.random.default_rng(seed)
+    yards = int(rng.integers(2, 9))
+    net = random_network(
+        rng,
+        n_nodes=int(rng.integers(yards, 15)),
+        extra_links=int(rng.integers(0, 16)),
+        yard_count=yards,
+    )
+    weights, costs = _weights(kind, net, rng), capital(net)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = candidate_corridors(net, weights, costs)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = oracle_corridors(net, weights, costs)
+    assert got == want
+    assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]

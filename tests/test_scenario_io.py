@@ -6,6 +6,7 @@ import json
 import math
 import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -372,6 +373,16 @@ def test_load_rates_rejects_broken_rate_invariants(tmp_path, capsys, line, key):
     assert err.startswith("error:") and key in err
 
 
+def test_coinciding_notches_name_the_file_and_keys(tmp_path, capsys):
+    # below 1, yet the default eight notches round to the same power
+    (tmp_path / "rates.cfg").write_text("min_notch_fraction = 0.9999999999999999\n")
+    cfg = write_toy(tmp_path, extra_cfg="rates_file = rates.cfg\n")
+    assert cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(word in err for word in ("rates.cfg", "min_notch_fraction", "notch_count"))
+
+
 @pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
 def test_load_rates_rejects_non_finite(tmp_path, line):
     f = tmp_path / "rates.cfg"
@@ -396,6 +407,17 @@ def test_load_nodes_and_links(tmp_path):
     assert links[0].signal_class is SignalClass.LOW
     assert links[0].candidate
     assert links[0].k_f is None
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library use\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    write_toy(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    gap, flows = capsys.readouterr().out.split(" ", 1)
+    assert 0.0 <= float(gap) <= 1.0e-6
+    assert flows.startswith("{")
 
 
 def test_load_links_optional_columns(tmp_path):
@@ -1031,6 +1053,15 @@ def test_cli_validation_failures(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("bad", ["config is a directory", "out-dir is a file"])
+def test_cli_bad_paths_exit_2(tmp_path, capsys, bad):
+    cfg = write_toy(tmp_path)
+    config, out_dir = (tmp_path, tmp_path / "out") if bad == "config is a directory" else (cfg, cfg)
+    rc = cli.main(["assign", "--config", str(config), "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_infeasible_exit_code(tmp_path, capsys):

@@ -41,7 +41,7 @@ def all_diesel_start(expanded, profiles, od, **kwargs):
     """The all-diesel solve and its StartTable."""
     usable = apply_design(expanded, ())
     solved = solve_equilibrium(expanded, usable, od, profiles, tol=TOL, **kwargs)
-    return solved, StartTable(expanded, profiles, od, *solved, usable)
+    return solved, StartTable(expanded, od, *solved, usable)
 
 
 def assert_same_solve(got, want):
@@ -87,7 +87,7 @@ def test_design_failing_the_screen_is_solved_cold():
     assert_same_solve(got, solve_equilibrium(expanded, usable, od, profiles, tol=TOL))
 
     # flow on arcs that are not usable here is never screened
-    electric = StartTable(expanded, profiles, od, *got, usable)
+    electric = StartTable(expanded, od, *got, usable)
     all_diesel = apply_design(expanded, ())
     assert np.any(got[0].x[~all_diesel] > 0.0)
     assert electric.screen(all_diesel, TOL) is None
@@ -122,7 +122,7 @@ def test_unconverged_start_screens_nothing(monkeypatch):
     assert metrics.converged
     assert converged.screen(usable, TOL) is not None
     loose = StartTable(
-        expanded, profiles, od, state, replace(metrics, wardrop_max=2.0 * TOL, converged=False),
+        expanded, od, state, replace(metrics, wardrop_max=2.0 * TOL, converged=False),
         apply_design(expanded, ()),
     )
     assert loose.relative_gap(usable) <= TOL
