@@ -397,7 +397,7 @@ class LinkCostProfile:
 
 def _profiles(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateTable) -> list[LinkCostProfile]:
     """The profile of every link, in one array pass per traction (module
-    docstring); impassable sides warn link by link, diesel first."""
+    docstring); each traction side warns once about its impassable links, diesel first."""
     if consist.cargo_mass_t <= 0.0:
         raise ValueError("consist carries no cargo; per-ton costs undefined")
     per_ton = consist.cargo_mass_t
@@ -412,16 +412,16 @@ def _profiles(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateT
         fuel = np.where(ok, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, math.inf)
         columns = (p.tolist(), v.tolist(), t0.tolist(), fuel.tolist(), ok.tolist())
         sides.append((ok, t0, map(TractionProfile, *columns)))
+        ids = sorted(links[i].id for i in np.flatnonzero(~ok).tolist())
+        if ids:
+            warnings.warn(f"{len(ids)} of {len(links)} links impassable under {kind.value} traction: {ids}")
     (ok, t0, diesels), (_, _, electrics) = sides
     # the congestion clock runs on the diesel free-flow time
     coef = np.where(ok, t0 * (rates.crew_rate + rates.cargo_rate) / per_ton, math.inf)
-    out = []
-    for link, diesel, electric, t0_hr, c in zip(links, diesels, electrics, t0.tolist(), coef.tolist()):
-        for kind, side in ((ArcKind.DIESEL, diesel), (ArcKind.ELECTRIC, electric)):
-            if not side.reachable:
-                warnings.warn(f"link {link.id}: impassable under {kind.value} traction")
-        out.append(LinkCostProfile(link.id, link.capacity_tpd, t0_hr, c, rates.beta, diesel, electric))
-    return out
+    return [
+        LinkCostProfile(link.id, link.capacity_tpd, t0_hr, c, rates.beta, diesel, electric)
+        for link, diesel, electric, t0_hr, c in zip(links, diesels, electrics, t0.tolist(), coef.tolist())
+    ]
 
 
 def build_link_profile(link: PhysicalLink, consist: TrainConsist, rates: RateTable) -> LinkCostProfile:

@@ -33,7 +33,7 @@ from .equilibrium import (
     flow_cost,
     solve_equilibrium,
 )
-from .network import ArcKind, ExpandedNetwork, RailNetwork, apply_design
+from .network import ExpandedNetwork, RailNetwork, apply_design
 from .screen import StartTable
 
 Bits = tuple[int, ...]
@@ -228,17 +228,13 @@ class DesignProblem:
 
 def electric_tonnage_share(expanded: ExpandedNetwork, state: FlowState) -> float:
     """Electric tonnage-km over total traction tonnage-km."""
-    x = state.x.tolist()
-    length_km = expanded.arc_length_km.tolist()
-    moved = 0.0
-    electric = 0.0
-    for arc in expanded.arcs:
-        if arc.kind is ArcKind.SWITCH:
-            continue
-        tkm = x[arc.id] * length_km[arc.id]
-        moved += tkm
-        if arc.kind is ArcKind.ELECTRIC:
-            electric += tkm
+    n = 2 * len(expanded.link_ids)
+    tkm = state.x[:n] * expanded.arc_length_km[:n]
+    moved = electric = 0.0
+    for d, e in zip(tkm[0::2].tolist(), tkm[1::2].tolist()):  # in arc order, not numpy's pairwise sum
+        moved += d
+        moved += e
+        electric += e
     return 0.0 if moved <= 0.0 else electric / moved
 
 

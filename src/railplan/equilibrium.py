@@ -203,31 +203,25 @@ class CostEngine:
         profiles: dict[int, LinkCostProfile],
         usable: np.ndarray | None = None,
     ):
-        n = expanded.n_arcs
         self.expanded = expanded
-        self.fixed = np.zeros(n)
-        self.kc = np.zeros(n)
-        self.cap = np.ones(n)
-        self.partner = np.arange(n)
-        self.is_traction = np.zeros(n, dtype=bool)
         betas = {p.beta for p in profiles.values()}
         if len(betas) > 1:
             raise ValueError("profiles mix congestion exponents")
         self.beta = betas.pop() if betas else 4.0
 
-        for arc in expanded.arcs:
-            if arc.kind is ArcKind.SWITCH:
-                self.fixed[arc.id] = arc.fixed_cost
-                continue
-            prof = profiles[arc.physical_link]
-            tp = prof.traction(arc.kind)
-            self.fixed[arc.id] = tp.fuel_cost_per_ton
-            self.kc[arc.id] = prof.congestion_coef
-            self.cap[arc.id] = prof.capacity_tpd
-            self.partner[arc.id] = arc.partner
-            self.is_traction[arc.id] = True
+        self.partner = expanded.partner
+        self.is_traction = expanded.kind != ArcKind.SWITCH
+        # per traction pair (the diesel arcs are the even ids below 2 x links)
+        pairs = [profiles[lid] for lid in expanded.link_ids]
+        diesel = np.arange(0, 2 * len(pairs), 2)
+        self.fixed = expanded.fixed_cost.copy()
+        self.fixed[diesel] = [p.diesel.fuel_cost_per_ton for p in pairs]
+        self.fixed[diesel + 1] = [p.electric.fuel_cost_per_ton for p in pairs]
+        self.kc = np.zeros(expanded.n_arcs)
+        self.cap = np.ones(expanded.n_arcs)
+        self.kc[diesel] = self.kc[diesel + 1] = [p.congestion_coef for p in pairs]
+        self.cap[diesel] = self.cap[diesel + 1] = [p.capacity_tpd for p in pairs]
 
-        diesel = np.array([d for _, (d, _) in sorted(expanded.pair_of.items())], dtype=np.int64)
         # a pair with an impassable diesel side carries no flow, and its
         # integral, inf * 0, would be nan: it adds nothing to the objective
         self.diesel_arcs = diesel[np.isfinite(self.kc[diesel])]

@@ -215,23 +215,16 @@ class RailNetwork:
         return sum((self.links[i].length_km for i in ids), 0.0)
 
 
-@dataclass(frozen=True)
-class ExpandedArc:
-    id: int
-    kind: ArcKind
-    tail: int  # expanded node index
-    head: int
-    physical_link: int | None = None
-    partner: int | None = None  # the other traction arc of the pair
-    fixed_cost: float = 0.0  # $/ton, switch arcs only
-
-
 class ExpandedNetwork:
-    """Expanded graph: dense node indices, arc arrays, adjacency lists.
+    """Expanded graph: dense node indices, one array per arc attribute, adjacency lists.
 
     Node indexing: physical ids sorted, node k gets diesel index 2k and
     electric index 2k+1.  Arc ids: the traction pair of link j (in sorted
-    link-id order) is (2j, 2j+1), switch arcs follow in sorted yard order.
+    link-id order) is (2j, 2j+1), diesel first; the switch arcs follow in
+    sorted yard order, diesel to electric first.  Per arc: `kind`, `tail`
+    and `head` (expanded nodes), `link` (physical link id, -1 for a switch
+    arc), `partner` (the pair's other arc; a switch arc is its own),
+    `fixed_cost` ($/ton, switch arcs only) and `arc_length_km`.
     """
 
     def __init__(self, net: RailNetwork, switch_cost_per_ton: float | Mapping[int, float]):
@@ -239,45 +232,38 @@ class ExpandedNetwork:
         self.node_ids = sorted(net.nodes)
         self.node_index = {nid: k for k, nid in enumerate(self.node_ids)}
         self.link_ids = sorted(net.links)
-
-        def cost_at(nid: int) -> float:
-            if isinstance(switch_cost_per_ton, Mapping):
-                return float(switch_cost_per_ton[nid])
-            return float(switch_cost_per_ton)
-
-        arcs: list[ExpandedArc] = []
-        self.pair_of: dict[int, tuple[int, int]] = {}
-        for j, lid in enumerate(self.link_ids):
-            link = net.links[lid]
-            t = self.node_index[link.tail]
-            h = self.node_index[link.head]
-            d_id, e_id = 2 * j, 2 * j + 1
-            arcs.append(ExpandedArc(d_id, ArcKind.DIESEL, 2 * t, 2 * h, lid, e_id))
-            arcs.append(ExpandedArc(e_id, ArcKind.ELECTRIC, 2 * t + 1, 2 * h + 1, lid, d_id))
-            self.pair_of[lid] = (d_id, e_id)
-
-        self.switch_arcs_at: dict[int, tuple[int, int]] = {}
-        for nid in net.yards():
-            k = self.node_index[nid]
-            w = cost_at(nid)
+        yards = net.yards()
+        costs = []
+        for nid in yards:
+            w = switch_cost_per_ton[nid] if isinstance(switch_cost_per_ton, Mapping) else switch_cost_per_ton
             if w < 0.0:
                 raise ValueError(f"yard {nid}: negative switch cost")
-            a = len(arcs)
-            arcs.append(ExpandedArc(a, ArcKind.SWITCH, 2 * k, 2 * k + 1, None, None, w))
-            arcs.append(ExpandedArc(a + 1, ArcKind.SWITCH, 2 * k + 1, 2 * k, None, None, w))
-            self.switch_arcs_at[nid] = (a, a + 1)
+            costs.append(float(w))
 
-        self.arcs = arcs
+        links = [net.links[lid] for lid in self.link_ids]
+        n_pair = 2 * len(links)
         self.n_nodes = 2 * len(self.node_ids)
-        self.n_arcs = len(arcs)
-        self.tail = np.array([a.tail for a in arcs], dtype=np.int64)
-        self.head = np.array([a.head for a in arcs], dtype=np.int64)
-        self.arc_length_km = np.array(
-            [net.links[a.physical_link].length_km if a.physical_link is not None else 0.0 for a in arcs]
-        )
+        self.n_arcs = n_pair + 2 * len(yards)
+        ids = np.arange(self.n_arcs)
+        side = ids % 2  # 1 on a pair's electric arc and on a yard's electric-to-diesel arc
+        ends = np.array(
+            [(self.node_index[l.tail], self.node_index[l.head]) for l in links]
+            + [(self.node_index[nid],) * 2 for nid in yards],
+            dtype=np.int64,
+        ).reshape(-1, 2).repeat(2, axis=0)
+        self.tail = 2 * ends[:, 0] + side
+        self.head = 2 * ends[:, 1] + np.where(ids < n_pair, side, 1 - side)
+        kinds = np.array([ArcKind.DIESEL, ArcKind.ELECTRIC, ArcKind.SWITCH], dtype=object)
+        self.kind = kinds[np.where(ids < n_pair, side, 2)]
+        self.link = np.array(self.link_ids + [-1] * len(yards), dtype=np.int64).repeat(2)
+        self.partner = np.where(ids < n_pair, ids ^ 1, ids)
+        self.fixed_cost = np.array([0.0] * len(links) + costs).repeat(2)
+        self.arc_length_km = np.array([l.length_km for l in links] + [0.0] * len(yards)).repeat(2)
+        self.pair_of = {lid: (2 * j, 2 * j + 1) for j, lid in enumerate(self.link_ids)}
+        self.switch_arcs_at = {nid: (n_pair + 2 * k, n_pair + 2 * k + 1) for k, nid in enumerate(yards)}
         self.out_arcs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a in arcs:
-            self.out_arcs[a.tail].append(a.id)
+        for a, u in enumerate(self.tail.tolist()):
+            self.out_arcs[u].append(a)
 
     def diesel_node(self, phys_id: int) -> int:
         return 2 * self.node_index[phys_id]
@@ -291,10 +277,8 @@ class ExpandedNetwork:
 
     def aggregate_flows(self, x: np.ndarray) -> dict[int, tuple[float, float]]:
         """Per physical link: (diesel flow, electric flow) in tons/day."""
-        return {
-            lid: (float(x[d]), float(x[e]))
-            for lid, (d, e) in self.pair_of.items()
-        }
+        n = 2 * len(self.link_ids)
+        return dict(zip(self.link_ids, zip(x[0:n:2].tolist(), x[1:n:2].tolist())))
 
 
 def expand(net: RailNetwork, switch_cost_per_ton: float | Mapping[int, float]) -> ExpandedNetwork:
@@ -313,8 +297,4 @@ def apply_design(expanded: ExpandedNetwork, electrified_links: Iterable[int]) ->
     unknown = chosen - set(expanded.net.links)
     if unknown:
         raise ValueError(f"electrified set references unknown links {sorted(unknown)}")
-    mask = np.ones(expanded.n_arcs, dtype=bool)
-    for lid, (_, e_arc) in expanded.pair_of.items():
-        if lid not in chosen:
-            mask[e_arc] = False
-    return mask
+    return (expanded.kind != ArcKind.ELECTRIC) | np.isin(expanded.link, list(chosen))

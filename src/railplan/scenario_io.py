@@ -370,24 +370,28 @@ def load_corridors(path: str | Path) -> list[Corridor]:
     return out
 
 
+def _kinds_and_links(expanded: ExpandedNetwork) -> tuple[list[str], list[int | None]]:
+    """Each arc's kind and physical link, None (an empty cell) for a switch arc."""
+    kinds = [k.value for k in expanded.kind]
+    return kinds, [None if k == "switch" else l for k, l in zip(kinds, expanded.link.tolist())]
+
+
 def write_flows(path: str | Path, expanded: ExpandedNetwork, state: FlowState) -> None:
-    x, cost = state.x.tolist(), state.cost.tolist()
+    kinds, links = _kinds_and_links(expanded)
     _write_csv(
         path,
         ("arc_id", "kind", "physical_link", "flow_tpd", "cost_per_ton"),
-        ((a.id, a.kind.value, a.physical_link, x[a.id], cost[a.id]) for a in expanded.arcs),
+        zip(range(expanded.n_arcs), kinds, links, state.x.tolist(), state.cost.tolist()),
     )
 
 
 def write_arcs(path: str | Path, expanded: ExpandedNetwork) -> None:
-    label = expanded.node_label
+    kinds, links = _kinds_and_links(expanded)
+    tails, heads = (map(expanded.node_label, ends.tolist()) for ends in (expanded.tail, expanded.head))
     _write_csv(
         path,
         ("arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"),
-        (
-            (a.id, a.kind.value, label(a.tail), label(a.head), a.physical_link, a.fixed_cost)
-            for a in expanded.arcs
-        ),
+        zip(range(expanded.n_arcs), kinds, tails, heads, links, expanded.fixed_cost.tolist()),
     )
 
 
@@ -515,9 +519,8 @@ def write_solution(
 
 def assemble(scenario: Scenario) -> design.DesignProblem:
     """Load everything, apply the scenario multipliers, pose the design problem."""
-    consist, rates, elec = load_rates(
-        scenario.path(scenario.rates_file) if scenario.rates_file else None
-    )
+    rates_path = scenario.path(scenario.rates_file) if scenario.rates_file else None
+    consist, rates, elec = load_rates(rates_path)
     rates = replace(
         rates,
         crew_rate=rates.crew_rate * scenario.opex_multiplier,
@@ -534,6 +537,12 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
     unknown = {n for pair in od.demand for n in pair} - set(network.nodes)
     if unknown:
         raise ValidationError(f"OD references unknown nodes {sorted(unknown)}")
+    bent = [l for _, l in sorted(network.links.items()) if not l.curve_radius_m > rates.curve_arg_m]
+    if bent:  # the curve resistance takes arcsin(curve_arg_m / radius)
+        raise ValidationError(
+            f"{rates_path}: curve_arg_m {rates.curve_arg_m} m must be below every curve radius; "
+            f"link {bent[0].id} has {bent[0].curve_radius_m} m"
+        )
 
     profiles = build_profiles(network, consist, rates)
     link_costs = electrification_costs(network, elec)
@@ -596,15 +605,10 @@ class RunReport:
     unconverged_solves: int
 
 
-def _candidate_km(problem: design.DesignProblem) -> float:
-    links = {l for c in problem.corridors for l in c.link_ids}
-    return problem.network.total_length_km(links)
-
-
 def summarize_design(problem: design.DesignProblem, bits: design.Bits) -> RunReport:
     baseline = problem.baseline()
     best = problem.evaluate(bits)
-    candidate_km = _candidate_km(problem)
+    candidate_km = problem.electrified_km((1,) * len(problem.corridors))
     solved = problem.solved
     return RunReport(
         baseline_cost=baseline.total_cost,

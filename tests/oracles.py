@@ -14,8 +14,10 @@ a loop over the throttle levels and the speed by a scalar bisection.
 `costmodel.build_profiles` must give its bits.
 
 Also a method-of-successive-averages equilibrium, the dense cost Jacobian,
-the per-arc generalized cost, an exhaustive design search, and corridor
-enumeration by two searches per yard.
+the per-arc generalized cost, an exhaustive design search, corridor
+enumeration by two searches per yard, and the expansion's arc table as one
+object per arc, with the per-arc loops over it that the array-native
+expansion, its consumers and its two CSV writers must match.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -368,15 +371,13 @@ def oracle_power_speed(link, consist, rates, throttle):
 
 
 def oracle_link_profile(link, consist, rates, throttles):
-    """The link's cost profile, warning for each impassable side, diesel
-    first."""
+    """The link's cost profile."""
     per_ton = consist.cargo_mass_t
 
     def side(kind, eta, fuel_cost):
         try:
             p, v, t0 = oracle_power_speed(link, consist, rates, throttles[kind])
         except LinkImpassableError:
-            warnings.warn(f"link {link.id}: impassable under {kind.value} traction")
             return TractionProfile(math.nan, 0.0, math.inf, math.inf, False)
         return TractionProfile(p, v, t0, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, True)
 
@@ -387,6 +388,17 @@ def oracle_link_profile(link, consist, rates, throttles):
     else:
         t0, coef = math.inf, math.inf
     return LinkCostProfile(link.id, link.capacity_tpd, t0, coef, rates.beta, diesel, electric)
+
+
+def oracle_impassable_warnings(profiles):
+    """The warnings a build of these profiles gives: one per traction side
+    with impassable links, diesel first, naming the count and sorted ids."""
+    out = []
+    for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
+        ids = sorted(lid for lid, p in profiles.items() if not p.traction(kind).reachable)
+        if ids:
+            out.append(f"{len(ids)} of {len(profiles)} links impassable under {kind.value} traction: {ids}")
+    return out
 
 
 def generalized_cost(profile: LinkCostProfile, x_d: float, x_e: float, kind: ArcKind) -> float:
@@ -531,3 +543,68 @@ def oracle_corridors(net, weights, link_costs):
         Corridor(i, path, a, b, net.total_length_km(path), corridor_cost(path, link_costs))
         for i, (path, a, b) in enumerate(rows)
     ]
+
+
+# --- the arc table, one object per arc ------------------------------------------
+
+
+@dataclass(frozen=True)
+class OracleArc:
+    id: int
+    kind: ArcKind
+    tail: int  # expanded node index
+    head: int
+    physical_link: int | None = None
+    partner: int | None = None  # the other traction arc of the pair
+    fixed_cost: float = 0.0  # $/ton, switch arcs only
+
+
+def oracle_arcs(net, switch_cost_per_ton):
+    """The expansion's arcs, one object each, built in the documented order:
+    link j's traction pair (2j, 2j+1) in sorted link-id order, then each
+    yard's switch arcs, diesel to electric first, in sorted yard order."""
+    node_index = {nid: k for k, nid in enumerate(sorted(net.nodes))}
+    arcs = []
+    for j, lid in enumerate(sorted(net.links)):
+        t, h = node_index[net.links[lid].tail], node_index[net.links[lid].head]
+        arcs.append(OracleArc(2 * j, ArcKind.DIESEL, 2 * t, 2 * h, lid, 2 * j + 1))
+        arcs.append(OracleArc(2 * j + 1, ArcKind.ELECTRIC, 2 * t + 1, 2 * h + 1, lid, 2 * j))
+    for nid in net.yards():
+        k, w, a = node_index[nid], float(switch_cost_per_ton[nid]), len(arcs)
+        arcs.append(OracleArc(a, ArcKind.SWITCH, 2 * k, 2 * k + 1, None, None, w))
+        arcs.append(OracleArc(a + 1, ArcKind.SWITCH, 2 * k + 1, 2 * k, None, None, w))
+    return arcs
+
+
+def oracle_apply_design(arcs, electrified):
+    """Every arc usable but the electric arcs of links left unelectrified."""
+    chosen = set(electrified)
+    return np.array([a.kind is not ArcKind.ELECTRIC or a.physical_link in chosen for a in arcs])
+
+
+def oracle_aggregate_flows(arcs, x):
+    """Per physical link, in arc order: (diesel flow, electric flow)."""
+    return {a.physical_link: (float(x[a.id]), float(x[a.partner])) for a in arcs if a.kind is ArcKind.DIESEL}
+
+
+def oracle_electric_tonnage_share(net, arcs, x):
+    """Electric over all traction tonnage-km, summed arc by arc in arc order."""
+    moved = electric = 0.0
+    for a in arcs:
+        if a.kind is ArcKind.SWITCH:
+            continue
+        tkm = float(x[a.id]) * net.links[a.physical_link].length_km
+        moved += tkm
+        if a.kind is ArcKind.ELECTRIC:
+            electric += tkm
+    return 0.0 if moved <= 0.0 else electric / moved
+
+
+def oracle_arc_rows(arcs, node_label):
+    """The rows of arcs.csv."""
+    return [(a.id, a.kind.value, node_label(a.tail), node_label(a.head), a.physical_link, a.fixed_cost) for a in arcs]
+
+
+def oracle_flow_rows(arcs, x, cost):
+    """The rows of flows.csv."""
+    return [(a.id, a.kind.value, a.physical_link, float(x[a.id]), float(cost[a.id])) for a in arcs]

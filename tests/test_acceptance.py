@@ -186,16 +186,15 @@ def test_criterion_03_solver_matches_msa():
 
 def _independent_arc_costs(expanded, profiles, solver):
     cost = np.full(expanded.n_arcs, math.inf)
-    for arc in expanded.arcs:
-        if not solver.engine.usable[arc.id]:
+    for a, kind in enumerate(expanded.kind):
+        if not solver.engine.usable[a]:
             continue
-        if arc.kind is ArcKind.SWITCH:
-            cost[arc.id] = arc.fixed_cost
+        if kind is ArcKind.SWITCH:
+            cost[a] = expanded.fixed_cost[a]
         else:
-            d, e = expanded.pair_of[arc.physical_link]
-            cost[arc.id] = generalized_cost(
-                profiles[arc.physical_link], float(solver.x[d]), float(solver.x[e]), arc.kind
-            )
+            lid = int(expanded.link[a])
+            d, e = expanded.pair_of[lid]
+            cost[a] = generalized_cost(profiles[lid], float(solver.x[d]), float(solver.x[e]), kind)
     return cost
 
 

@@ -74,8 +74,8 @@ def test_beckmann_matches_quadrature(two_path_net):
     for _ in range(5):
         x = rng.uniform(0.0, 3.0e4, size=expanded.n_arcs)
         oracle = 0.0
-        for arc in expanded.arcs:
-            oracle += engine.fixed[arc.id] * x[arc.id]
+        for a in range(expanded.n_arcs):
+            oracle += engine.fixed[a] * x[a]
         for lid, (d, e) in expanded.pair_of.items():
             prof = profiles[lid]
             total = float(x[d] + x[e])
@@ -449,11 +449,11 @@ def test_relative_gap_definition(two_path_net):
     gap = relative_gap(expanded, engine.usable, costs, x, od)
     # oracle: nx shortest path on the usable expanded graph
     g = nx.DiGraph()
-    for arc in expanded.arcs:
-        if engine.usable[arc.id]:
-            w = float(costs[arc.id])
-            if not g.has_edge(arc.tail, arc.head) or g[arc.tail][arc.head]["w"] > w:
-                g.add_edge(arc.tail, arc.head, w=w)
+    for a, (tail, head) in enumerate(zip(expanded.tail.tolist(), expanded.head.tolist())):
+        if engine.usable[a]:
+            w = float(costs[a])
+            if not g.has_edge(tail, head) or g[tail][head]["w"] > w:
+                g.add_edge(tail, head, w=w)
     sptt = 2.0e4 * nx.shortest_path_length(
         g, expanded.diesel_node(0), expanded.diesel_node(1), weight="w"
     )

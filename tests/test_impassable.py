@@ -46,9 +46,9 @@ def steep_toy():
 @pytest.mark.parametrize("side", sorted(RATES))
 def test_impassable_side_solves_as_unusable_arcs(side):
     net = steep_toy()
-    with pytest.warns(UserWarning, match=f"link 0: impassable under {side} traction") as caught:
+    with pytest.warns(UserWarning, match=f"impassable under {side} traction") as caught:
         expanded, profiles = assembled_instance(net, rates=RATES[side])
-    assert [str(w.message) for w in caught] == [f"link 0: impassable under {side} traction"]
+    assert [str(w.message) for w in caught] == [f"1 of 6 links impassable under {side} traction: [0]"]
     assert not profiles[0].traction(ArcKind(side)).reachable
     # the reference: link 0 passable, and the arcs its impassable side takes
     # out of use (an impassable diesel side stops the pair's congestion clock)
@@ -116,8 +116,9 @@ def test_cli_routes_around_an_impassable_side(tmp_path, capsys, side):
     )
     cfg = str(tmp_path / "scenario.cfg")
     for command in ("assign", "optimize"):
-        with pytest.warns(UserWarning, match="impassable"):
+        with pytest.warns(UserWarning, match="impassable") as caught:
             rc = cli.main([command, "--config", cfg, "--out-dir", str(tmp_path / command)])
+        assert len(caught) == 1  # one warning for the side, naming its links
         out = capsys.readouterr().out
         assert rc == 0
         assert "nan" not in out and "(not converged)" not in out, out

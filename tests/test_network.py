@@ -1,10 +1,15 @@
 """Geometry, validation, and the diesel/electric two-sided expansion."""
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from railplan.design import electric_tonnage_share
+from railplan.equilibrium import FlowState
 from railplan.network import (
     ArcKind,
     Node,
@@ -17,6 +22,16 @@ from railplan.network import (
     haversine_km,
 )
 
+from railplan.scenario_io import write_arcs, write_flows
+
+from oracles import (
+    oracle_aggregate_flows,
+    oracle_apply_design,
+    oracle_arc_rows,
+    oracle_arcs,
+    oracle_electric_tonnage_share,
+    oracle_flow_rows,
+)
 from synth import random_network
 
 
@@ -165,33 +180,35 @@ def test_expansion_shape_and_ids(line_net):
     for j, lid in enumerate(sorted(line_net.links)):
         d, e = ex.pair_of[lid]
         assert (d, e) == (2 * j, 2 * j + 1)
-        assert ex.arcs[d].kind is ArcKind.DIESEL
-        assert ex.arcs[e].kind is ArcKind.ELECTRIC
-        assert ex.arcs[d].partner == e and ex.arcs[e].partner == d
-        assert ex.arcs[d].physical_link == lid == ex.arcs[e].physical_link
+        assert ex.kind[d] is ArcKind.DIESEL
+        assert ex.kind[e] is ArcKind.ELECTRIC
+        assert ex.partner[d] == e and ex.partner[e] == d
+        assert ex.link[d] == lid == ex.link[e]
         # diesel arcs connect even (D) indices, electric arcs odd (E) indices
-        assert ex.arcs[d].tail % 2 == 0 and ex.arcs[d].head % 2 == 0
-        assert ex.arcs[e].tail % 2 == 1 and ex.arcs[e].head % 2 == 1
+        assert ex.tail[d] % 2 == 0 and ex.head[d] % 2 == 0
+        assert ex.tail[e] % 2 == 1 and ex.head[e] % 2 == 1
 
     offset = 2 * n_links
     for yard in line_net.yards():
         d2e, e2d = ex.switch_arcs_at[yard]
         assert (d2e, e2d) == (offset, offset + 1)
         offset += 2
-        assert ex.arcs[d2e].kind is ArcKind.SWITCH
-        assert ex.arcs[d2e].tail == ex.diesel_node(yard)
-        assert ex.arcs[d2e].head == ex.electric_node(yard)
-        assert ex.arcs[e2d].tail == ex.electric_node(yard)
-        assert ex.arcs[e2d].head == ex.diesel_node(yard)
-        assert ex.arcs[d2e].fixed_cost == 0.5 == ex.arcs[e2d].fixed_cost
+        assert ex.kind[d2e] is ArcKind.SWITCH is ex.kind[e2d]
+        assert ex.tail[d2e] == ex.diesel_node(yard)
+        assert ex.head[d2e] == ex.electric_node(yard)
+        assert ex.tail[e2d] == ex.electric_node(yard)
+        assert ex.head[e2d] == ex.diesel_node(yard)
+        assert ex.fixed_cost[d2e] == 0.5 == ex.fixed_cost[e2d]
+        assert ex.link[d2e] == -1 == ex.link[e2d]
+        assert ex.partner[d2e] == d2e and ex.partner[e2d] == e2d
 
 
 def test_expansion_per_yard_switch_costs(grid3x3):
     costs = {0: 0.25, 2: 0.75, 7: 1.25}
     ex = expand(grid3x3, costs)
     for yard, (d2e, e2d) in ex.switch_arcs_at.items():
-        assert ex.arcs[d2e].fixed_cost == costs[yard]
-        assert ex.arcs[e2d].fixed_cost == costs[yard]
+        assert ex.fixed_cost[d2e] == costs[yard]
+        assert ex.fixed_cost[e2d] == costs[yard]
     with pytest.raises(ValueError, match="negative"):
         expand(grid3x3, -1.0)
 
@@ -206,8 +223,85 @@ def test_expansion_counts_random_networks():
         assert ex.n_arcs == 2 * len(net.links) + 2 * len(net.yards())
         assert ex.n_nodes == 2 * len(net.nodes)
         # adjacency round trip
-        for arc in ex.arcs:
-            assert arc.id in ex.out_arcs[arc.tail]
+        for a, tail in enumerate(ex.tail):
+            assert a in ex.out_arcs[tail]
+
+
+def relabeled(net, rng):
+    """The network under random node and link ids, some negative, so that
+    sorted id order differs from the order the links were drawn in."""
+    node_id = rng.choice(np.arange(-500, 500), size=len(net.nodes), replace=False).tolist()
+    link_id = rng.choice(np.arange(-500, 500), size=len(net.links), replace=False).tolist()
+    nodes = [replace(n, id=node_id[n.id]) for n in net.nodes.values()]
+    links = [replace(l, id=link_id[l.id], tail=node_id[l.tail], head=node_id[l.head]) for l in net.links.values()]
+    return RailNetwork.build(nodes, links)
+
+
+def csv_cells(row):
+    """A row as the CSV writers write it: None empty, a float by repr."""
+    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row]
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_arc_table_matches_the_per_arc_reference(seed, tmp_path_factory):
+    """Every arc array, the id lookups, the adjacency, the design mask, the
+    per-link flows, the electric share and the rows of arcs.csv and
+    flows.csv agree with the table built one arc object at a time."""
+    rng = np.random.default_rng(seed)
+    drawn = random_network(rng, n_nodes=int(rng.integers(2, 12)), extra_links=int(rng.integers(0, 10)),
+                           yard_count=int(rng.integers(0, 6)))
+    net = relabeled(drawn, rng)
+    costs = {y: float(rng.uniform(0.0, 2.0)) for y in net.yards()}
+    ex = expand(net, costs)
+    arcs = oracle_arcs(net, costs)
+
+    assert ex.n_arcs == len(arcs)
+    for name in ("kind", "tail", "head", "fixed_cost"):
+        assert getattr(ex, name).tolist() == [getattr(a, name) for a in arcs], name
+    assert ex.link.tolist() == [-1 if a.physical_link is None else a.physical_link for a in arcs]
+    assert ex.partner.tolist() == [a.id if a.partner is None else a.partner for a in arcs]
+    assert ex.arc_length_km.tolist() == [
+        0.0 if a.physical_link is None else net.links[a.physical_link].length_km for a in arcs
+    ]
+    assert ex.pair_of == {a.physical_link: (a.id, a.partner) for a in arcs if a.kind is ArcKind.DIESEL}
+    node_ids = sorted(net.nodes)
+    assert ex.switch_arcs_at == {
+        node_ids[a.tail // 2]: (a.id, a.id + 1) for a in arcs if a.kind is ArcKind.SWITCH and a.tail % 2 == 0
+    }
+    assert ex.out_arcs == [[a.id for a in arcs if a.tail == u] for u in range(ex.n_nodes)]
+
+    electrified = [lid for lid in net.links if rng.random() < 0.5]
+    mask = apply_design(ex, electrified)
+    assert mask.dtype == bool and np.array_equal(mask, oracle_apply_design(arcs, electrified))
+
+    x = rng.uniform(0.0, 5.0e4, size=ex.n_arcs)
+    x[rng.random(ex.n_arcs) < 0.3] = 0.0
+    cost = rng.uniform(0.0, 1.0, size=ex.n_arcs)
+    assert list(ex.aggregate_flows(x).items()) == list(oracle_aggregate_flows(arcs, x).items())
+    state = FlowState(x, cost)
+    assert electric_tonnage_share(ex, state) == oracle_electric_tonnage_share(net, arcs, x)
+
+    out = tmp_path_factory.mktemp("tables")
+    write_arcs(out / "arcs.csv", ex)
+    write_flows(out / "flows.csv", ex, state)
+
+    def label(idx):
+        return f"{node_ids[idx // 2]}:{'DE'[idx % 2]}"
+
+    rows = read_rows(out / "arcs.csv")
+    assert rows[0] == ["arc_id", "kind", "tail", "head", "physical_link", "fixed_cost"]
+    assert rows[1:] == [csv_cells(r) for r in oracle_arc_rows(arcs, label)]
+    assert all(r[4] == "" for r in rows[1:] if r[1] == "switch")
+    rows = read_rows(out / "flows.csv")
+    assert rows[0] == ["arc_id", "kind", "physical_link", "flow_tpd", "cost_per_ton"]
+    assert rows[1:] == [csv_cells(r) for r in oracle_flow_rows(arcs, x, cost)]
+    assert all(r[2] == "" for r in rows[1:] if r[1] == "switch")
 
 
 def test_node_labels(line_net):
@@ -231,9 +325,8 @@ def test_aggregate_flows_round_trip(line_net):
 def test_apply_design_masks_electric_only(line_net):
     ex = expand(line_net, 0.5)
     nothing = apply_design(ex, set())
-    for arc in ex.arcs:
-        expected = arc.kind is not ArcKind.ELECTRIC
-        assert nothing[arc.id] == expected
+    for a, kind in enumerate(ex.kind):
+        assert nothing[a] == (kind is not ArcKind.ELECTRIC)
 
     some = apply_design(ex, {0, 1})
     d, e = ex.pair_of[0]

@@ -383,6 +383,18 @@ def test_coinciding_notches_name_the_file_and_keys(tmp_path, capsys):
     assert all(word in err for word in ("rates.cfg", "min_notch_fraction", "notch_count"))
 
 
+def test_curve_arg_reaching_a_curve_radius_names_the_file_key_and_link(tmp_path, capsys):
+    cfg = write_toy(tmp_path, extra_cfg="rates_file = rates.cfg\n")
+    # links 2 and 3 curve tighter than the arcsin argument; the first is named
+    links = LINKS_CSV.replace("1,2,50,0.0,20000", "1,2,50,0.0,4500").replace("2,1,50,0.0,20000", "2,1,50,0.0,4000")
+    (tmp_path / "links.csv").write_text(links)
+    (tmp_path / "rates.cfg").write_text("curve_arg_m = 5000\n")
+    assert cli.main(["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert all(word in err for word in ("rates.cfg", "curve_arg_m", "link 2 has 4500.0 m")), err
+
+
 @pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
 def test_load_rates_rejects_non_finite(tmp_path, line):
     f = tmp_path / "rates.cfg"
@@ -601,7 +613,7 @@ def test_assemble_toy(tmp_path):
     assert bundle.budget == 1.0e11
     # yard 2 carries its per-node override: 7000 $/train over 7000 t cargo
     d2e, _ = bundle.expanded.switch_arcs_at[2]
-    assert bundle.expanded.arcs[d2e].fixed_cost == pytest.approx(1.0, rel=1e-12)
+    assert bundle.expanded.fixed_cost[d2e] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_assemble_rejects_unknown_od_node(tmp_path):
@@ -1016,7 +1028,10 @@ def test_cli_subcommands_smoke(tmp_path, capsys):
         out = tmp_path / f"{command}_out"
         rc = cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
         assert rc == 0, capsys.readouterr()
-    assert (tmp_path / "transform_out" / "arcs.csv").exists()
+    # 4 links and 2 yards: a header, 8 traction arcs, then 4 switch arcs on no link
+    arcs = [row.split(",") for row in (tmp_path / "transform_out" / "arcs.csv").read_text().splitlines()]
+    assert len(arcs) == 13
+    assert [(row[1], row[4]) for row in arcs[9:]] == [("switch", "")] * 4
     assert (tmp_path / "costs_out" / "link_costs.csv").exists()
     assert (tmp_path / "corridors_out" / "corridors.csv").exists()
 
