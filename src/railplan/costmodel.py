@@ -4,8 +4,9 @@ Forces are newtons, masses metric tons (converted to kg inside), speeds m/s,
 powers watts, money dollars.  Link travel times are hours; energy prices are
 $/J, so the fuel term converts its free-flow time to seconds.
 
-All links are priced in one array pass per traction: one comparison against
-the throttle levels picks the notch, and the speed bisection runs in lockstep
+All links are priced at once into a `LinkCostTable`, one array per
+attribute, in one array pass per traction: one comparison against the
+throttle levels picks the notch, and the speed bisection runs in lockstep
 over the links still open.  Arrays see only +, -, *, / and comparisons, each
 correctly rounded in numpy as in Python, in the scalar order, so every link
 gets the bits of a one-link scalar pass (`tests/oracles.py`).  numpy's
@@ -351,56 +352,38 @@ def congestion_integral(base, x, capacity, beta: float):
     return base * (x + x**b1 / (b1 * capacity**beta))
 
 
-@dataclass(frozen=True)
-class TractionProfile:
-    power_w: float
-    speed_ms: float
-    t0_hr: float
-    fuel_cost_per_ton: float  # the flow-independent c'' part, $/ton
-    reachable: bool = True
+@dataclass(frozen=True, eq=False)
+class LinkCostTable:
+    """Every link's cost terms, one array per attribute.  Row j prices link
+    `link_ids[j]`; the ids are sorted, so that is the traction pair (2j, 2j+1).
 
-
-@dataclass(frozen=True)
-class LinkCostProfile:
-    """Everything the assignment needs about one physical link.
-
-    The congestion clock runs on the diesel free-flow time so the delay part
-    of the cost is one shared function of the pair's total flow; each
-    traction arc adds its own constant fuel term on top.
+    The congestion clock runs on the diesel free-flow time `t0_hr`: the delay
+    part, `congestion_time(congestion_coef, x_D + x_E, capacity_tpd, beta)`
+    $/ton, is one function of the pair's total flow, and each traction arc
+    adds its own constant fuel cost.  A side no notch can move is not
+    reachable and its fuel costs inf; if it is diesel, so do `t0_hr` and
+    `congestion_coef`.
     """
 
-    link_id: int
-    capacity_tpd: float
-    t0_hr: float
-    congestion_coef: float  # $/ton multiplier on (1 + (x/u)^beta)
+    link_ids: list[int]
+    capacity_tpd: np.ndarray
+    t0_hr: np.ndarray
+    congestion_coef: np.ndarray  # $/ton multiplier on (1 + (x/u)^beta)
     beta: float
-    diesel: TractionProfile
-    electric: TractionProfile
-
-    def traction(self, kind: ArcKind) -> TractionProfile:
-        if kind is ArcKind.DIESEL:
-            return self.diesel
-        if kind is ArcKind.ELECTRIC:
-            return self.electric
-        raise ValueError(f"no traction profile for {kind}")
-
-    def congestion_cost(self, x_total: float) -> float:
-        """c'(x_D + x_E), $/ton."""
-        return congestion_time(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
-
-    def congestion_derivative(self, x_total: float) -> float:
-        return congestion_derivative(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
-
-    def congestion_integral(self, x_total: float) -> float:
-        return congestion_integral(self.congestion_coef, x_total, self.capacity_tpd, self.beta)
+    diesel_fuel_per_ton: np.ndarray  # the flow-independent c'' parts, $/ton
+    electric_fuel_per_ton: np.ndarray
+    diesel_reachable: np.ndarray
+    electric_reachable: np.ndarray
 
 
-def _profiles(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateTable) -> list[LinkCostProfile]:
-    """The profile of every link, in one array pass per traction (module
+def build_profiles(net: RailNetwork, consist: TrainConsist, rates: RateTable) -> LinkCostTable:
+    """The cost table of every link, in one array pass per traction (module
     docstring); each traction side warns once about its impassable links, diesel first."""
     if consist.cargo_mass_t <= 0.0:
         raise ValueError("consist carries no cargo; per-ton costs undefined")
     per_ton = consist.cargo_mass_t
+    link_ids = sorted(net.links)
+    links = [net.links[lid] for lid in link_ids]
     t, throttles, sides = _gather(links, consist, rates), build_throttles(consist, rates), []
     for kind, eta, fuel_cost in (
         (ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel),
@@ -410,26 +393,16 @@ def _profiles(links: Sequence[PhysicalLink], consist: TrainConsist, rates: RateT
         ok = v > 0.0
         t0 = np.where(ok, t.length_km / (3.6 * np.where(ok, v, 1.0)), math.inf)
         fuel = np.where(ok, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, math.inf)
-        columns = (p.tolist(), v.tolist(), t0.tolist(), fuel.tolist(), ok.tolist())
-        sides.append((ok, t0, map(TractionProfile, *columns)))
-        ids = sorted(links[i].id for i in np.flatnonzero(~ok).tolist())
+        sides.append((ok, t0, fuel))
+        ids = [link_ids[i] for i in np.flatnonzero(~ok).tolist()]
         if ids:
             warnings.warn(f"{len(ids)} of {len(links)} links impassable under {kind.value} traction: {ids}")
-    (ok, t0, diesels), (_, _, electrics) = sides
-    # the congestion clock runs on the diesel free-flow time
-    coef = np.where(ok, t0 * (rates.crew_rate + rates.cargo_rate) / per_ton, math.inf)
-    return [
-        LinkCostProfile(link.id, link.capacity_tpd, t0_hr, c, rates.beta, diesel, electric)
-        for link, diesel, electric, t0_hr, c in zip(links, diesels, electrics, t0.tolist(), coef.tolist())
-    ]
-
-
-def build_link_profile(link: PhysicalLink, consist: TrainConsist, rates: RateTable) -> LinkCostProfile:
-    return _profiles([link], consist, rates)[0]
-
-
-def build_profiles(net: RailNetwork, consist: TrainConsist, rates: RateTable) -> dict[int, LinkCostProfile]:
-    return {p.link_id: p for p in _profiles([net.links[lid] for lid in sorted(net.links)], consist, rates)}
+    (diesel_ok, t0, diesel_fuel), (electric_ok, _, electric_fuel) = sides
+    coef = np.where(diesel_ok, t0 * (rates.crew_rate + rates.cargo_rate) / per_ton, math.inf)
+    capacity = np.array([l.capacity_tpd for l in links], dtype=float)
+    return LinkCostTable(
+        link_ids, capacity, t0, coef, rates.beta, diesel_fuel, electric_fuel, diesel_ok, electric_ok
+    )
 
 
 # --- switching ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .corridors import Corridor
-from .costmodel import LinkCostProfile
+from .costmodel import LinkCostTable
 from .equilibrium import (
     FlowState,
     GapMetrics,
@@ -98,7 +98,7 @@ class DesignProblem:
     """
 
     expanded: ExpandedNetwork
-    profiles: dict[int, LinkCostProfile]
+    profiles: LinkCostTable
     corridors: Sequence[Corridor]
     link_costs: dict[int, float]
     budget: float
@@ -211,10 +211,10 @@ class DesignProblem:
         capital dollar."""
         if self._scores is None:
             p = self.profiles
-            self._scores = _per_capital_dollar(self, lambda lid: (  # no saving across an impassable side
-                p[lid].diesel.fuel_cost_per_ton - p[lid].electric.fuel_cost_per_ton
-                if p[lid].diesel.reachable and p[lid].electric.reachable else 0.0
-            ))
+            both = p.diesel_reachable & p.electric_reachable  # no saving across an impassable side
+            with np.errstate(invalid="ignore"):  # inf - inf on a link with no finite fuel cost
+                saving = np.where(both, p.diesel_fuel_per_ton - p.electric_fuel_per_ton, 0.0)
+            self._scores = _per_capital_dollar(self, dict(zip(p.link_ids, saving.tolist())).__getitem__)
         return self._scores
 
     def solution(self, bits: Bits) -> Solution:

@@ -97,7 +97,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .costmodel import (
-    LinkCostProfile,
+    LinkCostTable,
     congestion_derivative,
     congestion_integral,
     congestion_time,
@@ -200,27 +200,25 @@ class CostEngine:
     def __init__(
         self,
         expanded: ExpandedNetwork,
-        profiles: dict[int, LinkCostProfile],
+        profiles: LinkCostTable,
         usable: np.ndarray | None = None,
     ):
+        if profiles.link_ids != expanded.link_ids:
+            raise ValueError("profiles price other links than the expanded network's")
         self.expanded = expanded
-        betas = {p.beta for p in profiles.values()}
-        if len(betas) > 1:
-            raise ValueError("profiles mix congestion exponents")
-        self.beta = betas.pop() if betas else 4.0
+        self.beta = profiles.beta
 
         self.partner = expanded.partner
         self.is_traction = expanded.kind != ArcKind.SWITCH
-        # per traction pair (the diesel arcs are the even ids below 2 x links)
-        pairs = [profiles[lid] for lid in expanded.link_ids]
-        diesel = np.arange(0, 2 * len(pairs), 2)
+        # row j of the table prices the traction pair (2j, 2j+1), diesel first
+        diesel = np.arange(0, 2 * len(profiles.link_ids), 2)
         self.fixed = expanded.fixed_cost.copy()
-        self.fixed[diesel] = [p.diesel.fuel_cost_per_ton for p in pairs]
-        self.fixed[diesel + 1] = [p.electric.fuel_cost_per_ton for p in pairs]
+        self.fixed[diesel] = profiles.diesel_fuel_per_ton
+        self.fixed[diesel + 1] = profiles.electric_fuel_per_ton
         self.kc = np.zeros(expanded.n_arcs)
         self.cap = np.ones(expanded.n_arcs)
-        self.kc[diesel] = self.kc[diesel + 1] = [p.congestion_coef for p in pairs]
-        self.cap[diesel] = self.cap[diesel + 1] = [p.capacity_tpd for p in pairs]
+        self.kc[diesel] = self.kc[diesel + 1] = profiles.congestion_coef
+        self.cap[diesel] = self.cap[diesel + 1] = profiles.capacity_tpd
 
         # a pair with an impassable diesel side carries no flow, and its
         # integral, inf * 0, would be nan: it adds nothing to the objective
@@ -548,7 +546,7 @@ class BushSolver:
         expanded: ExpandedNetwork,
         usable: np.ndarray | None,
         od: ODMatrix,
-        profiles: dict[int, LinkCostProfile],
+        profiles: LinkCostTable,
         tol: float = 1.0e-6,
         max_iter: int = 500,
     ):
@@ -843,7 +841,7 @@ def solve_equilibrium(
     expanded: ExpandedNetwork,
     usable: np.ndarray | None,
     od: ODMatrix,
-    profiles: dict[int, LinkCostProfile],
+    profiles: LinkCostTable,
     tol: float = 1.0e-6,
     max_iter: int = 500,
     start: StartTable | None = None,

@@ -145,6 +145,8 @@ class RailNetwork:
                 raise ValueError(f"duplicate link id {l.id}")
             if l.tail not in node_map or l.head not in node_map:
                 raise ValueError(f"link {l.id}: dangling endpoint reference")
+            if l.tail == l.head:
+                raise ValueError(f"link {l.id}: a self-loop, its tail and head are both node {l.tail}")
             if not 0.0 < l.length_km < math.inf:
                 raise ValueError(f"link {l.id}: nonpositive or non-finite length {l.length_km}")
             if not 0.0 < l.capacity_tpd < math.inf:

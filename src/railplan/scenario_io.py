@@ -22,6 +22,7 @@ from . import costmodel, design, kvconfig
 from .corridors import Corridor, candidate_corridors, corridor_cost
 from .costmodel import (
     ElectrificationRates,
+    LinkCostTable,
     RateTable,
     TrainConsist,
     build_profiles,
@@ -397,19 +398,17 @@ def write_arcs(path: str | Path, expanded: ExpandedNetwork) -> None:
 
 def write_link_costs(
     path: str | Path,
-    profiles: Mapping[int, costmodel.LinkCostProfile],
+    profiles: LinkCostTable,
     link_costs: Mapping[int, float],
 ) -> None:
+    columns = ("t0_hr", "congestion_coef", "diesel_fuel_per_ton", "electric_fuel_per_ton")
     _write_csv(
         path,
-        (
-            "link_id", "t0_hr", "congestion_coef", "diesel_fuel_per_ton",
-            "electric_fuel_per_ton", "electrification_cost_usd",
-        ),
-        (
-            (lid, p.t0_hr, p.congestion_coef, p.diesel.fuel_cost_per_ton,
-             p.electric.fuel_cost_per_ton, link_costs.get(lid, math.nan))
-            for lid, p in sorted(profiles.items())
+        ("link_id", *columns, "electrification_cost_usd"),
+        zip(
+            profiles.link_ids,
+            *(getattr(profiles, c).tolist() for c in columns),
+            (link_costs.get(lid, math.nan) for lid in profiles.link_ids),
         ),
     )
 
@@ -568,10 +567,8 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
         if scenario.corridor_metric == "length":
             weights = {lid: l.length_km for lid, l in network.links.items()}
         else:
-            weights = {
-                lid: p.congestion_coef + p.diesel.fuel_cost_per_ton
-                for lid, p in profiles.items()
-            }
+            cost = profiles.congestion_coef + profiles.diesel_fuel_per_ton
+            weights = dict(zip(profiles.link_ids, cost.tolist()))
         corridors = candidate_corridors(network, weights, link_costs)
 
     return design.DesignProblem(

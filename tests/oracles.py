@@ -9,9 +9,9 @@ every label after each flow shift or drain.  The property tests require the
 solver to agree with them exactly, bit for bit.  A recording solver books
 the objective after every move the solver makes, from outside it.
 
-The scalar link profile: one link and one traction at a time, the notch by
+The scalar link cost row: one link and one traction at a time, the notch by
 a loop over the throttle levels and the speed by a scalar bisection.
-`costmodel.build_profiles` must give its bits.
+`costmodel.build_profiles` must give its bits in every column.
 
 Also a method-of-successive-averages equilibrium, the dense cost Jacobian,
 the per-arc generalized cost, an exhaustive design search, corridor
@@ -31,11 +31,12 @@ import numpy as np
 
 from railplan.corridors import Corridor, corridor_cost
 from railplan.costmodel import (
-    LinkCostProfile,
+    LinkCostTable,
     LinkImpassableError,
-    TractionProfile,
     air_resistance,
     bearing_resistance,
+    congestion_derivative,
+    congestion_time,
     curve_resistance,
     flange_resistance,
     grade_resistance,
@@ -371,39 +372,44 @@ def oracle_power_speed(link, consist, rates, throttle):
 
 
 def oracle_link_profile(link, consist, rates, throttles):
-    """The link's cost profile."""
+    """The link's row of the cost table, by column name."""
     per_ton = consist.cargo_mass_t
-
-    def side(kind, eta, fuel_cost):
+    row = {"capacity_tpd": link.capacity_tpd}
+    for kind, eta, fuel_cost in (
+        (ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel),
+        (ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric),
+    ):
         try:
-            p, v, t0 = oracle_power_speed(link, consist, rates, throttles[kind])
+            p, _, t0 = oracle_power_speed(link, consist, rates, throttles[kind])
+            fuel, reachable = (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, True
         except LinkImpassableError:
-            return TractionProfile(math.nan, 0.0, math.inf, math.inf, False)
-        return TractionProfile(p, v, t0, (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, True)
-
-    diesel = side(ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel)
-    electric = side(ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric)
-    if diesel.reachable:
-        t0, coef = diesel.t0_hr, diesel.t0_hr * (rates.crew_rate + rates.cargo_rate) / per_ton
-    else:
-        t0, coef = math.inf, math.inf
-    return LinkCostProfile(link.id, link.capacity_tpd, t0, coef, rates.beta, diesel, electric)
+            t0, fuel, reachable = math.inf, math.inf, False
+        row[f"{kind.value}_fuel_per_ton"], row[f"{kind.value}_reachable"] = fuel, reachable
+        if kind is ArcKind.DIESEL:
+            row["t0_hr"] = t0
+            row["congestion_coef"] = t0 * (rates.crew_rate + rates.cargo_rate) / per_ton if reachable else math.inf
+    return row
 
 
-def oracle_impassable_warnings(profiles):
-    """The warnings a build of these profiles gives: one per traction side
-    with impassable links, diesel first, naming the count and sorted ids."""
+def oracle_impassable_warnings(rows):
+    """The warnings a build of these rows, keyed by link id, gives: one per
+    traction side with impassable links, diesel first, naming the count and
+    sorted ids."""
     out = []
     for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
-        ids = sorted(lid for lid, p in profiles.items() if not p.traction(kind).reachable)
+        ids = sorted(lid for lid, row in rows.items() if not row[f"{kind.value}_reachable"])
         if ids:
-            out.append(f"{len(ids)} of {len(profiles)} links impassable under {kind.value} traction: {ids}")
+            out.append(f"{len(ids)} of {len(rows)} links impassable under {kind.value} traction: {ids}")
     return out
 
 
-def generalized_cost(profile: LinkCostProfile, x_d: float, x_e: float, kind: ArcKind) -> float:
-    """Per-ton arc cost: shared congestion part plus the traction's fuel part."""
-    return profile.congestion_cost(x_d + x_e) + profile.traction(kind).fuel_cost_per_ton
+def generalized_cost(profiles: LinkCostTable, lid: int, x_d: float, x_e: float, kind: ArcKind) -> float:
+    """Per-ton arc cost of link `lid`: shared congestion part plus the traction's fuel part."""
+    j = profiles.link_ids.index(lid)
+    congestion = congestion_time(
+        profiles.congestion_coef[j].item(), x_d + x_e, profiles.capacity_tpd[j].item(), profiles.beta
+    )
+    return congestion + getattr(profiles, f"{kind.value}_fuel_per_ton")[j].item()
 
 
 def _aon_flows(
@@ -433,7 +439,7 @@ def msa_reference(
     expanded: ExpandedNetwork,
     usable: np.ndarray | None,
     od: ODMatrix,
-    profiles: dict[int, LinkCostProfile],
+    profiles: LinkCostTable,
     iterations: int = 10_000,
 ) -> FlowState:
     """Method of successive averages with 1/k steps; slow but independent."""
@@ -449,7 +455,7 @@ def msa_reference(
 
 def jacobian(
     expanded: ExpandedNetwork,
-    profiles: dict[int, LinkCostProfile],
+    profiles: LinkCostTable,
     x: np.ndarray,
     usable: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -461,15 +467,15 @@ def jacobian(
     n = expanded.n_arcs
     mask = np.ones(n, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
     J = np.zeros((n, n))
-    for lid, (d, e) in expanded.pair_of.items():
-        prof = profiles[lid]
+    for j, (coef, cap) in enumerate(zip(profiles.congestion_coef.tolist(), profiles.capacity_tpd.tolist())):
+        d, e = expanded.pair_of[profiles.link_ids[j]]
         if mask[d] and mask[e]:
-            g = prof.congestion_derivative(float(x[d] + x[e]))
+            g = congestion_derivative(coef, float(x[d] + x[e]), cap, profiles.beta)
             J[d, d] = J[d, e] = J[e, d] = J[e, e] = g
         elif mask[d]:
-            J[d, d] = prof.congestion_derivative(float(x[d]))
+            J[d, d] = congestion_derivative(coef, float(x[d]), cap, profiles.beta)
         elif mask[e]:
-            J[e, e] = prof.congestion_derivative(float(x[e]))
+            J[e, e] = congestion_derivative(coef, float(x[e]), cap, profiles.beta)
     return J
 
 

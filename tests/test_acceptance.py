@@ -194,7 +194,7 @@ def _independent_arc_costs(expanded, profiles, solver):
         else:
             lid = int(expanded.link[a])
             d, e = expanded.pair_of[lid]
-            cost[a] = generalized_cost(profiles[lid], float(solver.x[d]), float(solver.x[e]), kind)
+            cost[a] = generalized_cost(profiles, lid, float(solver.x[d]), float(solver.x[e]), kind)
     return cost
 
 
@@ -300,13 +300,12 @@ def test_criterion_07_delay_anchors():
     )
     net = two_path_network()
     profiles = build_profiles(net, TrainConsist(), RateTable())
-    prof = profiles[0]
-    coef = prof.congestion_coef
+    coef, beta = profiles.congestion_coef[0].item(), profiles.beta
     u = net.links[0].capacity_tpd
     profile_ok = (
-        prof.congestion_cost(0.0) == coef
-        and prof.congestion_cost(u) == 2.0 * coef
-        and prof.congestion_cost(2.0 * u) == 17.0 * coef
+        congestion_time(coef, 0.0, u, beta) == coef
+        and congestion_time(coef, u, u, beta) == 2.0 * coef
+        and congestion_time(coef, 2.0 * u, u, beta) == 17.0 * coef
     )
     _report(7, anchors_ok and profile_ok,
             "free flow, at-capacity 2x, double-capacity 17x, all exact")

@@ -163,7 +163,7 @@ def _weights(kind, net, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # impassable sides
         profiles = build_profiles(net, TrainConsist(), RateTable())
-    return {lid: p.congestion_coef + p.diesel.fuel_cost_per_ton for lid, p in profiles.items()}
+    return dict(zip(profiles.link_ids, (profiles.congestion_coef + profiles.diesel_fuel_per_ton).tolist()))
 
 
 @settings(max_examples=200, deadline=None)

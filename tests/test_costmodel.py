@@ -1,4 +1,4 @@
-"""Train physics, link cost profiles, switching, and electrification capital."""
+"""Train physics, the link cost table, switching, and electrification capital."""
 
 import dataclasses
 import math
@@ -18,9 +18,10 @@ from railplan.costmodel import (
     air_resistance,
     bearing_resistance,
     brake_resistance,
-    build_link_profile,
     build_profiles,
     build_throttles,
+    congestion_derivative,
+    congestion_integral,
     congestion_time,
     curve_resistance,
     electrification_cost,
@@ -256,32 +257,33 @@ def test_congestion_time_anchors():
 
 def test_profile_congestion_anchors(rates, consist):
     net = line_network(n_nodes=2, yards=(), length_km=80.0)
-    prof = build_profiles(net, consist, rates)[0]
-    base = prof.congestion_cost(0.0)
-    assert base == prof.congestion_coef
-    assert prof.congestion_cost(prof.capacity_tpd) == 2.0 * base
-    assert prof.congestion_cost(2.0 * prof.capacity_tpd) == 17.0 * base
+    p = build_profiles(net, consist, rates)
+    coef, cap = p.congestion_coef[0], p.capacity_tpd[0]
+    base = congestion_time(coef, 0.0, cap, p.beta)
+    assert base == coef
+    assert congestion_time(coef, cap, cap, p.beta) == 2.0 * base
+    assert congestion_time(coef, 2.0 * cap, cap, p.beta) == 17.0 * base
 
 
 def test_profile_integral_matches_derivative(rates, consist):
     net = line_network(n_nodes=2, yards=(), length_km=80.0)
-    prof = build_profiles(net, consist, rates)[0]
-    x = 1.7e4
-    h = 1.0
-    fd = (prof.congestion_integral(x + h) - prof.congestion_integral(x - h)) / (2.0 * h)
-    assert fd == pytest.approx(prof.congestion_cost(x), rel=1e-7)
-    fd2 = (prof.congestion_cost(x + h) - prof.congestion_cost(x - h)) / (2.0 * h)
-    assert fd2 == pytest.approx(prof.congestion_derivative(x), rel=1e-7)
+    p = build_profiles(net, consist, rates)
+    coef, cap, beta = p.congestion_coef[0], p.capacity_tpd[0], p.beta
+    x, h = 1.7e4, 1.0
+    fd = (congestion_integral(coef, x + h, cap, beta) - congestion_integral(coef, x - h, cap, beta)) / (2.0 * h)
+    assert fd == pytest.approx(congestion_time(coef, x, cap, beta), rel=1e-7)
+    fd2 = (congestion_time(coef, x + h, cap, beta) - congestion_time(coef, x - h, cap, beta)) / (2.0 * h)
+    assert fd2 == pytest.approx(congestion_derivative(coef, x, cap, beta), rel=1e-7)
 
 
-# --- link profiles ----------------------------------------------------------------
+# --- the link cost table ----------------------------------------------------------
 
 
 def test_profile_fuel_and_coef_oracle(rates, consist):
     net = line_network(n_nodes=2, yards=(), length_km=120.0)
     link = net.links[0]
     throttles = build_throttles(consist, rates)
-    prof = build_profiles(net, consist, rates)[0]
+    table = build_profiles(net, consist, rates)
 
     for kind, eta, price in (
         (ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel),
@@ -289,14 +291,13 @@ def test_profile_fuel_and_coef_oracle(rates, consist):
     ):
         p, v, t0 = solve_power_speed(link, consist, rates, throttles[kind])
         expected = (t0 * 3600.0) * (p / eta) * price / consist.cargo_mass_t
-        tp = prof.traction(kind)
-        assert tp.power_w == p and tp.speed_ms == v
-        assert tp.fuel_cost_per_ton == pytest.approx(expected, rel=1e-12)
+        assert getattr(table, f"{kind.value}_fuel_per_ton")[0] == pytest.approx(expected, rel=1e-12)
+        assert getattr(table, f"{kind.value}_reachable")[0]
 
     _, _, t0_d = solve_power_speed(link, consist, rates, throttles[ArcKind.DIESEL])
     coef = t0_d * (rates.crew_rate + rates.cargo_rate) / consist.cargo_mass_t
-    assert prof.congestion_coef == pytest.approx(coef, rel=1e-12)
-    assert prof.t0_hr == t0_d
+    assert table.congestion_coef[0] == pytest.approx(coef, rel=1e-12)
+    assert table.t0_hr[0] == t0_d
 
 
 def test_profile_impassable_side_warns(consist):
@@ -308,10 +309,10 @@ def test_profile_impassable_side_warns(consist):
                           curve_radius_m=20000.0, capacity_tpd=5e4)]
     net = RailNetwork.build(nodes, links)
     with pytest.warns(UserWarning, match="impassable"):
-        prof = build_link_profile(net.links[0], consist, weak)
-    assert not prof.diesel.reachable
-    assert prof.congestion_coef == math.inf
-    assert prof.electric.reachable
+        table = build_profiles(net, consist, weak)
+    assert not table.diesel_reachable[0]
+    assert table.congestion_coef[0] == math.inf
+    assert table.electric_reachable[0]
 
 
 # --- the array build against the scalar oracle ----------------------------------
@@ -349,15 +350,6 @@ def random_links_network(seed):
     return RailNetwork.build(nodes, links)
 
 
-def same_fields(a, b):
-    """== on every field, nan equal to nan (an impassable side's power)."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
-    return a == b or (a != a and b != b)
-
-
 def recorded(build):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -373,11 +365,13 @@ def test_build_profiles_matches_scalar_oracle(seed, rates_index):
     throttles = build_throttles(consist, rates)
     got, got_warnings = recorded(lambda: build_profiles(net, consist, rates))
     want = {lid: oracle_link_profile(net.links[lid], consist, rates, throttles) for lid in sorted(net.links)}
-    assert list(got) == list(want)
-    assert all(same_fields(got[lid], want[lid]) for lid in want)
+    assert got.link_ids == list(want) and got.beta == rates.beta
+    columns = [f.name for f in dataclasses.fields(got) if f.name not in ("link_ids", "beta")]
+    assert sorted(columns) == sorted(want[got.link_ids[0]])
+    for name in columns:
+        assert getattr(got, name).tolist() == [row[name] for row in want.values()], name
     assert got_warnings == oracle_impassable_warnings(want)
     for lid, link in net.links.items():
-        assert same_fields(recorded(lambda: build_link_profile(link, consist, rates))[0], want[lid])
         assert brake_resistance(link, consist, rates, throttles[ArcKind.DIESEL]) == oracle_brake(
             link, consist, rates, throttles[ArcKind.DIESEL]
         )
@@ -424,7 +418,7 @@ def test_profile_rejects_cargoless_consist(rates):
     empty = TrainConsist(railcar_cargo_t=0.0)
     net = line_network(n_nodes=2, yards=())
     with pytest.raises(ValueError):
-        build_link_profile(net.links[0], empty, rates)
+        build_profiles(net, empty, rates)
 
 
 def test_rate_table_validation():

@@ -9,7 +9,15 @@ from scipy.integrate import quad
 
 from railplan import equilibrium
 from railplan.corridors import candidate_corridors
-from railplan.costmodel import ElectrificationRates, RateTable, electrification_costs
+from railplan.costmodel import (
+    ElectrificationRates,
+    RateTable,
+    TrainConsist,
+    build_profiles,
+    congestion_derivative,
+    congestion_time,
+    electrification_costs,
+)
 from railplan.equilibrium import (
     Bush,
     BushSolver,
@@ -76,10 +84,11 @@ def test_beckmann_matches_quadrature(two_path_net):
         oracle = 0.0
         for a in range(expanded.n_arcs):
             oracle += engine.fixed[a] * x[a]
-        for lid, (d, e) in expanded.pair_of.items():
-            prof = profiles[lid]
+        for j, lid in enumerate(profiles.link_ids):
+            d, e = expanded.pair_of[lid]
+            coef, cap = profiles.congestion_coef[j], profiles.capacity_tpd[j]
             total = float(x[d] + x[e])
-            val, err = quad(prof.congestion_cost, 0.0, total)
+            val, err = quad(lambda y: congestion_time(coef, y, cap, profiles.beta), 0.0, total)
             assert err < 1e-8 * max(1.0, abs(val))
             oracle += val
         assert engine.beckmann(x) == pytest.approx(oracle, rel=1e-9)
@@ -92,19 +101,17 @@ def test_costs_and_derivatives_consistent(two_path_net):
     x = rng.uniform(0.0, 2.5e4, size=expanded.n_arcs)
     costs = engine.costs(x)
     derivs = engine.derivatives(x)
-    for lid, (d, e) in expanded.pair_of.items():
-        prof = profiles[lid]
-        total = float(x[d] + x[e])
+    for j, lid in enumerate(profiles.link_ids):
+        d, e = expanded.pair_of[lid]
+        args = (profiles.congestion_coef[j], float(x[d] + x[e]), profiles.capacity_tpd[j], profiles.beta)
         assert costs[d] == pytest.approx(
-            prof.congestion_cost(total) + prof.diesel.fuel_cost_per_ton, rel=1e-12
+            congestion_time(*args) + profiles.diesel_fuel_per_ton[j], rel=1e-12
         )
         assert costs[e] == pytest.approx(
-            prof.congestion_cost(total) + prof.electric.fuel_cost_per_ton, rel=1e-12
+            congestion_time(*args) + profiles.electric_fuel_per_ton[j], rel=1e-12
         )
         # both pair members carry the identical derivative value
-        assert derivs[d] == derivs[e] == pytest.approx(
-            prof.congestion_derivative(total), rel=1e-12
-        )
+        assert derivs[d] == derivs[e] == pytest.approx(congestion_derivative(*args), rel=1e-12)
     for yard, (d2e, e2d) in expanded.switch_arcs_at.items():
         assert derivs[d2e] == 0.0 and derivs[e2d] == 0.0
         assert costs[d2e] == engine.fixed[d2e]
@@ -140,14 +147,20 @@ def test_shift_delta_matches_full_recompute(two_path_net):
     assert solver._objective_change(terms, dx) == pytest.approx(exact, rel=1e-9)
 
 
-def test_cost_engine_rejects_mixed_beta(two_path_net):
-    expanded, profiles = assembled_instance(two_path_net)
+def test_cost_engine_rejects_another_networks_table(two_path_net):
+    # the same six links under other ids: row j would price the wrong pair
     from dataclasses import replace
 
-    profiles = dict(profiles)
-    profiles[0] = replace(profiles[0], beta=2.0)
-    with pytest.raises(ValueError, match="exponent"):
+    expanded, _ = assembled_instance(two_path_net)
+    other = RailNetwork.build(
+        two_path_net.nodes.values(), [replace(l, id=l.id + 10) for l in two_path_net.links.values()]
+    )
+    profiles = build_profiles(other, TrainConsist(), RateTable())
+    assert len(profiles.link_ids) == len(expanded.link_ids)
+    with pytest.raises(ValueError, match="other links"):
         CostEngine(expanded, profiles)
+    with pytest.raises(ValueError, match="other links"):
+        solve_equilibrium(expanded, None, ODMatrix({(0, 1): 1.0e4}), profiles)
 
 
 # --- newton shift -------------------------------------------------------------------
@@ -559,7 +572,7 @@ def test_traction_swap_plateau_instance_converges_quickly():
     od = random_od(rng, net, pairs=40)
     rates = RateTable(fuel_cost_electric=0.3e-8, switch_cost_per_train=200.0)
     expanded, profiles = assembled_instance(net, rates=rates)
-    weights = {lid: p.congestion_coef + p.diesel.fuel_cost_per_ton for lid, p in profiles.items()}
+    weights = dict(zip(profiles.link_ids, (profiles.congestion_coef + profiles.diesel_fuel_per_ton).tolist()))
     corridors = candidate_corridors(net, weights, electrification_costs(net, ElectrificationRates()))
     chosen = [3, 8, 9, 10, 19, 22, 25, 28, 32, 36, 39, 52, 65]
     links = net.with_reverse_twins({l for i in chosen for l in corridors[i].link_ids})
@@ -586,8 +599,11 @@ def test_jacobian_symmetric_and_matches_profiles(two_path_net):
     x = rng.uniform(0.0, 2.0e4, size=expanded.n_arcs)
     J = jacobian(expanded, profiles, x)
     assert np.array_equal(J, J.T)
-    for lid, (d, e) in expanded.pair_of.items():
-        g = profiles[lid].congestion_derivative(float(x[d] + x[e]))
+    for j, lid in enumerate(profiles.link_ids):
+        d, e = expanded.pair_of[lid]
+        g = congestion_derivative(
+            profiles.congestion_coef[j].item(), float(x[d] + x[e]), profiles.capacity_tpd[j].item(), profiles.beta
+        )
         assert J[d, d] == J[d, e] == J[e, d] == J[e, e] == g
     for yard, (d2e, e2d) in expanded.switch_arcs_at.items():
         assert not J[d2e].any() and not J[:, d2e].any()
@@ -599,8 +615,11 @@ def test_jacobian_respects_mask(two_path_net):
     usable = apply_design(expanded, set())  # all-diesel
     J = jacobian(expanded, profiles, x, usable)
     assert np.array_equal(J, J.T)
-    for lid, (d, e) in expanded.pair_of.items():
-        assert J[d, d] == profiles[lid].congestion_derivative(float(x[d]))
+    for j, lid in enumerate(profiles.link_ids):
+        d, e = expanded.pair_of[lid]
+        assert J[d, d] == congestion_derivative(
+            profiles.congestion_coef[j].item(), float(x[d]), profiles.capacity_tpd[j].item(), profiles.beta
+        )
         assert J[d, e] == 0.0 and J[e, e] == 0.0
 
 

@@ -3,6 +3,7 @@ and the CLI stay finite, and the solve is the one where those arcs are
 simply unusable."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from railplan import cli
 from railplan.costmodel import RateTable, TrainConsist, build_profiles
 from railplan.equilibrium import ODMatrix, relative_gap, solve_equilibrium
-from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, apply_design
+from railplan.network import Node, PhysicalLink, RailNetwork, apply_design
 
 from synth import assembled_instance
 from test_design import build_problem
@@ -49,12 +50,15 @@ def test_impassable_side_solves_as_unusable_arcs(side):
     with pytest.warns(UserWarning, match=f"impassable under {side} traction") as caught:
         expanded, profiles = assembled_instance(net, rates=RATES[side])
     assert [str(w.message) for w in caught] == [f"1 of 6 links impassable under {side} traction: [0]"]
-    assert not profiles[0].traction(ArcKind(side)).reachable
+    assert getattr(profiles, f"{side}_reachable").tolist() == [False] + [True] * 5
     # the reference: link 0 passable, and the arcs its impassable side takes
     # out of use (an impassable diesel side stops the pair's congestion clock)
     # left unusable instead
-    reference = dict(profiles)
-    reference[0] = build_profiles(net, TrainConsist(), RateTable())[0]
+    passable = build_profiles(net, TrainConsist(), RateTable())
+    reference = replace(profiles, **{
+        f.name: np.where(np.array(profiles.link_ids) == 0, getattr(passable, f.name), getattr(profiles, f.name))
+        for f in fields(profiles) if f.name not in ("link_ids", "beta")
+    })
     d, e = expanded.pair_of[0]
     usable = apply_design(expanded, net.links)
     unusable = usable.copy()
@@ -89,11 +93,11 @@ def test_impassable_electric_side_saves_nothing():
         problem = build_problem(steep_toy(), ODMatrix(DEMAND), budget=1.0e12, rates=RATES["electric"])
     flows = problem.baseline_state().physical_flows(problem.expanded)
     assert flows[0][0] > 0.0
-    p = problem.profiles
+    p = problem.profiles  # link l is row l
     for c, score in zip(problem.corridors, problem.corridor_scores()):
         links = problem.expanded.net.with_reverse_twins(c.link_ids) - {0}
         saving = sum(
-            (p[l].diesel.fuel_cost_per_ton - p[l].electric.fuel_cost_per_ton) * sum(flows[l]) for l in links
+            (p.diesel_fuel_per_ton[l] - p.electric_fuel_per_ton[l]) * sum(flows[l]) for l in links
         )
         assert score == pytest.approx(saving / c.cost_usd, rel=1e-12)
 

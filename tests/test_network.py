@@ -122,6 +122,8 @@ def test_build_rejects_bad_inputs():
         RailNetwork.build([a, b], [simple_link(0), simple_link(0)])
     with pytest.raises(ValueError, match="dangling"):
         RailNetwork.build([a, b], [simple_link(0, 0, 9)])
+    with pytest.raises(ValueError, match="link 3: a self-loop"):
+        RailNetwork.build([a, b], [simple_link(0), simple_link(3, 1, 1)])
     with pytest.raises(ValueError, match="length"):
         RailNetwork.build([a, b], [simple_link(0, length_km=0.0)])
     with pytest.raises(ValueError, match="capacity"):

@@ -395,6 +395,15 @@ def test_curve_arg_reaching_a_curve_radius_names_the_file_key_and_link(tmp_path,
     assert all(word in err for word in ("rates.cfg", "curve_arg_m", "link 2 has 4500.0 m")), err
 
 
+def test_self_loop_link_is_rejected(tmp_path, capsys):
+    cfg = write_toy(tmp_path)
+    (tmp_path / "links.csv").write_text(LINKS_CSV + "4,1,1,20,0.0,20000,50000,low,1\n")
+    for command in ("assign", "corridors"):
+        assert cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "link 4" in err and "self-loop" in err, err
+
+
 @pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
 def test_load_rates_rejects_non_finite(tmp_path, line):
     f = tmp_path / "rates.cfg"
@@ -633,19 +642,19 @@ def test_assemble_multipliers(tmp_path):
     assert doubled.od.total == pytest.approx(2.0 * base.od.total)
 
     opex = assemble(replace(s, opex_multiplier=2.0))
-    assert opex.profiles[0].congestion_coef == pytest.approx(
-        2.0 * base.profiles[0].congestion_coef, rel=1e-12
+    assert opex.profiles.congestion_coef[0] == pytest.approx(
+        2.0 * base.profiles.congestion_coef[0], rel=1e-12
     )
 
     elec = assemble(replace(s, electrification_cost_multiplier=2.0))
     assert elec.link_costs[0] == pytest.approx(2.0 * base.link_costs[0], rel=1e-12)
 
     power = assemble(replace(s, electricity_price_multiplier=2.0))
-    assert power.profiles[0].electric.fuel_cost_per_ton == pytest.approx(
-        2.0 * base.profiles[0].electric.fuel_cost_per_ton, rel=1e-12
+    assert power.profiles.electric_fuel_per_ton[0] == pytest.approx(
+        2.0 * base.profiles.electric_fuel_per_ton[0], rel=1e-12
     )
-    assert power.profiles[0].diesel.fuel_cost_per_ton == pytest.approx(
-        base.profiles[0].diesel.fuel_cost_per_ton, rel=1e-12
+    assert power.profiles.diesel_fuel_per_ton[0] == pytest.approx(
+        base.profiles.diesel_fuel_per_ton[0], rel=1e-12
     )
 
 
