@@ -11,7 +11,7 @@ over the links still open.  Arrays see only +, -, *, / and comparisons, each
 correctly rounded in numpy as in Python, in the scalar order, so every link
 gets the bits of a one-link scalar pass (`tests/oracles.py`).  numpy's
 `arcsin` can differ from libm `asin` in the last bit, so the curve term takes
-`math.asin` per link.  The one-link functions are the array pass on one link.
+`math.asin` per link.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ import numpy as np
 from .network import ArcKind, PhysicalLink, RailNetwork, SignalClass, terrain_fraction
 
 TON_KG = 1000.0
-
-
-class LinkImpassableError(RuntimeError):
-    """No throttle notch can hold positive speed against link resistance."""
 
 
 @dataclass(frozen=True)
@@ -131,48 +127,22 @@ class RateTable:
                 raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class ThrottleTable:
-    """Discrete power levels (W) a traction type can sustain, ascending."""
-
-    levels: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("empty throttle table")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+def build_throttles(consist: TrainConsist, rates: RateTable) -> dict[ArcKind, tuple[float, ...]]:
+    """Per-traction notch powers (W) for the whole consist, strictly ascending
+    to per-loco power times count; one notch runs at full power."""
+    n, f = rates.notch_count, rates.min_notch_fraction
+    step = (1.0 - f) / max(n - 1, 1)
+    out = {}
+    for kind, power in (
+        (ArcKind.DIESEL, rates.locomotive_power_diesel_w),
+        (ArcKind.ELECTRIC, rates.locomotive_power_electric_w),
+    ):
+        top = consist.n_locomotives * power
+        levels = (top,) if n == 1 else tuple(top * (f + k * step) for k in range(n))
+        if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("throttle levels must be strictly ascending")
-
-    @classmethod
-    def uniform(cls, max_power_w: float, notches: int = 8, min_fraction: float = 0.05) -> "ThrottleTable":
-        if notches == 1:
-            return cls(levels=(max_power_w,))
-        step = (1.0 - min_fraction) / (notches - 1)
-        return cls(levels=tuple(max_power_w * (min_fraction + k * step) for k in range(notches)))
-
-    @property
-    def min_power(self) -> float:
-        return self.levels[0]
-
-    @property
-    def max_power(self) -> float:
-        return self.levels[-1]
-
-
-def build_throttles(consist: TrainConsist, rates: RateTable) -> dict[ArcKind, ThrottleTable]:
-    """Per-traction notch tables for the whole consist (per-loco power times count)."""
-    return {
-        ArcKind.DIESEL: ThrottleTable.uniform(
-            consist.n_locomotives * rates.locomotive_power_diesel_w,
-            rates.notch_count,
-            rates.min_notch_fraction,
-        ),
-        ArcKind.ELECTRIC: ThrottleTable.uniform(
-            consist.n_locomotives * rates.locomotive_power_electric_w,
-            rates.notch_count,
-            rates.min_notch_fraction,
-        ),
-    }
+        out[kind] = levels
+    return out
 
 
 # --- resistance terms -------------------------------------------------------
@@ -248,31 +218,14 @@ def _davis(t: _Links, v, consist: TrainConsist, rates: RateTable) -> np.ndarray:
 
 
 def _brake(t: _Links, consist: TrainConsist, rates: RateTable, min_power: float) -> np.ndarray:
-    """`brake_resistance` of every link."""
+    """Every link's brake force.  Level track, upgrades and mild downgrades
+    brake incidentally, worth a `brake_grade_equivalent` grade.  On a
+    downgrade so steep that the lowest notch would push the train past its
+    desired speed, the brake instead balances that notch at that speed."""
     incidental = rates.brake_grade_equivalent * consist.train_mass_t * TON_KG * rates.gravity
     base = _davis(t, t.v_d, consist, rates)
     steep = (t.grade < 0.0) & ~((base + incidental) * t.v_d >= min_power)
     return np.where(steep, min_power / t.v_d - base, incidental)
-
-
-def brake_resistance(
-    link: PhysicalLink, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable
-) -> float:
-    """Brake force on the link.
-
-    Level track, upgrades, and mild downgrades use incidental braking worth a
-    0.1% grade.  On downgrades steep enough that minimum throttle would push
-    the train past its desired speed, the brake instead balances minimum
-    throttle power at that speed.
-    """
-    return float(_brake(_gather([link], consist, rates), consist, rates, throttle.min_power)[0])
-
-
-def total_resistance(
-    link: PhysicalLink, consist: TrainConsist, v: float, rates: RateTable, brake_force: float = 0.0
-) -> float:
-    """Full resistance at speed v; pass the precomputed link brake force."""
-    return float(_davis(_gather([link], consist, rates), v, consist, rates)[0] + brake_force)
 
 
 # --- power/speed fixpoint ----------------------------------------------------
@@ -282,19 +235,25 @@ _BISECTION_TOL = 1.0e-8  # m/s
 _BISECTION_MAX_ITER = 200
 
 
-def _power_speed(t: _Links, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable):
-    """`solve_power_speed` of every link: arrays P and v, P nan and v 0 where
-    a link is impassable."""
-    brake = _brake(t, consist, rates, throttle.min_power)
-    levels = np.array(throttle.levels)
-    fits = levels >= ((_davis(t, t.v_d, consist, rates) + brake) * t.v_d)[:, None]
+def _power_speed(t: _Links, consist: TrainConsist, rates: RateTable, levels: tuple[float, ...]):
+    """Every link's notch power P and speed v: arrays, P nan and v 0 where a
+    link is impassable.
+
+    The smallest notch that holds the desired speed wins, and the train runs
+    at exactly that speed.  If even the top notch falls short, v comes from
+    bisecting P = R(v)*v between 0.1 m/s and the desired speed; a link whose
+    resistance at 0.1 m/s already needs more than the top notch is impassable.
+    """
+    brake = _brake(t, consist, rates, levels[0])
+    powers = np.array(levels)
+    fits = powers >= ((_davis(t, t.v_d, consist, rates) + brake) * t.v_d)[:, None]
     hit = fits.any(axis=1)
-    p, v = np.where(hit, levels[fits.argmax(axis=1)], throttle.max_power), t.v_d.copy()
+    p, v = np.where(hit, powers[fits.argmax(axis=1)], levels[-1]), t.v_d.copy()
     slow = np.flatnonzero(~hit)
     s, brake = _Links(*(a[slow] for a in t)), brake[slow]
 
     def over(speed: np.ndarray) -> np.ndarray:
-        return (_davis(s, speed, consist, rates) + brake) * speed > throttle.max_power
+        return (_davis(s, speed, consist, rates) + brake) * speed > levels[-1]
 
     lo, hi = np.full(len(slow), _V_FLOOR), s.v_d
     stuck = over(lo)
@@ -310,23 +269,6 @@ def _power_speed(t: _Links, consist: TrainConsist, rates: RateTable, throttle: T
     v[slow] = np.where(stuck, 0.0, 0.5 * (lo + hi))
     p[slow[stuck]] = math.nan
     return p, v
-
-
-def solve_power_speed(
-    link: PhysicalLink, consist: TrainConsist, rates: RateTable, throttle: ThrottleTable
-) -> tuple[float, float, float]:
-    """Pick the throttle notch and speed for a link: (P watts, v m/s, t0 hours).
-
-    The smallest notch that can hold the desired speed wins and the train
-    runs at exactly that speed.  If even the top notch falls short, speed
-    comes from bisecting P = R(v)*v between 0.1 m/s and the desired speed.
-    """
-    (p,), (v,) = (a.tolist() for a in _power_speed(_gather([link], consist, rates), consist, rates, throttle))
-    if v == 0.0:
-        raise LinkImpassableError(
-            f"link {link.id}: resistance exceeds {throttle.max_power:.3e} W at any positive speed"
-        )
-    return p, v, link.length_km / (3.6 * v)
 
 
 # --- congestion ----------------------------------------------------------------

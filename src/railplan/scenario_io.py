@@ -333,12 +333,12 @@ def load_links(path: str | Path) -> list[PhysicalLink]:
 
 
 def load_network(node_path: str | Path, link_path: str | Path) -> RailNetwork:
+    nodes, links = load_nodes(node_path), load_links(link_path)
     try:
-        return RailNetwork.build(load_nodes(node_path), load_links(link_path))
-    except ValueError as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(str(exc)) from exc
+        return RailNetwork.build(nodes, links)
+    except ValueError as exc:  # each message starts with the node or link at fault
+        path = node_path if str(exc).startswith(("node", "duplicate node")) else link_path
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_od(path: str | Path) -> ODMatrix:
@@ -530,12 +530,13 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
         elec, ppi_capital=elec.ppi_capital * scenario.electrification_cost_multiplier
     )
     network = load_network(scenario.path(scenario.node_file), scenario.path(scenario.link_file))
-    od = load_od(scenario.path(scenario.od_file))
+    od_path = scenario.path(scenario.od_file)
+    od = load_od(od_path)
     if scenario.demand_multiplier != 1.0:
         od = ODMatrix({k: d * scenario.demand_multiplier for k, d in od.demand.items()})
     unknown = {n for pair in od.demand for n in pair} - set(network.nodes)
     if unknown:
-        raise ValidationError(f"OD references unknown nodes {sorted(unknown)}")
+        raise ValidationError(f"{od_path}: OD references unknown nodes {sorted(unknown)}")
     bent = [l for _, l in sorted(network.links.items()) if not l.curve_radius_m > rates.curve_arg_m]
     if bent:  # the curve resistance takes arcsin(curve_arg_m / radius)
         raise ValidationError(
@@ -548,21 +549,23 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
     expanded = expand(network, yard_switch_costs(network, rates, consist))
 
     if scenario.corridor_file:
-        corridors = load_corridors(scenario.path(scenario.corridor_file))
+        corridor_path = scenario.path(scenario.corridor_file)
+        corridors = load_corridors(corridor_path)
         yards = set(network.yards())
         for c in corridors:
+            where = f"{corridor_path}: corridor {c.id}"
             bad = [l for l in c.link_ids if l not in link_costs]
             if bad:
-                raise ValidationError(f"corridor {c.id}: unknown links {bad}: not candidate links of the network")
+                raise ValidationError(f"{where}: unknown links {bad}: not candidate links of the network")
             if not {c.yard_a, c.yard_b} <= yards:
-                raise ValidationError(f"corridor {c.id}: yard_a {c.yard_a} or yard_b {c.yard_b} is not a yard")
+                raise ValidationError(f"{where}: yard_a {c.yard_a} or yard_b {c.yard_b} is not a yard")
             # the expressions candidate_corridors writes, so a saved file reloads
             for name, given, links in (
                 ("cost_usd", c.cost_usd, corridor_cost(c.link_ids, link_costs)),
                 ("length_km", c.length_km, network.total_length_km(c.link_ids)),
             ):
                 if not (math.isfinite(given) and math.isclose(given, links, rel_tol=1e-9)):
-                    raise ValidationError(f"corridor {c.id}: {name} {given!r} differs from its links' {links!r}")
+                    raise ValidationError(f"{where}: {name} {given!r} differs from its links' {links!r}")
     else:
         if scenario.corridor_metric == "length":
             weights = {lid: l.length_km for lid, l in network.links.items()}
@@ -766,7 +769,11 @@ def write_sweep(rows: list[SweepRow], path: str | Path) -> None:
 def stored_design(problem: design.DesignProblem, path: str | Path) -> design.Bits:
     """The bits of the design stored at `path`; a design whose capital
     exceeds the budget is rejected."""
-    bits = design.design_bits(load_design(path), len(problem.corridors))
+    ids = load_design(path)
+    try:
+        bits = design.design_bits(ids, len(problem.corridors))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     used = problem.union_cost(bits)
     if used > problem.budget:
         raise ValidationError(

@@ -32,7 +32,6 @@ import numpy as np
 from railplan.corridors import Corridor, corridor_cost
 from railplan.costmodel import (
     LinkCostTable,
-    LinkImpassableError,
     air_resistance,
     bearing_resistance,
     congestion_derivative,
@@ -329,7 +328,11 @@ def oracle_davis(link, consist, v, rates):
     )
 
 
-def oracle_brake(link, consist, rates, throttle):
+class Impassable(RuntimeError):
+    """No notch holds a positive speed against the link's resistance."""
+
+
+def oracle_brake(link, consist, rates, levels):
     """Incidental braking, or on a steep downgrade the force that balances
     the minimum notch at the desired speed."""
     v_d = link.desired_speed or rates.desired_speed
@@ -337,28 +340,29 @@ def oracle_brake(link, consist, rates, throttle):
     if link.grade >= 0.0:
         return incidental
     base = oracle_davis(link, consist, v_d, rates)
-    if (base + incidental) * v_d >= throttle.min_power:
+    if (base + incidental) * v_d >= levels[0]:
         return incidental
-    return throttle.min_power / v_d - base
+    return levels[0] / v_d - base
 
 
-def oracle_power_speed(link, consist, rates, throttle):
-    """(P, v, t0): the smallest notch holding the desired speed, else the top
-    notch at the bisected speed; raises LinkImpassableError."""
+def oracle_power_speed(link, consist, rates, levels):
+    """(P, v, t0): the smallest of the ascending notch powers `levels` that
+    holds the desired speed, else the top notch at the bisected speed;
+    raises Impassable."""
     v_d = link.desired_speed or rates.desired_speed
-    brake = oracle_brake(link, consist, rates, throttle)
+    brake = oracle_brake(link, consist, rates, levels)
 
     def load(v):
         return (oracle_davis(link, consist, v, rates) + brake) * v
 
     needed = load(v_d)
-    for p in throttle.levels:
+    for p in levels:
         if p >= needed:
             return p, v_d, link.length_km / (3.6 * v_d)
-    p = throttle.levels[-1]
+    p = levels[-1]
     lo, hi = _V_FLOOR, v_d
     if load(lo) > p:
-        raise LinkImpassableError(f"link {link.id}: resistance exceeds {p:.3e} W at any positive speed")
+        raise Impassable(f"link {link.id}: resistance exceeds {p:.3e} W at any positive speed")
     for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if load(mid) > p:
@@ -382,7 +386,7 @@ def oracle_link_profile(link, consist, rates, throttles):
         try:
             p, _, t0 = oracle_power_speed(link, consist, rates, throttles[kind])
             fuel, reachable = (t0 * 3600.0) * (p / eta) * fuel_cost / per_ton, True
-        except LinkImpassableError:
+        except Impassable:
             t0, fuel, reachable = math.inf, math.inf, False
         row[f"{kind.value}_fuel_per_ton"], row[f"{kind.value}_reachable"] = fuel, reachable
         if kind is ArcKind.DIESEL:

@@ -26,11 +26,13 @@ from railplan.corridors import candidate_corridors
 from railplan.costmodel import (
     ElectrificationRates,
     RateTable,
-    ThrottleTable,
     TrainConsist,
+    _brake,
+    _davis,
+    _gather,
+    _power_speed,
     bearing_resistance,
     air_resistance,
-    brake_resistance,
     build_profiles,
     build_throttles,
     congestion_time,
@@ -38,9 +40,7 @@ from railplan.costmodel import (
     electrification_costs,
     flange_resistance,
     grade_resistance,
-    solve_power_speed,
     switch_cost_per_train,
-    total_resistance,
     yard_switch_costs,
 )
 from railplan.design import (
@@ -280,7 +280,7 @@ def test_criterion_06_golden_values():
         ("curve", curve_resistance(5000.0, 1000.0, rates),
          0.4536 * 5.0e6 * g * math.asin(15.24 / 1000.0)),
         ("brake incidental",
-         brake_resistance(level, five_kt, rates, ThrottleTable.uniform(9.9e6)), 49033.25),
+         _brake(_gather([level], five_kt, rates), five_kt, rates, 9.9e6 * 0.05)[0].item(), 49033.25),
         ("switch composed", switch_cost_per_train(composed), 450.0),
     ]
     failures = [name for name, got, want in checks
@@ -318,37 +318,36 @@ def test_criterion_08_power_speed():
     rng = np.random.default_rng(808)
     consist = TrainConsist()
     rates = RateTable()
-    throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
-    worst_resid = 0.0
-    exact_speed = True
-    limited = 0
-    for i in range(100):
-        link = PhysicalLink(
+    levels = build_throttles(consist, rates)[ArcKind.DIESEL]
+    links = [
+        PhysicalLink(
             id=i, tail=0, head=1,
             length_km=float(rng.uniform(10.0, 120.0)),
             grade=float(rng.uniform(-0.004, 0.022)),
             curve_radius_m=float(rng.uniform(800.0, 40000.0)),
             capacity_tpd=5.0e4,
         )
-        power, v, _ = solve_power_speed(link, consist, rates, throttle)
-        if v < rates.desired_speed:
-            limited += 1
-            brake = brake_resistance(link, consist, rates, throttle)
-            load = total_resistance(link, consist, v, rates, brake) * v
-            worst_resid = max(worst_resid, abs(power - load) / power)
-        else:
-            exact_speed = exact_speed and v == rates.desired_speed
+        for i in range(100)
+    ]
+    # the program's own array pass prices all 100 links at once
+    t = _gather(links, consist, rates)
+    power, v = _power_speed(t, consist, rates, levels)
+    limited = v < rates.desired_speed
+    load = (_davis(t, v, consist, rates) + _brake(t, consist, rates, levels[0])) * v
+    worst_resid = float(np.max(np.abs(power - load)[limited] / power[limited], initial=0.0))
+    exact_speed = bool(np.all(v[~limited] == rates.desired_speed))
 
-    speeds = []
-    for grade in np.linspace(0.0, 0.025, 11):
-        link = PhysicalLink(id=0, tail=0, head=1, length_km=50.0, grade=float(grade),
-                            curve_radius_m=20000.0, capacity_tpd=5.0e4)
-        speeds.append(solve_power_speed(link, consist, rates, throttle)[1])
+    grades = [
+        PhysicalLink(id=0, tail=0, head=1, length_km=50.0, grade=float(grade),
+                     curve_radius_m=20000.0, capacity_tpd=5.0e4)
+        for grade in np.linspace(0.0, 0.025, 11)
+    ]
+    speeds = _power_speed(_gather(grades, consist, rates), consist, rates, levels)[1].tolist()
     monotone = all(b <= a + 1.0e-12 for a, b in zip(speeds, speeds[1:]))
 
     ok = worst_resid <= 1.0e-6 and exact_speed and monotone
     _report(8, ok,
-            f"100 links ({limited} power-limited), max power residual {worst_resid:.2e}, "
+            f"100 links ({int(limited.sum())} power-limited), max power residual {worst_resid:.2e}, "
             f"speed non-increasing in grade")
 
 

@@ -1,8 +1,9 @@
 """The benchmark harness in `perfbench/` still binds to the program.
 
-`perfbench/tracing.py` patches functions by name and `perfbench/probe.py`
-reads the assembled problem's fields, so a renamed or dropped name breaks the
-benchmark without failing any other test.  These run the harness's own
+`perfbench/tracing.py` patches functions by name, `perfbench/probe.py`
+reads the assembled problem's fields and `perfbench/checks.py` imports from
+`railplan`, so a renamed or dropped name breaks the benchmark without failing
+any other test.  These run the harness's own
 scripts, as the benchmark does, on the seed-1 `optimize-small` scenario.
 """
 
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from railplan.scenario_io import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,11 +33,15 @@ def rows(path):
         return len(list(csv.DictReader(fh)))
 
 
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def layer_metrics(spans):
-    spec = importlib.util.spec_from_file_location("layers", ROOT / "perfbench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.layer_metrics(spans)
+    return perfbench_module("layers").layer_metrics(spans)
 
 
 def test_probe_and_tracing_run_on_the_generated_scenario(tmp_path):
@@ -65,6 +72,13 @@ def test_probe_and_tracing_run_on_the_generated_scenario(tmp_path):
     metrics = layer_metrics(spans)
     assert metrics["scenario_io.extra_solves"] == 1
     assert metrics["design.unique_solves"] + metrics["design.cache_hits"] == metrics["design.evaluate_calls"]
+
+    # the benchmark's own correctness checks pass on the traced run's artifacts
+    settings = load_scenario(scenario / "scenario.cfg")
+    checked = perfbench_module("checks").check_run(
+        "optimize", tmp_path / "out", scenario, settings.gap_tolerance, settings.max_iterations
+    )
+    assert checked["wrong"] == [] and checked["unconverged"] == [], checked
 
 
 def test_tracing_counts_the_one_solve_of_an_assign(tmp_path):

@@ -11,13 +11,14 @@ from scipy.optimize import brentq
 
 from railplan.costmodel import (
     ElectrificationRates,
-    LinkImpassableError,
     RateTable,
-    ThrottleTable,
     TrainConsist,
+    _brake,
+    _davis,
+    _gather,
+    _power_speed,
     air_resistance,
     bearing_resistance,
-    brake_resistance,
     build_profiles,
     build_throttles,
     congestion_derivative,
@@ -28,15 +29,19 @@ from railplan.costmodel import (
     electrification_costs,
     flange_resistance,
     grade_resistance,
-    solve_power_speed,
     switch_cost_per_train,
     switching_cost_per_ton,
-    total_resistance,
     yard_switch_costs,
 )
 from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, SignalClass
 
-from oracles import oracle_brake, oracle_impassable_warnings, oracle_link_profile, oracle_power_speed
+from oracles import (
+    Impassable,
+    oracle_brake,
+    oracle_impassable_warnings,
+    oracle_link_profile,
+    oracle_power_speed,
+)
 from synth import line_network
 
 G = 9.80665
@@ -47,6 +52,28 @@ def flat_link(length_km=100.0, grade=0.0, radius=20000.0, **kw):
         id=0, tail=0, head=1, length_km=length_km, grade=grade,
         curve_radius_m=radius, capacity_tpd=5.0e4, **kw,
     )
+
+
+def power_speed(links, consist, rates, levels):
+    """The array pass over `links` at the notch powers `levels`: each link's
+    (P, v), P nan and v 0 where it is impassable."""
+    p, v = _power_speed(_gather(links, consist, rates), consist, rates, levels)
+    return list(zip(p.tolist(), v.tolist()))
+
+
+def link_brake(link, consist, rates, levels):
+    return _brake(_gather([link], consist, rates), consist, rates, levels[0])[0].item()
+
+
+def resistance(link, consist, v, rates, brake_force):
+    """Full resistance at speed v: the Davis terms plus the brake force."""
+    return _davis(_gather([link], consist, rates), v, consist, rates)[0].item() + brake_force
+
+
+def diesel_t0(link, consist, rates):
+    """The link's diesel free-flow time in the cost table."""
+    net = RailNetwork.build([Node(0, 40.0, -100.0), Node(1, 40.0, -99.0)], [link])
+    return build_profiles(net, consist, rates).t0_hr[0].item()
 
 
 # --- resistance components -------------------------------------------------------
@@ -118,7 +145,7 @@ def test_total_resistance_is_component_sum(rates, consist):
         + curve_resistance(consist.train_mass_t, link.curve_radius_m, rates)
         + 123.0
     )
-    got = total_resistance(link, consist, v, rates, brake_force=123.0)
+    got = resistance(link, consist, v, rates, brake_force=123.0)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -129,9 +156,8 @@ def test_brake_incidental_golden(rates):
     # 0.1% grade equivalent on a 5000 t train: 49033.25 N
     consist = TrainConsist(n_locomotives=0, n_railcars=50,
                            railcar_tare_t=30.0, railcar_cargo_t=70.0)
-    throttle = ThrottleTable.uniform(9.9e6)
     assert consist.train_mass_t == 5000.0
-    got = brake_resistance(flat_link(grade=0.0), consist, rates, throttle)
+    got = link_brake(flat_link(grade=0.0), consist, rates, (9.9e6 * 0.05, 9.9e6))
     assert got == pytest.approx(49033.25, rel=1e-9)
 
 
@@ -139,7 +165,7 @@ def test_brake_level_and_upgrade_use_incidental(rates, consist):
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
     incidental = 0.001 * consist.train_mass_t * 1000.0 * G
     for grade in (0.0, 0.005, 0.02):
-        got = brake_resistance(flat_link(grade=grade), consist, rates, throttle)
+        got = link_brake(flat_link(grade=grade), consist, rates, throttle)
         assert got == pytest.approx(incidental, rel=1e-12)
 
 
@@ -147,7 +173,7 @@ def test_brake_mild_downgrade_stays_incidental(rates, consist):
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
     link = flat_link(grade=-0.002, radius=10000.0)
     incidental = 0.001 * consist.train_mass_t * 1000.0 * G
-    got = brake_resistance(link, consist, rates, throttle)
+    got = link_brake(link, consist, rates, throttle)
     assert got == pytest.approx(incidental, rel=1e-12)
 
 
@@ -163,86 +189,110 @@ def test_brake_steep_downgrade_balances_min_notch(rates, consist):
         + curve_resistance(consist.train_mass_t, link.curve_radius_m, rates)
     )
     incidental = 0.001 * consist.train_mass_t * 1000.0 * G
-    assert (davis + incidental) * v < throttle.min_power
-    brake = brake_resistance(link, consist, rates, throttle)
-    assert brake == pytest.approx(throttle.min_power / v - davis, rel=1e-12)
+    assert (davis + incidental) * v < throttle[0]
+    brake = link_brake(link, consist, rates, throttle)
+    assert brake == pytest.approx(throttle[0] / v - davis, rel=1e-12)
     # balance: holding speed on the descent takes exactly the minimum notch
-    assert total_resistance(link, consist, v, rates, brake) * v == pytest.approx(
-        throttle.min_power, rel=1e-12
+    assert resistance(link, consist, v, rates, brake) * v == pytest.approx(
+        throttle[0], rel=1e-12
     )
 
 
 # --- throttles and power/speed -----------------------------------------------------
 
 
-def test_throttle_table_uniform():
-    t = ThrottleTable.uniform(8.0e6, notches=8, min_fraction=0.05)
-    assert len(t.levels) == 8
-    assert t.min_power == pytest.approx(0.4e6, rel=1e-12)
-    assert t.max_power == pytest.approx(8.0e6, rel=1e-12)
-    steps = np.diff(t.levels)
+def test_throttle_table_uniform(rates):
+    # four 2 MW locomotives: 8 MW at the top notch
+    consist = TrainConsist(n_locomotives=4)
+    t = build_throttles(consist, dataclasses.replace(rates, locomotive_power_diesel_w=2.0e6))[ArcKind.DIESEL]
+    assert len(t) == 8
+    assert t[0] == pytest.approx(0.4e6, rel=1e-12)
+    assert t[-1] == pytest.approx(8.0e6, rel=1e-12)
+    steps = np.diff(t)
     assert np.allclose(steps, steps[0], rtol=1e-12)
-    assert all(a < b for a, b in zip(t.levels, t.levels[1:]))
+    assert all(a < b for a, b in zip(t, t[1:]))
+
+
+@pytest.mark.parametrize("notches", [1, 2, 8])
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 0.9])
+def test_throttle_levels_are_the_uniform_expression_bit_for_bit(notches, fraction):
+    rates = RateTable(notch_count=notches, min_notch_fraction=fraction,
+                      locomotive_power_diesel_w=3.3e6, locomotive_power_electric_w=4.7e6)
+    throttles = build_throttles(TrainConsist(n_locomotives=3), rates)
+    for kind, power in ((ArcKind.DIESEL, 3.3e6), (ArcKind.ELECTRIC, 4.7e6)):
+        top = 3 * power
+        if notches == 1:
+            want = (top,)
+        else:
+            step = (1.0 - fraction) / (notches - 1)
+            want = tuple(top * (fraction + k * step) for k in range(notches))
+        # float == is bit equality here: no notch is nan or zero
+        assert type(throttles[kind]) is tuple and throttles[kind] == want
+
+
+def test_throttle_levels_that_coincide_are_rejected():
+    # adjacent notches round to the same power just below a fraction of 1
+    rates = RateTable(min_notch_fraction=0.9999999999999999)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        build_throttles(TrainConsist(), rates)
 
 
 def test_build_throttles_scale_with_consist(rates):
     consist = TrainConsist(n_locomotives=2)
     t = build_throttles(consist, rates)
-    assert t[ArcKind.DIESEL].max_power == pytest.approx(2 * 3.3e6, rel=1e-12)
-    assert t[ArcKind.ELECTRIC].max_power == pytest.approx(2 * 4.5e6, rel=1e-12)
+    assert t[ArcKind.DIESEL][-1] == pytest.approx(2 * 3.3e6, rel=1e-12)
+    assert t[ArcKind.ELECTRIC][-1] == pytest.approx(2 * 4.5e6, rel=1e-12)
 
 
 def test_power_speed_easy_link_holds_desired(rates, consist):
     link = flat_link(radius=50000.0)
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
-    p, v, t0 = solve_power_speed(link, consist, rates, throttle)
+    [(p, v)] = power_speed([link], consist, rates, throttle)
     assert v == rates.desired_speed
-    assert t0 == pytest.approx(link.length_km / (3.6 * v), rel=1e-12)
+    assert diesel_t0(link, consist, rates) == pytest.approx(link.length_km / (3.6 * v), rel=1e-12)
     # independently pick the smallest sufficient notch
-    brake = brake_resistance(link, consist, rates, throttle)
-    needed = total_resistance(link, consist, v, rates, brake) * v
-    expected_notch = next(l for l in throttle.levels if l >= needed)
+    brake = link_brake(link, consist, rates, throttle)
+    needed = resistance(link, consist, v, rates, brake) * v
+    expected_notch = next(l for l in throttle if l >= needed)
     assert p == expected_notch
 
 
 def test_power_speed_limited_matches_bisection_oracle(rates, consist):
     link = flat_link(grade=0.02, radius=5000.0)
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
-    p, v, t0 = solve_power_speed(link, consist, rates, throttle)
-    assert p == throttle.max_power
+    [(p, v)] = power_speed([link], consist, rates, throttle)
+    assert p == throttle[-1]
     assert v < rates.desired_speed
-    brake = brake_resistance(link, consist, rates, throttle)
+    brake = link_brake(link, consist, rates, throttle)
 
     def gap(speed):
-        return total_resistance(link, consist, speed, rates, brake) * speed - p
+        return resistance(link, consist, speed, rates, brake) * speed - p
 
     v_oracle = brentq(gap, 0.1, rates.desired_speed, xtol=1e-12)
     assert v == pytest.approx(v_oracle, rel=1e-6)
-    assert t0 == pytest.approx(link.length_km / (3.6 * v), rel=1e-12)
+    assert diesel_t0(link, consist, rates) == pytest.approx(link.length_km / (3.6 * v), rel=1e-12)
 
 
 def test_power_speed_speed_drops_with_grade(rates, consist):
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
-    speeds = []
-    for grade in np.linspace(0.0, 0.03, 13):
-        _, v, _ = solve_power_speed(flat_link(grade=float(grade)), consist, rates, throttle)
-        speeds.append(v)
+    links = [flat_link(grade=float(grade)) for grade in np.linspace(0.0, 0.03, 13)]
+    speeds = [v for _, v in power_speed(links, consist, rates, throttle)]
     assert all(a >= b for a, b in zip(speeds, speeds[1:]))
 
 
 def test_power_speed_impassable(rates, consist):
     weak = RateTable(locomotive_power_diesel_w=1.0e5)
     throttle = build_throttles(consist, weak)[ArcKind.DIESEL]
-    with pytest.raises(LinkImpassableError):
-        solve_power_speed(flat_link(grade=0.03), consist, weak, throttle)
+    [(p, v)] = power_speed([flat_link(grade=0.03)], consist, weak, throttle)
+    assert math.isnan(p) and v == 0.0
 
 
 def test_link_desired_speed_override(rates, consist):
     link = flat_link(radius=50000.0, desired_speed=15.0)
     throttle = build_throttles(consist, rates)[ArcKind.DIESEL]
-    _, v, t0 = solve_power_speed(link, consist, rates, throttle)
+    [(_, v)] = power_speed([link], consist, rates, throttle)
     assert v == 15.0
-    assert t0 == pytest.approx(link.length_km / (3.6 * 15.0), rel=1e-12)
+    assert diesel_t0(link, consist, rates) == pytest.approx(link.length_km / (3.6 * 15.0), rel=1e-12)
 
 
 # --- congestion ----------------------------------------------------------------------
@@ -289,12 +339,14 @@ def test_profile_fuel_and_coef_oracle(rates, consist):
         (ArcKind.DIESEL, rates.eta_diesel, rates.fuel_cost_diesel),
         (ArcKind.ELECTRIC, rates.eta_electric, rates.fuel_cost_electric),
     ):
-        p, v, t0 = solve_power_speed(link, consist, rates, throttles[kind])
+        [(p, v)] = power_speed([link], consist, rates, throttles[kind])
+        t0 = link.length_km / (3.6 * v)
         expected = (t0 * 3600.0) * (p / eta) * price / consist.cargo_mass_t
         assert getattr(table, f"{kind.value}_fuel_per_ton")[0] == pytest.approx(expected, rel=1e-12)
         assert getattr(table, f"{kind.value}_reachable")[0]
 
-    _, _, t0_d = solve_power_speed(link, consist, rates, throttles[ArcKind.DIESEL])
+    [(_, v_d)] = power_speed([link], consist, rates, throttles[ArcKind.DIESEL])
+    t0_d = link.length_km / (3.6 * v_d)
     coef = t0_d * (rates.crew_rate + rates.cargo_rate) / consist.cargo_mass_t
     assert table.congestion_coef[0] == pytest.approx(coef, rel=1e-12)
     assert table.t0_hr[0] == t0_d
@@ -371,19 +423,20 @@ def test_build_profiles_matches_scalar_oracle(seed, rates_index):
     for name in columns:
         assert getattr(got, name).tolist() == [row[name] for row in want.values()], name
     assert got_warnings == oracle_impassable_warnings(want)
-    for lid, link in net.links.items():
-        assert brake_resistance(link, consist, rates, throttles[ArcKind.DIESEL]) == oracle_brake(
-            link, consist, rates, throttles[ArcKind.DIESEL]
-        )
-        for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
+    # the array pass's notch, speed and brake of every link, in one pass
+    links = [net.links[lid] for lid in got.link_ids]
+    diesel = throttles[ArcKind.DIESEL]
+    assert _brake(_gather(links, consist, rates), consist, rates, diesel[0]).tolist() == [
+        oracle_brake(link, consist, rates, diesel) for link in links
+    ]
+    for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
+        for link, (p, v) in zip(links, power_speed(links, consist, rates, throttles[kind])):
             try:
-                expected = oracle_power_speed(link, consist, rates, throttles[kind])
-            except LinkImpassableError as err:
-                with pytest.raises(LinkImpassableError) as raised:
-                    solve_power_speed(link, consist, rates, throttles[kind])
-                assert str(raised.value) == str(err)
+                want_p, want_v, _ = oracle_power_speed(link, consist, rates, throttles[kind])
+            except Impassable:
+                assert math.isnan(p) and v == 0.0, link.id
             else:
-                assert solve_power_speed(link, consist, rates, throttles[kind]) == expected
+                assert (p, v) == (want_p, want_v), link.id
 
 
 def test_profile_oracle_draws_cover_every_branch():
@@ -404,10 +457,10 @@ def test_profile_oracle_draws_cover_every_branch():
                 for kind in (ArcKind.DIESEL, ArcKind.ELECTRIC):
                     try:
                         p, _, _ = oracle_power_speed(link, consist, rates, throttles[kind])
-                    except LinkImpassableError:
+                    except Impassable:
                         seen.add(f"impassable {kind.value}")
                         continue
-                    seen.add("notch" if p < throttles[kind].max_power else "top notch")
+                    seen.add("notch" if p < throttles[kind][-1] else "top notch")
         expected = {"k_f", "k_a", "desired_speed", "brake", "notch", "top notch"}
         if rates is not PROFILE_RATES[0]:
             expected |= {"impassable diesel", "impassable electric"} if rates.notch_count == 3 else {"impassable electric"}
@@ -431,8 +484,8 @@ def test_rate_table_validation():
     with pytest.raises(ValueError):
         RateTable(notch_count=0)
     # one notch runs at full power whatever the fraction; more would coincide
-    assert ThrottleTable.uniform(1.0, 1, 1.0).levels == (1.0,)
-    RateTable(min_notch_fraction=1.0, notch_count=1)
+    one = RateTable(min_notch_fraction=1.0, notch_count=1, locomotive_power_diesel_w=1.0)
+    assert build_throttles(TrainConsist(n_locomotives=1), one)[ArcKind.DIESEL] == (1.0,)
     with pytest.raises(ValueError, match="min_notch_fraction"):
         RateTable(min_notch_fraction=1.0, notch_count=2)
     with pytest.raises(ValueError, match="locomotive_power_electric_w"):

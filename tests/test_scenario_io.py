@@ -404,6 +404,37 @@ def test_self_loop_link_is_rejected(tmp_path, capsys):
         assert err.startswith("error:") and "link 4" in err and "self-loop" in err, err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("links.csv", "link 4: a self-loop"),
+        ("nodes.csv", "node 0: lat 95.0"),
+        ("od.csv", "OD references unknown nodes [9999]"),
+        ("fixed.csv", "corridor 0: unknown links [9999]"),
+        ("chosen.csv", "unknown corridor ids [999]"),
+    ],
+)
+def test_an_input_error_names_its_file(tmp_path, capsys, name, message):
+    cfg = write_toy(tmp_path)
+    args = ["assign", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    if name == "links.csv":
+        (tmp_path / name).write_text(LINKS_CSV + "4,1,1,20,0.0,20000,50000,low,1\n")
+    elif name == "nodes.csv":
+        (tmp_path / name).write_text(_with_cell(NODES_CSV, "lat", "95.0"))
+    elif name == "od.csv":
+        (tmp_path / name).write_text(OD_CSV + "0,9999,100\n")
+    elif name == "fixed.csv":
+        save_corridors(tmp_path / name, [Corridor(0, (9999,), 0, 2, 50.0, 1.0)])
+        with open(cfg, "a") as fh:
+            fh.write(f"corridor_file = {name}\n")
+    else:
+        (tmp_path / name).write_text("corridor_id\n999\n")
+        args += ["--design", str(tmp_path / name)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ") and message in err, err
+
+
 @pytest.mark.parametrize("line", ["crew_rate = nan", "beta = inf", "ocs_min = -inf", "signal_low = nan", "ppi_fuel = nan"])
 def test_load_rates_rejects_non_finite(tmp_path, line):
     f = tmp_path / "rates.cfg"
