@@ -14,20 +14,25 @@ reference (`tests/oracles.py`).
 Each bush stores a pull adjacency: its arc ids sorted by (topological
 position of the head, arc id), with one offset per position, so a label pass
 is one flat loop over a slice of it that writes a node's labels when the head
-changes.  Every bush node but the origin keeps an inbound arc, since
-`update_bush` keeps each min predecessor, so the loop writes every position
-of the slice; it meets the arcs in the same order as a loop per node would,
-so ties resolve as they would there.  A sweep visits the nodes in reverse
-topological order with at most one Newton shift per node.  A shift moves the
-flow of the segment arcs only, so only their costs and those of their
-traction partners are recomputed.  The labels are then recomputed only at
-the positions from the earliest head of a changed bush arc up to the current
-node.  This is exact: an earlier position has no changed inbound arc, so its
-labels stand, and the sweep never reads a label at or after the current node
-again.  Flows and costs come out bit for bit as if every cost and every label
-were recomputed after each shift.  After a bush update only added arcs can
-move a label (a dropped arc carried no flow and was no min predecessor), so
-the relabel starts at the earliest head of an added arc.  Any topological
+changes.  It is the bush's only arc set, and the order and its inverse are
+int32 arrays, so a bush holds no Python object per arc or node.  An arc is
+in the bush when its head has a position p and it lies in the slice of p, a
+few arc ids in ascending order.  Every bush node but the origin keeps an
+inbound arc, since `update_bush` keeps each min predecessor, so the loop
+writes every position of the slice; it meets the arcs in the same order as a
+loop per node would, so ties resolve as they would there.  A sweep visits
+the nodes in reverse topological order with at most one Newton shift per
+node.  A shift moves the flow of the segment arcs only, so only their costs
+and those of their traction partners are recomputed.  The labels are then
+recomputed only at the positions from the earliest head of a changed bush
+arc up to the current node; segment arcs are bush arcs, so only a partner
+needs the membership test.  This is exact: an earlier position has no
+changed inbound arc, so its labels stand, and the sweep never reads a label
+at or after the current node again.  Flows and costs come out bit for bit as
+if every cost and every label were recomputed after each shift.  After a
+bush update only added arcs can move a label (a dropped arc carried no flow
+and was no min predecessor), so the relabel starts at the earliest head of
+an added arc, and `update_bush` returns the added arcs.  Any topological
 order will do: a label pass takes each node's inbound arcs in arc-id order,
 so its labels, ties included, do not depend on the order, and the sweep and
 the relabel bounds need only that every arc runs forward.  So a bush keeps
@@ -166,16 +171,17 @@ class GapMetrics:
 class Bush:
     """Acyclic per-origin subnetwork plus this origin's arc flows.
 
-    `pos` inverts `order` (-1 off the bush), and `pull` holds the bush arcs
-    sorted by (pos of the head, arc id); the arcs entering order[i] are
-    pull[offsets[i]:offsets[i + 1]].
+    `order` is the topological node order, origin first, and `pos` inverts
+    it (-1 off the bush), both int32.  `pull` is the bush's one arc set: its
+    arc ids sorted by (pos of the head, arc id), so the arcs entering
+    order[i] are pull[offsets[i]:offsets[i + 1]].  An arc a is in the bush
+    when p = pos[head[a]] >= 0 and a lies in that short slice for i = p.
     """
 
     origin: int  # expanded node index
-    arcs: set[int]
-    order: list[int]  # topological node order, origin first
     flow: np.ndarray
     demand: float = 0.0
+    order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
@@ -184,11 +190,10 @@ class Bush:
         """Install a new arc set and rebuild `pull`; `order` None keeps the
         current order, which must still be topological for `arcs`."""
         if order is not None:
-            self.order = order
+            self.order = np.array(order, dtype=np.int32)
             self.pos = np.full(expanded.n_nodes, -1, dtype=np.int32)
-            self.pos[order] = np.arange(len(order))
+            self.pos[self.order] = np.arange(len(order))
         head_pos = self.pos[expanded.head[arcs]]
-        self.arcs = set(arcs.tolist())
         self.pull = arcs[np.lexsort((arcs, head_pos))].astype(np.int32)
         self.offsets = np.zeros(len(self.order) + 1, dtype=np.int32)
         np.cumsum(np.bincount(head_pos, minlength=len(self.order)), out=self.offsets[1:])
@@ -260,9 +265,14 @@ def _dijkstra(
     source: int,
     usable: np.ndarray,
 ) -> tuple[list[float], list[int]]:
-    """Label-setting shortest paths; cost ties keep the lowest arc id."""
+    """Label-setting shortest paths; cost ties keep the lowest arc id.
+
+    A node's predecessor is settled when it is popped: a later tie, which
+    needs an arc of cost 0 back into it, could close a predecessor cycle.
+    """
     dist = [math.inf] * expanded.n_nodes
     pred = [-1] * expanded.n_nodes
+    done = [False] * expanded.n_nodes
     dist[source] = 0.0
     heap = [(0.0, source)]
     out_arcs = expanded.out_arcs
@@ -274,6 +284,7 @@ def _dijkstra(
         d, u = pop(heap)
         if d > dist[u]:
             continue
+        done[u] = True
         for a in out_arcs[u]:
             if not ok[a]:
                 continue
@@ -284,7 +295,7 @@ def _dijkstra(
                 dist[v] = nd
                 pred[v] = a
                 push(heap, (nd, v))
-            elif nd == dv and pred[v] >= 0 and a < pred[v]:
+            elif nd == dv and not done[v] and pred[v] >= 0 and a < pred[v]:
                 pred[v] = a
     return dist, pred
 
@@ -413,7 +424,7 @@ def _initial_bush(
             a = pred[node]
             flow[a] += d
             node = tail[a]
-    bush = Bush(origin=src, arcs=set(), order=[], flow=flow, demand=sum(d for _, d in dests))
+    bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests))
     bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, src))
     return bush
 
@@ -424,7 +435,7 @@ def update_bush(
     costs: np.ndarray,
     usable: np.ndarray,
     labels: Labels | None = None,
-) -> bool:
+) -> np.ndarray | None:
     """Drop spent arcs, add strictly improving ones, keep a topological order.
 
     An arc stays while it carries flow or is its head's min predecessor.  An
@@ -434,7 +445,7 @@ def update_bush(
     stays unless an added arc runs backward in it.  Then the bush is
     re-sorted, without the backward adds on the rare tie that closes a cycle.
     `labels` are the bush's labels at `costs`, when the caller has them.
-    Returns True when the arc set changed.
+    Returns the added arc ids, None when the arc set stayed as it was.
     """
     if labels is None:
         labels = shortest_longest_labels(expanded, bush, costs)
@@ -449,7 +460,7 @@ def update_bush(
     improving = np.isfinite(Lt) & np.isfinite(Lh) & (Lt + costs < Lh) & (Lt < Lh)
     adds = np.flatnonzero(outside & improving)
     if adds.size == 0 and keep.size == old.size:
-        return False
+        return None
     new_arcs = np.concatenate((keep, adds))
     forward = bush.pos[expanded.tail[adds]] < bush.pos[expanded.head[adds]]
     order = None
@@ -461,9 +472,8 @@ def update_bush(
             adds = adds[forward]
             new_arcs = np.concatenate((keep, adds))
             order = _toposort(expanded, new_arcs, bush.origin)
-    changed = adds.size > 0 or keep.size < old.size
     bush.set_arcs(expanded, new_arcs, order)
-    return changed
+    return adds if adds.size or keep.size < old.size else None
 
 
 # --- Newton flow shift ----------------------------------------------------------
@@ -722,7 +732,7 @@ class BushSolver:
         engine = self.engine
         tail, head, partner = self._tail, self._head, self._partner
         L, U, pmin, pmax = labels
-        order, pos = bush.order, bush.pos
+        order, pos, pull, offsets = bush.order.tolist(), bush.pos, bush.pull, bush.offsets
         for i in range(len(order) - 1, 0, -1):
             v = order[i]
             if pmax[v] < 0 or pmin[v] == pmax[v]:
@@ -751,7 +761,12 @@ class BushSolver:
                     self._drain(bush, min_path, max_path, max_shift - applied)
             touched = segments + [partner[a] for a in segments]
             self.cost[touched] = engine.costs(self.x, np.array(touched))
-            first = min(pos[head[a]] for a in touched if a in bush.arcs)
+            # segment arcs are bush arcs; a partner counts only when it is one
+            first = min(pos[head[a]] for a in segments)
+            for a in touched[len(segments) :]:
+                p = pos[head[a]]
+                if 0 <= p < first and a in pull[offsets[p] : offsets[p + 1]]:
+                    first = p
             if first < i:
                 shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
 
@@ -795,15 +810,13 @@ class BushSolver:
             steps = []
             for bush in self.bushes:
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
-                arcs = bush.arcs
-                if update_bush(self.expanded, bush, self.cost, usable, labels):
-                    # a dropped arc carried no flow and was no min predecessor,
-                    # so only added arcs move labels: relabel from the first
-                    # head of one in the order
-                    added = bush.arcs - arcs
-                    if added:
-                        first = min(bush.pos[self._head[a]] for a in added)
-                        shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
+                added = update_bush(self.expanded, bush, self.cost, usable, labels)
+                # a dropped arc carried no flow and was no min predecessor, so
+                # only added arcs move labels: relabel from the first head of
+                # one in the order
+                if added is not None and added.size:
+                    first = int(bush.pos[self.expanded.head[added]].min())
+                    shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
                 self._equilibrate_bush(bush, labels)
                 if self._moved:
                     moved, self._moved = self._moved, {}

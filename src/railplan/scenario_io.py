@@ -465,7 +465,8 @@ def emit_geojson(
         )
     collection = {"type": "FeatureCollection", "features": features}
     if path is not None:
-        Path(path).write_text(json.dumps(collection, indent=2))
+        with open(path, "w") as fh:  # streamed: the indented text is never built whole
+            json.dump(collection, fh, indent=2)
     return collection
 
 

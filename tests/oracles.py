@@ -58,6 +58,11 @@ from railplan.equilibrium import (
 from railplan.network import ArcKind, ExpandedNetwork
 
 
+def bush_arcs(bush):
+    """The bush's arc ids as a set, read from its pull adjacency."""
+    return set(bush.pull.tolist())
+
+
 def oracle_labels(expanded, bush, costs):
     """(L, U, pred_min, pred_max) by one forward push pass in bush.order;
     cost ties keep the lowest arc id."""
@@ -68,12 +73,13 @@ def oracle_labels(expanded, bush, costs):
     pmax = np.full(n, -1, dtype=np.int64)
     L[bush.origin] = 0.0
     U[bush.origin] = 0.0
-    for u in bush.order:
+    arcs = bush_arcs(bush)
+    for u in bush.order.tolist():
         lu, uu = L[u], U[u]
         if not math.isfinite(lu):
             continue
         for a in expanded.out_arcs[u]:
-            if a not in bush.arcs:
+            if a not in arcs:
                 continue
             v = expanded.head[a]
             c = costs[a]
@@ -123,10 +129,11 @@ def oracle_update(expanded, bush, costs, usable):
     the backward adds are dropped before sorting.  Raises ValueError where
     update_bush must."""
     L, _, pmin, _ = oracle_labels(expanded, bush, costs)
-    keep = {a for a in bush.arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
+    arcs = bush_arcs(bush)
+    keep = {a for a in arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
     adds = set()
     for a in range(expanded.n_arcs):
-        if not usable[a] or a in bush.arcs:
+        if not usable[a] or a in arcs:
             continue
         t, h = int(expanded.tail[a]), int(expanded.head[a])
         if not (math.isfinite(L[t]) and math.isfinite(L[h])):
@@ -134,10 +141,10 @@ def oracle_update(expanded, bush, costs, usable):
         if L[t] + costs[a] < L[h] and L[t] < L[h]:
             adds.add(a)
     new_arcs = keep | adds
-    pos = {u: i for i, u in enumerate(bush.order)}
+    pos = {u: i for i, u in enumerate(bush.order.tolist())}
     forward = {a for a in adds if pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]}
     if forward == adds:
-        return new_arcs, list(bush.order)
+        return new_arcs, bush.order.tolist()
     try:
         order = oracle_toposort(expanded, new_arcs, bush.origin)
     except ValueError:
@@ -177,7 +184,7 @@ def oracle_wardrop(solver):
     worst = 0.0
     for bush in solver.bushes:
         L, U, _, _ = oracle_labels(solver.expanded, bush, solver.cost)
-        for v in bush.order:
+        for v in bush.order.tolist():
             if v == bush.origin or U[v] <= -math.inf or not math.isfinite(L[v]):
                 continue
             scale = max(abs(L[v]), 1.0e-12)
@@ -282,7 +289,7 @@ class FullRelabelSolver(RecordingSolver):
         engine = self.engine
         eps = self._flow_eps(bush)
         L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)
-        for v in reversed(bush.order):
+        for v in reversed(bush.order.tolist()):
             if pmax[v] < 0 or pmin[v] == pmax[v]:
                 continue
             if not (math.isfinite(L[v]) and U[v] > -math.inf):

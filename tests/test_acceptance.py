@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import RecordingSolver, brute_force, generalized_cost, jacobian, msa_reference
+from oracles import RecordingSolver, brute_force, bush_arcs, generalized_cost, jacobian, msa_reference
 from synth import (
     assembled_instance,
     bidirectional,
@@ -206,9 +206,10 @@ def _wardrop_spread(expanded, profiles, solver):
         eps = 1.0e-12 * max(1.0, bush.demand)
         L = {bush.origin: 0.0}
         U = {bush.origin: 0.0}
-        for u in bush.order:
+        arcs = bush_arcs(bush)
+        for u in bush.order.tolist():
             for a in expanded.out_arcs[u]:
-                if a not in bush.arcs:
+                if a not in arcs:
                     continue
                 v = int(expanded.head[a])
                 if u in L:

@@ -20,6 +20,7 @@ from railplan.network import apply_design
 from oracles import (
     FullRelabelSolver,
     RecordingSolver,
+    bush_arcs,
     oracle_labels,
     oracle_update,
     oracle_wardrop,
@@ -76,14 +77,14 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
     free_flow = engine.costs(np.zeros(expanded.n_arcs))
     for origin, dests in od.by_origin().items():
         bush = _initial_bush(expanded, free_flow, engine.usable, origin, dests)
-        nodes = set(bush.order)
+        nodes = set(bush.order.tolist())
         for _ in range(4):
             # few distinct cost values make label ties common
             if tied_costs:
                 costs = rng.integers(1, 4, expanded.n_arcs).astype(float)
             else:
                 costs = rng.uniform(0.5, 5.0, expanded.n_arcs)
-            arcs = np.array(sorted(bush.arcs))
+            arcs = np.array(sorted(bush_arcs(bush)))
             bush.flow[:] = 0.0
             bush.flow[arcs] = np.where(rng.random(arcs.size) < 0.6, rng.uniform(0.0, 1.0e4, arcs.size), 0.0)
 
@@ -91,20 +92,23 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             for want, have in zip(oracle_labels(expanded, bush, costs), got):
                 assert want.tolist() == have
 
-            before = set(bush.arcs)
+            before = bush_arcs(bush)
             want_arcs, want_order = oracle_update(expanded, bush, costs, engine.usable)
-            changed = update_bush(expanded, bush, costs, engine.usable)
-            assert bush.arcs == want_arcs
-            assert bush.order == want_order
-            assert changed == (want_arcs != before)
+            added = update_bush(expanded, bush, costs, engine.usable)
+            assert bush_arcs(bush) == want_arcs
+            assert bush.order.tolist() == want_order
+            assert (added is not None) == (want_arcs != before)
+            if added is not None:
+                assert set(added.tolist()) == want_arcs - before
             # any topological order of the initial node set, indexed by pos
-            assert set(bush.order) == nodes and len(bush.order) == len(nodes)
+            assert set(bush.order.tolist()) == nodes and len(bush.order) == len(nodes)
+            assert bush.order.dtype == bush.pos.dtype == np.int32
             assert bush.order[0] == bush.origin
-            for a in bush.arcs:
+            for a in bush_arcs(bush):
                 assert bush.pos[expanded.tail[a]] < bush.pos[expanded.head[a]]
             # every node but the origin keeps an inbound arc, so a label pass
             # writes every position it covers
-            assert set(bush.order[1:]) <= {int(expanded.head[a]) for a in bush.arcs}
+            assert set(bush.order[1:].tolist()) <= {int(expanded.head[a]) for a in bush_arcs(bush)}
             want_pos = np.full(expanded.n_nodes, -1)
             want_pos[bush.order] = np.arange(len(bush.order))
             assert bush.pos.tolist() == want_pos.tolist()
@@ -137,7 +141,7 @@ def test_partial_label_pass_matches_oracle(seed, load, electrified_share, data):
     got = shortest_longest_labels(expanded, bush, costs, labels, start, stop)
     assert got is labels
     want = oracle_labels(expanded, bush, costs)
-    relabelled = set(bush.order[start:stop])
+    relabelled = set(bush.order[start:stop].tolist())
     for w, have, old in zip(want, got, before):
         for node in range(expanded.n_nodes):
             expected = w[node].item() if node in relabelled else old[node]

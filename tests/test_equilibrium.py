@@ -33,7 +33,7 @@ from railplan.equilibrium import (
 )
 from railplan.network import Node, PhysicalLink, RailNetwork, apply_design
 
-from oracles import RecordingSolver, jacobian, msa_reference
+from oracles import RecordingSolver, bush_arcs, jacobian, msa_reference
 from synth import (
     assembled_instance,
     line_network,
@@ -223,9 +223,10 @@ def test_labels_match_path_enumeration(two_path_net):
 
     # exhaustive DFS over bush arcs
     paths: dict[int, list[tuple[float, bool]]] = {bush.origin: [(0.0, True)]}
-    for u in bush.order:
+    arcs = bush_arcs(bush)
+    for u in bush.order.tolist():
         for a in expanded.out_arcs[u]:
-            if a not in bush.arcs:
+            if a not in arcs:
                 continue
             v = expanded.head[a]
             for cost_u, carrying in paths.get(u, []):
@@ -246,17 +247,16 @@ def test_update_bush_fixed_point_and_acyclic(two_path_net):
     expanded, _, usable, solver, _, metrics = solved(two_path_net, od)
     assert metrics.relative_gap <= 1e-8
     for bush in solver.bushes:
-        changed = update_bush(expanded, bush, solver.cost, usable)
-        assert not changed
+        assert update_bush(expanded, bush, solver.cost, usable) is None  # unchanged
         g = nx.DiGraph()
-        g.add_nodes_from(bush.order)
+        g.add_nodes_from(bush.order.tolist())
         g.add_edges_from(
-            (int(expanded.tail[a]), int(expanded.head[a])) for a in bush.arcs
+            (int(expanded.tail[a]), int(expanded.head[a])) for a in bush_arcs(bush)
         )
         assert nx.is_directed_acyclic_graph(g)
         # the stored order is a valid topological order of the bush
-        pos = {u: i for i, u in enumerate(bush.order)}
-        for a in bush.arcs:
+        pos = {u: i for i, u in enumerate(bush.order.tolist())}
+        for a in bush_arcs(bush):
             assert pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]
 
 
@@ -277,7 +277,7 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward)
     flow = np.zeros(expanded.n_arcs)
     flow[[to_mid, kept]] = 1.0
     arcs = np.array(sorted([to_mid, kept]))
-    bush = Bush(origin=n0, arcs=set(), order=[], flow=flow, demand=1.0)
+    bush = Bush(origin=n0, flow=flow, demand=1.0)
     bush.set_arcs(expanded, arcs, order)
 
     calls = []
@@ -289,10 +289,10 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward)
         return _toposort(*args)
 
     monkeypatch.setattr(equilibrium, "_toposort", toposort)
-    assert update_bush(expanded, bush, costs, usable)
-    assert bush.arcs == {to_mid, kept, added}
+    assert update_bush(expanded, bush, costs, usable).tolist() == [added]
+    assert bush_arcs(bush) == {to_mid, kept, added}
     assert len(calls) == int(backward)
-    assert bush.order == ([n0, n2, n1] if backward else order)
+    assert bush.order.tolist() == ([n0, n2, n1] if backward else order)
     assert [bush.pos[n] for n in bush.order] == [0, 1, 2]
 
 
@@ -440,6 +440,38 @@ def test_zero_demand_and_infeasible():
         solve_equilibrium(expanded, usable, ODMatrix({(1, 0): 5.0e3}), profiles)
 
 
+def test_zero_cost_arcs_leave_no_predecessor_cycle():
+    # With every rate 0 each arc costs 0.  From node 0 the shortest-path
+    # search reaches 1 by link 2 and 2 by link 3.  Settling 1, link 0
+    # (1 -> 2) ties with link 3 at a lower arc id and takes over; settling 2,
+    # link 1 (2 -> 1) ties with link 2 at a lower arc id, but 1 is settled.
+    # Taking that tie too made 1 and 2 each other's predecessor, and the
+    # bush of origin 0 (demand to node 3) held the cycle.
+    links = [(0, 1, 2), (1, 2, 1), (2, 0, 1), (3, 0, 2), (4, 0, 3), (5, 3, 0), (6, 1, 0), (7, 2, 0)]
+    net = RailNetwork.build(
+        [Node(i, 40.0, -100.0 + 0.5 * i) for i in range(4)],
+        [PhysicalLink(lid, t, h, length_km=60.0, curve_radius_m=20000.0, capacity_tpd=5e4)
+         for lid, t, h in links],
+    )
+    zero = RateTable(crew_rate=0.0, cargo_rate=0.0, fuel_cost_diesel=0.0, fuel_cost_electric=0.0,
+                     switch_cost_per_train=0.0)
+    expanded, profiles = assembled_instance(net, rates=zero)
+    usable = apply_design(expanded, set())
+    src = expanded.diesel_node(0)
+    dist, pred = equilibrium._dijkstra(expanded, np.zeros(expanded.n_arcs), src, usable)
+    for node in map(expanded.diesel_node, range(4)):
+        assert dist[node] == 0.0
+        for _ in range(4):  # the predecessor chain reaches the source
+            if node == src:
+                break
+            node = int(expanded.tail[pred[node]])
+        assert node == src
+
+    state, metrics = solve_equilibrium(expanded, usable, ODMatrix({(0, 3): 1.0e4}), profiles)
+    assert metrics.converged and metrics.iteration == 1
+    assert state.x[expanded.pair_of[4][0]] == 1.0e4
+
+
 def test_effectively_uncapacitated_links_solve():
     # cap ** beta overflows to inf: no congestion, every demand on the
     # cheapest route, and no OverflowError from the safeguard's constants
@@ -505,7 +537,7 @@ def test_dead_flow_on_dearer_segment_is_drained_in_one_sweep():
     flow = np.zeros(expanded.n_arcs)
     flow[direct] = demand  # demand - 1e-13 rounds to demand
     flow[dogleg] = 1.0e-13
-    bush = Bush(origin=origin, arcs=set(), order=[], flow=flow, demand=demand)
+    bush = Bush(origin=origin, flow=flow, demand=demand)
     bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, origin))
     solver.bushes = [bush]
     solver.x = flow.copy()

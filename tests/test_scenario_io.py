@@ -593,6 +593,8 @@ def test_geojson_emit_and_validate(tmp_path):
     out = tmp_path / "net.geojson"
     doc = emit_geojson({0, 1}, bundle.network, flows, out)
     validate_geojson(doc)
+    # the byte format that artifact comparisons rely on
+    assert out.read_text() == json.dumps(doc, indent=2)
     reread = json.loads(out.read_text())
     validate_geojson(reread)
     assert len(reread["features"]) == len(bundle.network.links)
