@@ -21,8 +21,11 @@ few arc ids in ascending order.  Every bush node but the origin keeps an
 inbound arc, since `update_bush` keeps each min predecessor, so the loop
 writes every position of the slice; it meets the arcs in the same order as a
 loop per node would, so ties resolve as they would there.  A sweep visits
-the nodes in reverse topological order with at most one Newton shift per
-node.  A shift moves the flow of the segment arcs only, so only their costs
+the merges, the positions with two or more inbound arcs, in reverse
+topological order with at most one Newton shift each: a lone inbound arc is
+both min and max predecessor or carries no flow, so its head never shifts,
+and it is kept untested by `update_bush` on a bush without merges, a tree.
+A shift moves the flow of the segment arcs only, so only their costs
 and those of their traction partners are recomputed.  The labels are then
 recomputed only at the positions from the earliest head of a changed bush
 arc up to the current node; segment arcs are bush arcs, so only a partner
@@ -74,9 +77,14 @@ falls.  Flows stay non-negative and
 conserving, and the unchanged stopping rule is checked after the step on the
 flows as they are, so a stop still means spread and gap within tolerance.
 
-The relative gap costs one Dijkstra per origin.  It is computed only where
-the Wardrop spread is within tolerance, or on the last iteration; a stop
-needs both within tolerance, so every stop decision is unchanged.
+The relative gap is computed only where the Wardrop spread is within
+tolerance, or on the last iteration; a stop needs both within tolerance, so
+every stop decision is unchanged.  It comes from the spread check's labels,
+at the costs the stop decision reads: a bush's min labels are float path
+sums over usable arcs, and the repair of `screen` from every usable arc
+that lowers one makes them its origin's distances.  Summed in
+`relative_gap`'s order, they give its gap bit for bit.  `_dijkstra` reads
+the usable out-arcs that each call site builds once with `_adjacency`.
 
 A solve can be given a `start`: a converged equilibrium of the same demand on
 a network with fewer usable arcs, such as the all-diesel one for a design.
@@ -176,6 +184,7 @@ class Bush:
     arc ids sorted by (pos of the head, arc id), so the arcs entering
     order[i] are pull[offsets[i]:offsets[i + 1]].  An arc a is in the bush
     when p = pos[head[a]] >= 0 and a lies in that short slice for i = p.
+    `merges` lists the positions with two or more inbound arcs, ascending.
     """
 
     origin: int  # expanded node index
@@ -185,6 +194,7 @@ class Bush:
     pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
+    merges: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None) -> None:
         """Install a new arc set and rebuild `pull`; `order` None keeps the
@@ -196,7 +206,9 @@ class Bush:
         head_pos = self.pos[expanded.head[arcs]]
         self.pull = arcs[np.lexsort((arcs, head_pos))].astype(np.int32)
         self.offsets = np.zeros(len(self.order) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(head_pos, minlength=len(self.order)), out=self.offsets[1:])
+        inbound = np.bincount(head_pos, minlength=len(self.order))
+        np.cumsum(inbound, out=self.offsets[1:])
+        self.merges = (inbound >= 2).nonzero()[0]
 
 
 class CostEngine:
@@ -259,36 +271,42 @@ class CostEngine:
 # --- shortest paths -----------------------------------------------------------
 
 
-def _dijkstra(
-    expanded: ExpandedNetwork,
-    costs: np.ndarray,
-    source: int,
-    usable: np.ndarray,
-) -> tuple[list[float], list[int]]:
-    """Label-setting shortest paths; cost ties keep the lowest arc id.
+Adjacency = list[list[tuple[int, int]]]
 
-    A node's predecessor is settled when it is popped: a later tie, which
-    needs an arc of cost 0 back into it, could close a predecessor cycle.
+
+def _adjacency(expanded: ExpandedNetwork, usable: np.ndarray) -> Adjacency:
+    """Each node's usable out-arcs as (arc id, head), in arc-id order."""
+    head, ok = expanded.head.tolist(), np.asarray(usable, dtype=bool).tolist()
+    return [[(a, head[a]) for a in arcs if ok[a]] for arcs in expanded.out_arcs]
+
+
+def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None) -> tuple[list, list]:
+    """Label-setting shortest paths over `_adjacency` at the arc costs `cost`
+    from the (label, node) pairs `seeds`, lowering `dist` (all inf when None)
+    in place; cost ties keep the lowest arc id.  Seeded (0.0, source) it is
+    a Dijkstra, and from labels some path reaches the repair of `screen`.
+
+    A node's predecessor is the arc that set its label here, -1 where none
+    did, settled when the node is popped: a later tie, which needs an arc of
+    cost 0 back into it, could close a predecessor cycle.
     """
-    dist = [math.inf] * expanded.n_nodes
-    pred = [-1] * expanded.n_nodes
-    done = [False] * expanded.n_nodes
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    out_arcs = expanded.out_arcs
-    head = expanded.head.tolist()
-    cost = costs.tolist()
-    ok = np.asarray(usable, dtype=bool).tolist()
+    n = len(adjacency)
+    dist = [math.inf] * n if dist is None else dist
+    pred = [-1] * n
+    done = [False] * n
+    heap = []
+    for nd, v in seeds:
+        if nd < dist[v]:
+            dist[v] = nd
+            heap.append((nd, v))
+    heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue
         done[u] = True
-        for a in out_arcs[u]:
-            if not ok[a]:
-                continue
-            v = head[a]
+        for a, v in adjacency[u]:
             nd = d + cost[a]
             dv = dist[v]
             if nd < dv:
@@ -402,14 +420,14 @@ def shortest_longest_labels(
 
 def _initial_bush(
     expanded: ExpandedNetwork,
-    costs: np.ndarray,
-    usable: np.ndarray,
+    adjacency: Adjacency,
+    cost: list[float],
     origin_phys: int,
     dests: list[tuple[int, float]],
 ) -> Bush:
-    """Shortest-path tree at the given costs, demand loaded all-or-nothing."""
+    """Shortest-path tree over `_adjacency`, demand loaded all-or-nothing."""
     src = expanded.diesel_node(origin_phys)
-    dist, pred = _dijkstra(expanded, costs, src, usable)
+    dist, pred = _dijkstra(adjacency, cost, [(0.0, src)])
     missing = [s for s, _ in dests if not math.isfinite(dist[expanded.diesel_node(s)])]
     if missing:
         raise InfeasibleAssignmentError(
@@ -417,13 +435,12 @@ def _initial_bush(
         )
     arcs = np.array(sorted(a for a in pred if a >= 0), dtype=np.int64)
     flow = np.zeros(expanded.n_arcs)
-    tail = expanded.tail.tolist()
     for dest, d in dests:
         node = expanded.diesel_node(dest)
         while node != src:
             a = pred[node]
             flow[a] += d
-            node = tail[a]
+            node = expanded.tail.item(a)
     bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests))
     bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, src))
     return bush
@@ -451,9 +468,11 @@ def update_bush(
         labels = shortest_longest_labels(expanded, bush, costs)
     n = expanded.n_nodes
     L = np.fromiter(labels[0], float, n)
-    pmin = np.fromiter(labels[2], np.int64, n)
     old = bush.pull.astype(np.int64)
-    keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
+    keep = old  # without a merge, each node's one inbound arc is its min predecessor
+    if bush.merges.size:
+        pmin = np.fromiter(labels[2], np.int64, n)
+        keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
     outside = np.asarray(usable, dtype=bool).copy()
     outside[old] = False
     Lt, Lh = L[expanded.tail], L[expanded.head]
@@ -562,7 +581,9 @@ class BushSolver:
     ):
         self.expanded = expanded
         self.engine = CostEngine(expanded, profiles, usable)
+        self._adjacency = _adjacency(expanded, self.engine.usable)
         self.od = od
+        self.origins = od.by_origin()  # in origin order, as the bushes
         self.tol = tol
         self.max_iter = max_iter
         self.bushes: list[Bush] = []
@@ -719,8 +740,8 @@ class BushSolver:
         return after
 
     def _equilibrate_bush(self, bush: Bush, labels: Labels) -> None:
-        """One sweep over the bush in reverse topological order, at most one
-        Newton shift per node.
+        """One sweep over the bush's merge positions in reverse topological
+        order, at most one Newton shift each.
 
         After a shift only the costs of the segment arcs and their traction
         partners change, and only the nodes from the earliest head of such a
@@ -733,7 +754,7 @@ class BushSolver:
         tail, head, partner = self._tail, self._head, self._partner
         L, U, pmin, pmax = labels
         order, pos, pull, offsets = bush.order.tolist(), bush.pos, bush.pull, bush.offsets
-        for i in range(len(order) - 1, 0, -1):
+        for i in reversed(bush.merges.tolist()):
             v = order[i]
             if pmax[v] < 0 or pmin[v] == pmax[v]:
                 continue
@@ -775,28 +796,39 @@ class BushSolver:
 
         Bushes are visited in order and the visit stops at the first bush
         whose spread exceeds `bound`; the value returned is then that
-        spread, which is still above `bound`.
+        spread, which is still above `bound`, and `checked_gap` is None;
+        else it is the relative gap at these costs (module docstring).
         """
+        expanded, n, usable = self.expanded, self.expanded.n_nodes, self.engine.usable
+        tail, head, cost = expanded.tail[usable], expanded.head[usable], self.cost[usable]
+        cost_list = self.cost.tolist()  # what the repair reads
+        reached = []  # per bush, its distance at each destination
         worst = 0.0
-        n = self.expanded.n_nodes
-        for bush in self.bushes:
-            L, U, _, _ = shortest_longest_labels(self.expanded, bush, self.cost)
+        self.checked_gap = None
+        for bush, dests in zip(self.bushes, self.origins.values()):
+            L, U, _, _ = shortest_longest_labels(expanded, bush, self.cost)
+            dist = np.fromiter(L, float, n)
             nodes = bush.order[1:]  # all but the origin
-            lo, up = np.fromiter(L, float, n)[nodes], np.fromiter(U, float, n)[nodes]
+            lo, up = dist[nodes], np.fromiter(U, float, n)[nodes]
             ok = (up > -math.inf) & np.isfinite(lo)
             if ok.any():
                 lo, up = lo[ok], up[ok]
                 worst = max(worst, float(((up - lo) / np.maximum(np.abs(lo), 1.0e-12)).max()))
             if worst > bound:
-                break
+                return worst
+            offered = dist[tail] + cost
+            broken = offered < dist[head]
+            if broken.any():
+                _dijkstra(self._adjacency, cost_list, zip(offered[broken].tolist(), head[broken].tolist()), L)
+            reached.append({v: L[v] for v in (expanded.diesel_node(s) for s, _ in dests)})
+        self.checked_gap = _gap(expanded, self.origins, reached, flow_cost(self.x, self.cost))
         return worst
 
     def solve(self) -> tuple[FlowState, GapMetrics]:
-        origins = self.od.by_origin()
         usable = self.engine.usable
-        free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs))
-        for origin in sorted(origins):
-            bush = _initial_bush(self.expanded, free_flow, usable, origin, origins[origin])
+        free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs)).tolist()
+        for origin, dests in self.origins.items():
+            bush = _initial_bush(self.expanded, self._adjacency, free_flow, origin, dests)
             self.bushes.append(bush)
             self.x += bush.flow
         self.cost = self.engine.costs(self.x)
@@ -828,13 +860,13 @@ class BushSolver:
 
             # A stop needs both the spread and the gap within tolerance.  A
             # spread known to exceed it rules a stop out, so the spread is only
-            # completed, and the gap (one Dijkstra per origin) only computed,
-            # where they decide a stop or go into the result.
+            # completed, and the gap only computed, where they decide a stop
+            # or go into the result.
             last = iteration == self.max_iter
             wardrop = self.wardrop_violation(math.inf if last else self.tol)
-            checked = wardrop <= self.tol or last
+            checked = self.checked_gap is not None  # the spread within tolerance, or last
             if checked:
-                gap = relative_gap(self.expanded, usable, self.cost, self.x, self.od)
+                gap = self.checked_gap
             trace.append((iteration, beckmann, gap if checked else None))
             if checked and gap <= self.tol and wardrop <= self.tol:
                 break
@@ -880,7 +912,8 @@ def relative_gap(
 ) -> float:
     """(total cost - cost on current shortest paths) / latter; 0 for no demand."""
     origins = od.by_origin()
-    dists = (_dijkstra(expanded, costs, expanded.diesel_node(r), usable)[0] for r in origins)
+    adjacency, cost = _adjacency(expanded, usable), costs.tolist()
+    dists = (_dijkstra(adjacency, cost, [(0.0, expanded.diesel_node(r))])[0] for r in origins)
     return _gap(expanded, origins, dists, flow_cost(x, costs))
 
 

@@ -226,7 +226,7 @@ class ExpandedNetwork:
     sorted yard order, diesel to electric first.  Per arc: `kind`, `tail`
     and `head` (expanded nodes), `link` (physical link id, -1 for a switch
     arc), `partner` (the pair's other arc; a switch arc is its own),
-    `fixed_cost` ($/ton, switch arcs only) and `arc_length_km`.
+    `fixed_cost` ($/ton, switch arcs only), `arc_length_km` and `non_electric`.
     """
 
     def __init__(self, net: RailNetwork, switch_cost_per_ton: float | Mapping[int, float]):
@@ -257,6 +257,7 @@ class ExpandedNetwork:
         self.head = 2 * ends[:, 1] + np.where(ids < n_pair, side, 1 - side)
         kinds = np.array([ArcKind.DIESEL, ArcKind.ELECTRIC, ArcKind.SWITCH], dtype=object)
         self.kind = kinds[np.where(ids < n_pair, side, 2)]
+        self.non_electric = self.kind != ArcKind.ELECTRIC
         self.link = np.array(self.link_ids + [-1] * len(yards), dtype=np.int64).repeat(2)
         self.partner = np.where(ids < n_pair, ids ^ 1, ids)
         self.fixed_cost = np.array([0.0] * len(links) + costs).repeat(2)
@@ -296,7 +297,9 @@ def apply_design(expanded: ExpandedNetwork, electrified_links: Iterable[int]) ->
     when its physical link is electrified.  Unknown link ids are rejected.
     """
     chosen = set(electrified_links)
-    unknown = chosen - set(expanded.net.links)
+    unknown = [lid for lid in chosen if lid not in expanded.pair_of]
     if unknown:
         raise ValueError(f"electrified set references unknown links {sorted(unknown)}")
-    return (expanded.kind != ArcKind.ELECTRIC) | np.isin(expanded.link, list(chosen))
+    usable = expanded.non_electric.copy()
+    usable[[expanded.pair_of[lid][1] for lid in chosen]] = True
+    return usable

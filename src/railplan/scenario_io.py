@@ -573,6 +573,13 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
         else:
             cost = profiles.congestion_coef + profiles.diesel_fuel_per_ton
             weights = dict(zip(profiles.link_ids, cost.tolist()))
+            free = [lid for lid, l in sorted(network.links.items()) if l.candidate and not weights[lid] > 0.0]
+            if free:
+                raise ValidationError(
+                    f"{rates_path}: crew_rate, cargo_rate and fuel_cost_diesel give candidate link {free[0]} "
+                    f"a free-flow cost of {weights[free[0]]!r} $/ton, and corridors follow a positive cost; "
+                    "corridor_metric = length avoids this"
+                )
         corridors = candidate_corridors(network, weights, link_costs)
 
     return design.DesignProblem(

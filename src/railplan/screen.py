@@ -9,8 +9,9 @@ usable.  An impassable traction side costs inf, so no usable mask needs to
 leave it out: it never passes D[tail] + c < D[head], never lowers a label,
 and carries no flow.  Only arcs usable here and not in the start can shorten
 a path.  One comparison, D[tail] + c < D[head], finds the origins where one
-does; their distances are repaired by a Dijkstra seeded at the broken heads
-that relaxes the usable arcs only while a label strictly falls.  The gap is
+does; `equilibrium._dijkstra` repairs their distances from D, seeded at the
+broken heads, relaxing the usable arcs only while a label strictly falls
+(the solver's stop check repairs its bush labels the same way).  The gap is
 then `relative_gap` bit for bit.  Float addition of a non-negative cost is
 monotone, so a full Dijkstra's label is the least float path sum over the
 usable arcs, and so is every label of a labelling that some path reaches and
@@ -25,14 +26,13 @@ start is not usable here, distances can grow, and the screen calls
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .equilibrium import (
     FlowState,
     GapMetrics,
     ODMatrix,
+    _adjacency,
     _dijkstra,
     _gap,
     flow_cost,
@@ -58,10 +58,9 @@ class StartTable:
         self.cost = state.cost
         self.tstt = flow_cost(state.x, self.cost)
         self.origins = od.by_origin()
-        rows = [_dijkstra(expanded, self.cost, expanded.diesel_node(r), self.usable)[0] for r in self.origins]
+        adjacency, self._cost = _adjacency(expanded, self.usable), self.cost.tolist()
+        rows = [_dijkstra(adjacency, self._cost, [(0.0, expanded.diesel_node(r))])[0] for r in self.origins]
         self.dist = np.array(rows).reshape(len(rows), expanded.n_nodes)
-        self._tail, self._head = expanded.tail.tolist(), expanded.head.tolist()
-        self._cost = self.cost.tolist()
 
     def screen(self, usable: np.ndarray | None, tol: float) -> tuple[FlowState, GapMetrics] | None:
         """The start's flows at iteration 0 when they meet the stopping rule
@@ -87,35 +86,13 @@ class StartTable:
         if np.any(self.usable & ~usable):
             return relative_gap(self.expanded, usable, self.cost, self.state.x, self.od)
         added = np.flatnonzero(usable & ~self.usable)
-        tail, head = self.expanded.tail[added], self.expanded.head[added]
-        broken = self.dist[:, tail] + self.cost[added] < self.dist[:, head]
-        ok = usable.tolist()
+        head = self.expanded.head[added]
+        offered = self.dist[:, self.expanded.tail[added]] + self.cost[added]
+        broken = offered < self.dist[:, head]
+        adjacency = _adjacency(self.expanded, usable) if broken.any() else None
         dists = (  # lists: the gap sums Python floats
-            self._repair(row.tolist(), added[hit].tolist(), ok) if hit.any() else row.tolist()
-            for row, hit in zip(self.dist, broken)
+            _dijkstra(adjacency, self._cost, zip(offer[hit].tolist(), head[hit].tolist()), row.tolist())[0]
+            if hit.any() else row.tolist()
+            for row, offer, hit in zip(self.dist, offered, broken)
         )
         return _gap(self.expanded, self.origins, dists, self.tstt)
-
-    def _repair(self, dist: list[float], seeds: list[int], ok: list[bool]) -> list[float]:
-        """Lower `dist`, the distances over the start's usable arcs, to those
-        over the arcs `ok`, from the arcs `seeds` that break it."""
-        tail, head, cost, out_arcs = self._tail, self._head, self._cost, self.expanded.out_arcs
-        heap = []
-        for a in seeds:
-            nd, v = dist[tail[a]] + cost[a], head[a]
-            if nd < dist[v]:
-                dist[v] = nd
-                heap.append((nd, v))
-        heapq.heapify(heap)
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue
-            for a in out_arcs[u]:
-                if ok[a]:
-                    nd, v = d + cost[a], head[a]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        push(heap, (nd, v))
-        return dist

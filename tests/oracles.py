@@ -4,10 +4,11 @@ Scalar versions of the bush machinery in railplan.equilibrium, the
 straightforward forms of the solver's array-native hot path: a push-style
 label pass over `out_arcs`, per-arc keep and add rules for the bush update, a
 node-by-node Wardrop spread, a Bellman-Ford relative gap, a dict-based
-objective change of a flow shift, and a sweep that recomputes every cost and
-every label after each flow shift or drain.  The property tests require the
-solver to agree with them exactly, bit for bit.  A recording solver books
-the objective after every move the solver makes, from outside it.
+objective change of a flow shift, a sweep that visits every node rather than
+the merges only, and one that recomputes every cost and every label after
+each flow shift or drain.  The property tests require the solver to agree
+with them exactly, bit for bit.  A recording solver books the objective
+after every move the solver makes, from outside it.
 
 The scalar link cost row: one link and one traction at a time, the notch by
 a loop over the throttle levels and the speed by a scalar bisection.
@@ -51,6 +52,7 @@ from railplan.equilibrium import (
     FlowState,
     InfeasibleAssignmentError,
     ODMatrix,
+    _adjacency,
     _dijkstra,
     _trace_segments,
     newton_flow_shift,
@@ -260,6 +262,17 @@ class RecordingSolver(BushSolver):
         return after
 
 
+class AllPositionsSolver(BushSolver):
+    """BushSolver whose sweep visits every position but the origin's, as if
+    every node were a merge.  The override stays until `set_arcs` next
+    rebuilds the merges, so `update_bush` also runs its keep test on a
+    tree."""
+
+    def _equilibrate_bush(self, bush, labels):
+        bush.merges = np.arange(1, len(bush.order))
+        super()._equilibrate_bush(bush, labels)
+
+
 class FullRelabelSolver(RecordingSolver):
     """RecordingSolver whose sweep recomputes all costs, all derivatives and
     a full scalar label pass after every applied shift, and whose safeguard
@@ -432,9 +445,10 @@ def _aon_flows(
     """All-or-nothing loading onto current shortest paths."""
     x = np.zeros(expanded.n_arcs)
     tail = expanded.tail.tolist()
+    adjacency, cost = _adjacency(expanded, usable), costs.tolist()
     for origin, dests in od.by_origin().items():
         src = expanded.diesel_node(origin)
-        dist, pred = _dijkstra(expanded, costs, src, usable)
+        dist, pred = _dijkstra(adjacency, cost, [(0.0, src)])
         for dest, d in dests:
             node = expanded.diesel_node(dest)
             if not math.isfinite(dist[node]):

@@ -1,6 +1,7 @@
 """The array-native bush hot path agrees bit for bit with the scalar oracles
 of oracles.py on random and overloaded networks."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from railplan.costmodel import RateTable
 from railplan.equilibrium import (
     BushSolver,
     CostEngine,
+    _adjacency,
     _initial_bush,
+    relative_gap,
     shortest_longest_labels,
     solve_equilibrium,
     update_bush,
@@ -18,6 +21,7 @@ from railplan.equilibrium import (
 from railplan.network import apply_design
 
 from oracles import (
+    AllPositionsSolver,
     FullRelabelSolver,
     RecordingSolver,
     bush_arcs,
@@ -74,9 +78,10 @@ def test_a_cold_solve_returns_the_cost_engines_costs_of_its_flows(seed, load, el
 def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_share, tied_costs):
     rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
     engine = CostEngine(expanded, profiles, usable)
-    free_flow = engine.costs(np.zeros(expanded.n_arcs))
+    adjacency = _adjacency(expanded, engine.usable)
+    free_flow = engine.costs(np.zeros(expanded.n_arcs)).tolist()
     for origin, dests in od.by_origin().items():
-        bush = _initial_bush(expanded, free_flow, engine.usable, origin, dests)
+        bush = _initial_bush(expanded, adjacency, free_flow, origin, dests)
         nodes = set(bush.order.tolist())
         for _ in range(4):
             # few distinct cost values make label ties common
@@ -112,6 +117,8 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             want_pos = np.full(expanded.n_nodes, -1)
             want_pos[bush.order] = np.arange(len(bush.order))
             assert bush.pos.tolist() == want_pos.tolist()
+            inbound = np.diff(bush.offsets)
+            assert bush.merges.tolist() == [p for p in range(len(bush.order)) if inbound[p] >= 2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,7 +128,7 @@ def test_partial_label_pass_matches_oracle(seed, load, electrified_share, data):
     engine = CostEngine(expanded, profiles, usable)
     costs = engine.costs(np.zeros(expanded.n_arcs))
     origin, dests = next(iter(od.by_origin().items()))
-    bush = _initial_bush(expanded, costs, engine.usable, origin, dests)
+    bush = _initial_bush(expanded, _adjacency(expanded, engine.usable), costs.tolist(), origin, dests)
     for _ in range(2):  # grow the bush so that nodes have several inbound arcs
         update_bush(expanded, bush, rng.uniform(0.5, 5.0, expanded.n_arcs), engine.usable)
     arcs = bush.pull.astype(np.int64)
@@ -257,3 +264,58 @@ def test_skipped_gap_checks_keep_every_stop_decision(seed, load, electrified_sha
         else:
             assert stops or j == max_iter
             assert (cut.relative_gap, cut.wardrop_max) == (metrics.relative_gap, metrics.wardrop_max)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares)
+def test_merge_sweep_matches_all_positions_sweep(seed, load, electrified_share):
+    _, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    solvers = [
+        cls(expanded, usable, od, profiles, tol=1.0e-10, max_iter=25)
+        for cls in (BushSolver, AllPositionsSolver)
+    ]
+    (state, metrics), (want_state, want_metrics) = [solver.solve() for solver in solvers]
+    assert state.x.tolist() == want_state.x.tolist()
+    assert state.cost.tolist() == want_state.cost.tolist()
+    assert metrics == want_metrics
+    for bush, want in zip(*(solver.bushes for solver in solvers)):
+        assert bush.flow.tolist() == want.flow.tolist()
+        assert bush_arcs(bush) == bush_arcs(want)
+
+
+class GapCheckingSolver(BushSolver):
+    """Records (stop-check gap, `relative_gap` at the same flows and costs)
+    at every iteration whose gap the solver computed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gaps: list[tuple[float, float]] = []
+
+    def wardrop_violation(self, bound=math.inf):
+        spread = super().wardrop_violation(bound)
+        if self.checked_gap is not None:
+            want = relative_gap(self.expanded, self.engine.usable, self.cost, self.x, self.od)
+            self.gaps.append((self.checked_gap, want))
+        return spread
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=seeds,
+    load=loads,
+    electrified_share=electrified_shares,
+    rates=st.sampled_from(sorted(RATES)),
+    max_iter=st.sampled_from([1, 2, 30]),
+)
+def test_stop_check_gap_is_relative_gap_bit_for_bit(seed, load, electrified_share, rates, max_iter):
+    # after one iteration the min labels are far from the distances, so the
+    # repair does real work
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # impassable sides
+        _, expanded, profiles, usable, od = instance(seed, load, electrified_share, RATES[rates])
+    solver = GapCheckingSolver(expanded, usable, od, profiles, max_iter=max_iter)
+    _, metrics = solver.solve()
+    assert solver.gaps  # the last iteration's at least
+    for got, want in solver.gaps:
+        assert got == want
+    assert [gap for _, _, gap in metrics.trace if gap is not None] == [got for got, _ in solver.gaps]

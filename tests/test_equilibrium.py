@@ -458,7 +458,8 @@ def test_zero_cost_arcs_leave_no_predecessor_cycle():
     expanded, profiles = assembled_instance(net, rates=zero)
     usable = apply_design(expanded, set())
     src = expanded.diesel_node(0)
-    dist, pred = equilibrium._dijkstra(expanded, np.zeros(expanded.n_arcs), src, usable)
+    adjacency = equilibrium._adjacency(expanded, usable)
+    dist, pred = equilibrium._dijkstra(adjacency, [0.0] * expanded.n_arcs, [(0.0, src)])
     for node in map(expanded.diesel_node, range(4)):
         assert dist[node] == 0.0
         for _ in range(4):  # the predecessor chain reaches the source

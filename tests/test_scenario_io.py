@@ -412,6 +412,7 @@ def test_self_loop_link_is_rejected(tmp_path, capsys):
         ("od.csv", "OD references unknown nodes [9999]"),
         ("fixed.csv", "corridor 0: unknown links [9999]"),
         ("chosen.csv", "unknown corridor ids [999]"),
+        ("rates.cfg", "crew_rate, cargo_rate and fuel_cost_diesel give candidate link 0 a free-flow cost of 0.0"),
     ],
 )
 def test_an_input_error_names_its_file(tmp_path, capsys, name, message):
@@ -423,6 +424,10 @@ def test_an_input_error_names_its_file(tmp_path, capsys, name, message):
         (tmp_path / name).write_text(_with_cell(NODES_CSV, "lat", "95.0"))
     elif name == "od.csv":
         (tmp_path / name).write_text(OD_CSV + "0,9999,100\n")
+    elif name == "rates.cfg":  # valid rates, but nothing to route corridors by
+        (tmp_path / name).write_text("crew_rate = 0\ncargo_rate = 0\nfuel_cost_diesel = 0\n")
+        with open(cfg, "a") as fh:
+            fh.write(f"rates_file = {name}\n")
     elif name == "fixed.csv":
         save_corridors(tmp_path / name, [Corridor(0, (9999,), 0, 2, 50.0, 1.0)])
         with open(cfg, "a") as fh:
