@@ -12,8 +12,8 @@ are the design's equilibrium and no iteration runs.  Where electric traction
 does not pay, that is nearly every design.  The all-diesel design is
 therefore solved before any other, whatever order the designs come in, so a
 design's fitness does not depend on it.  Its equilibrium is kept once as a
-`screen.StartTable`, whose distance table makes each design's screen a
-repair of the all-diesel shortest paths (module docstring of `screen`).
+`screen.StartTable`; a screen repairs the shortest paths of only the origins
+that some corridor can shorten (module docstring of `screen`).
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ class DesignProblem:
         """The all-diesel equilibrium that every design is screened against."""
         if self._start is None:
             base = self._baseline_solution()
-            self._start = StartTable(self.expanded, self.od, base.state, base.metrics, base.usable)
+            widest = apply_design(self.expanded, self.electrified_links((1,) * len(self.corridors)))
+            self._start = StartTable(self.expanded, self.od, base.state, base.metrics, base.usable, widest)
         return self._start
 
     def corridor_scores(self) -> list[float]:

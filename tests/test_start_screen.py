@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import railplan.equilibrium as equilibrium
+import railplan.screen as screen
 from railplan.corridors import candidate_corridors
 from railplan.costmodel import ElectrificationRates, RateTable, electrification_costs
 from railplan.equilibrium import (
@@ -37,11 +38,27 @@ def line_instance(rates=None):
     return net, expanded, profiles, ODMatrix({(0, 4): 4.0e4, (1, 3): 1.0e4})
 
 
-def all_diesel_start(expanded, profiles, od, **kwargs):
-    """The all-diesel solve and its StartTable."""
+def all_diesel_start(expanded, profiles, od, widest, **kwargs):
+    """The all-diesel solve and its StartTable, for masks within `widest`."""
     usable = apply_design(expanded, ())
     solved = solve_equilibrium(expanded, usable, od, profiles, tol=TOL, **kwargs)
-    return solved, StartTable(expanded, od, *solved, usable)
+    return solved, StartTable(expanded, od, *solved, usable, widest)
+
+
+def corridor_instance(seed, rates):
+    """A seeded random instance, its candidate corridors, and the mask with
+    every corridor electrified, the widest a design search uses."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_nodes=10, extra_links=10, yard_count=4)
+    od = random_od(rng, net, pairs=6)
+    expanded, profiles = assembled_instance(net, rates=rates)
+    link_costs = electrification_costs(net, ElectrificationRates())
+    corridors = candidate_corridors(net, {lid: 1.0 for lid in net.links}, link_costs)
+    return rng, net, od, expanded, profiles, corridors, corridor_union(expanded, net, corridors)
+
+
+def corridor_union(expanded, net, corridors):
+    return apply_design(expanded, net.with_reverse_twins({lid for c in corridors for lid in c.link_ids}))
 
 
 def assert_same_solve(got, want):
@@ -56,7 +73,7 @@ def assert_same_solve(got, want):
 
 def test_unused_electric_arcs_return_the_start_without_iterating(monkeypatch):
     net, expanded, profiles, od = line_instance()
-    (base_state, base), start = all_diesel_start(expanded, profiles, od)
+    (base_state, base), start = all_diesel_start(expanded, profiles, od, apply_design(expanded, net.links))
     assert base.converged
 
     def no_solver(*args, **kwargs):
@@ -78,7 +95,7 @@ def test_unused_electric_arcs_return_the_start_without_iterating(monkeypatch):
 
 def test_design_failing_the_screen_is_solved_cold():
     net, expanded, profiles, od = line_instance(PAYS)
-    (_, base), start = all_diesel_start(expanded, profiles, od)
+    (_, base), start = all_diesel_start(expanded, profiles, od, apply_design(expanded, net.links))
     assert base.converged
     usable = apply_design(expanded, net.links)
     assert start.screen(usable, TOL) is None
@@ -87,7 +104,7 @@ def test_design_failing_the_screen_is_solved_cold():
     assert_same_solve(got, solve_equilibrium(expanded, usable, od, profiles, tol=TOL))
 
     # flow on arcs that are not usable here is never screened
-    electric = StartTable(expanded, od, *got, usable)
+    electric = StartTable(expanded, od, *got, usable, usable)
     all_diesel = apply_design(expanded, ())
     assert np.any(got[0].x[~all_diesel] > 0.0)
     assert electric.screen(all_diesel, TOL) is None
@@ -102,7 +119,8 @@ def test_unconverged_start_screens_nothing(monkeypatch):
     net = grid3x3_network(capacity_tpd=5.0e3)
     expanded, profiles = assembled_instance(net)
     od = ODMatrix({(0, 8): 2.0e4})
-    (_, base), start = all_diesel_start(expanded, profiles, od, max_iter=1)
+    every = apply_design(expanded, net.links)
+    (_, base), start = all_diesel_start(expanded, profiles, od, every, max_iter=1)
     assert not base.converged
     gaps = []  # the solver's gap computations (the screen calls its own binding)
     gap = equilibrium._gap
@@ -118,12 +136,12 @@ def test_unconverged_start_screens_nothing(monkeypatch):
     # converged flows whose recorded Wardrop spread is above the tolerance
     # (as from a solve at a looser one) are not screened either, though
     # their gap passes
-    (state, metrics), converged = all_diesel_start(expanded, profiles, od)
+    (state, metrics), converged = all_diesel_start(expanded, profiles, od, every)
     assert metrics.converged
     assert converged.screen(usable, TOL) is not None
     loose = StartTable(
         expanded, od, state, replace(metrics, wardrop_max=2.0 * TOL, converged=False),
-        apply_design(expanded, ()),
+        apply_design(expanded, ()), every,
     )
     assert loose.relative_gap(usable) <= TOL
     assert loose.screen(usable, TOL) is None
@@ -143,7 +161,7 @@ def test_screened_result_passes_the_gap_test_under_the_design(seed, pays, share)
     )
     od = random_od(rng, net, pairs=int(rng.integers(1, 6)))
     expanded, profiles = assembled_instance(net, rates=PAYS if pays else None)
-    (_, base), start = all_diesel_start(expanded, profiles, od)
+    (_, base), start = all_diesel_start(expanded, profiles, od, apply_design(expanded, net.links))
     assume(base.converged)
     usable = apply_design(expanded, {lid for lid in sorted(net.links) if rng.random() < share})
     state, metrics = solve_equilibrium(expanded, usable, od, profiles, tol=TOL, start=start)
@@ -173,9 +191,10 @@ def test_screen_gap_is_relative_gap_bit_for_bit(seed, load, pays):
     )
     od = random_od(rng, net, pairs=int(rng.integers(1, 8)))
     expanded, profiles = assembled_instance(net, rates=PAYS if pays else None)
-    (state, metrics), start = all_diesel_start(expanded, profiles, od, max_iter=100)
     link_costs = electrification_costs(net, ElectrificationRates())
     corridors = candidate_corridors(net, {lid: 1.0 for lid in net.links}, link_costs)
+    widest = corridor_union(expanded, net, corridors)  # as DesignProblem.start builds it
+    (state, metrics), start = all_diesel_start(expanded, profiles, od, widest, max_iter=100)
     x = state.x
     for k in range(4):
         picked = [c for c in corridors if rng.random() < 0.5]
@@ -201,3 +220,47 @@ def test_screen_gap_is_relative_gap_bit_for_bit(seed, load, pays):
             assert screened[0].x.tolist() == x.tolist()
             assert screened[0].cost.tolist() == engine.costs(x).tolist()
             assert (screened[1].iteration, screened[1].relative_gap) == (0, want)
+
+
+def assert_screen_matches_relative_gap(start, expanded, profiles, od, mask):
+    """The screen's gap and decision under `mask`, against `relative_gap`."""
+    engine = CostEngine(expanded, profiles, mask)
+    usable, x = engine.usable, start.state.x
+    want = relative_gap(expanded, usable, engine.costs(x), x, od)
+    assert start.relative_gap(usable) == want
+    accept = start.metrics.wardrop_max <= TOL and not np.any(x[~usable] > 0.0) and want <= TOL
+    assert (start.screen(usable, TOL) is not None) == accept
+
+
+def test_open_and_closed_origins_give_relative_gap_bit_for_bit():
+    rng, net, od, expanded, profiles, corridors, widest = corridor_instance(0, PAYS)
+    (_, base), start = all_diesel_start(expanded, profiles, od, widest)
+    assert base.converged
+    closed = [kept is not None for kept in start.closed]
+    assert 0 < sum(closed) < len(closed)
+    assert start.dist.shape == (closed.count(False), expanded.n_nodes)
+    designs = [[], corridors] + [[c for c in corridors if rng.random() < 0.5] for _ in range(6)]
+    for picked in designs:
+        assert_screen_matches_relative_gap(start, expanded, profiles, od, corridor_union(expanded, net, picked))
+
+
+def test_closed_origins_are_screened_without_a_repair(monkeypatch):
+    rng, net, od, expanded, profiles, corridors, widest = corridor_instance(0, None)
+    _, start = all_diesel_start(expanded, profiles, od, widest)
+    assert all(kept is not None for kept in start.closed)
+    assert start.dist.shape == (0, expanded.n_nodes)
+    calls = []
+    dijkstra = screen._dijkstra
+    monkeypatch.setattr(screen, "_dijkstra", lambda *a: calls.append(a) or dijkstra(*a))
+    for picked in [corridors] + [[c for c in corridors if rng.random() < 0.5] for _ in range(4)]:
+        assert_screen_matches_relative_gap(start, expanded, profiles, od, corridor_union(expanded, net, picked))
+    assert calls == []
+
+
+def test_a_mask_outside_the_widest_one_is_rejected():
+    _, net, od, expanded, profiles, corridors, _ = corridor_instance(0, PAYS)
+    _, start = all_diesel_start(expanded, profiles, od, corridor_union(expanded, net, corridors[:1]))
+    usable = corridor_union(expanded, net, corridors[1:2])
+    assert np.any(usable & ~start.widest)
+    with pytest.raises(ValueError, match="widest"):
+        start.relative_gap(usable)
