@@ -12,19 +12,20 @@ test suite checks it against an independent method-of-successive-averages
 reference (`tests/oracles.py`).
 
 Each bush stores a pull adjacency: its arc ids sorted by (topological
-position of the head, arc id), with one offset per position, so a label pass
-is one flat loop over a slice of it that writes a node's labels when the head
-changes.  It is the bush's only arc set, and the order and its inverse are
-int32 arrays, so a bush holds no Python object per arc or node.  An arc is
-in the bush when its head has a position p and it lies in the slice of p, a
-few arc ids in ascending order.  Every bush node but the origin keeps an
-inbound arc, since `update_bush` keeps each min predecessor, so the loop
-writes every position of the slice; it meets the arcs in the same order as a
-loop per node would, so ties resolve as they would there.  A sweep visits
-the merges, the positions with two or more inbound arcs, in reverse
-topological order with at most one Newton shift each: a lone inbound arc is
-both min and max predecessor or carries no flow, so its head never shifts,
-and it is kept untested by `update_bush` on a bush without merges, a tree.
+position of the head, arc id), with one offset per position.  It is the
+bush's only arc set, and the order and its inverse are int32 arrays, so a
+bush holds no Python object per arc or node.  An arc is in the bush when its
+head has a position p and it lies in the slice of p, a few arc ids in
+ascending order.  A label pass is one flat loop over a slice for the min
+labels, written when the head changes, and one over its few flow-carrying
+arcs for the max labels.  Every bush node but the origin keeps an inbound
+arc, since `update_bush` keeps each min predecessor, so the first loop writes
+every position of the slice; both meet the arcs in the same order as a loop
+per node would, so ties resolve as they would there.  A sweep visits the
+merges, the positions with two or more inbound arcs, in reverse topological
+order with at most one Newton shift each: a lone inbound arc is both min and
+max predecessor or carries no flow, so its head never shifts, and it is kept
+untested by `update_bush` on a bush without merges, a tree.
 A shift moves the flow of the segment arcs only, so only their costs
 and those of their traction partners are recomputed.  The labels are then
 recomputed only at the positions from the earliest head of a changed bush
@@ -121,6 +122,7 @@ if TYPE_CHECKING:
     from .screen import StartTable
 
 ALL_ARCS = slice(None)
+_HELD = 8  # passed bushes whose gap repair a spread check holds back
 
 
 class InfeasibleAssignmentError(RuntimeError):
@@ -364,15 +366,16 @@ def shortest_longest_labels(
 ) -> Labels:
     """Min labels over all bush arcs and max labels over flow-carrying arcs.
 
-    One flat loop over the pull adjacency, in topological order of the
-    heads: each node takes the lexicographic minimum of (L[tail] + c, arc id)
-    over its inbound bush arcs, and the maximum of U[tail] + c (lowest arc id
-    on ties) over its inbound flow-carrying arcs, and its labels are written
-    when the next head starts.  Arcs come in (head position, arc id) order,
-    so a strict comparison keeps the lowest arc id on a tie.  Only nodes with
-    an inbound bush arc are written; every bush node but the origin has one
-    (`update_bush`).  Returns lists (L, U, pred_min, pred_max); nodes without
-    flow-carrying inbound arcs keep U = -inf and never seed a flow shift.
+    The min labels come from one flat loop over the pull adjacency: each
+    node takes the lexicographic minimum of (L[tail] + c, arc id) over its
+    inbound bush arcs, written with U = -inf and pred_max -1 when the next
+    head starts.  A second loop over the flow-carrying arcs alone raises
+    U[head] to U[tail] + c where that is larger.  Arcs come in (head
+    position, arc id) order, so a tail is final before its out-arcs, and a
+    strict comparison keeps the lowest arc id on a tie.  Every bush node but
+    the origin has an inbound bush arc (`update_bush`), so each is written.
+    Returns lists (L, U, pred_min, pred_max); nodes without flow-carrying
+    inbound arcs keep U = -inf and never seed a flow shift.
 
     Given `labels` from an earlier call on this bush, only the nodes at
     positions start..stop-1 of bush.order are relabelled, in place; the
@@ -394,27 +397,22 @@ def shortest_longest_labels(
     heads = expanded.head[seg].tolist()
     if not heads:
         return labels
+    arcs, tails, cs = seg.tolist(), expanded.tail[seg].tolist(), costs[seg].tolist()
     # an unreached tail has L = inf and U = -inf, so its candidates never win
     inf, ninf = math.inf, -math.inf
-    v, lv, uv, am, ax = heads[0], inf, ninf, -1, -1
-    for h, a, t, c, carrying in zip(
-        heads,
-        seg.tolist(),
-        expanded.tail[seg].tolist(),
-        costs[seg].tolist(),
-        (bush.flow[seg] > 0.0).tolist(),
-    ):
+    v, lv, am = heads[0], inf, -1
+    for h, a, t, c in zip(heads, arcs, tails, cs):
         if h != v:
-            L[v], U[v], pmin[v], pmax[v] = lv, uv, am, ax
-            v, lv, uv, am, ax = h, inf, ninf, -1, -1
+            L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
+            v, lv, am = h, inf, -1
         nl = L[t] + c
         if nl < lv:
             lv, am = nl, a
-        if carrying:
-            nu = U[t] + c
-            if nu > uv:
-                uv, ax = nu, a
-    L[v], U[v], pmin[v], pmax[v] = lv, uv, am, ax
+    L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
+    for i in (bush.flow[seg] > 0.0).nonzero()[0].tolist():
+        h, nu = heads[i], U[tails[i]] + cs[i]
+        if nu > U[h]:
+            U[h], pmax[h] = nu, arcs[i]
     return labels
 
 
@@ -468,16 +466,15 @@ def update_bush(
         labels = shortest_longest_labels(expanded, bush, costs)
     n = expanded.n_nodes
     L = np.fromiter(labels[0], float, n)
-    old = bush.pull.astype(np.int64)
+    old = bush.pull.astype(np.int64)  # cast once, not at every index below
     keep = old  # without a merge, each node's one inbound arc is its min predecessor
     if bush.merges.size:
         pmin = np.fromiter(labels[2], np.int64, n)
         keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
-    outside = np.asarray(usable, dtype=bool).copy()
-    outside[old] = False
     Lt, Lh = L[expanded.tail], L[expanded.head]
-    improving = np.isfinite(Lt) & np.isfinite(Lh) & (Lt + costs < Lh) & (Lt < Lh)
-    adds = np.flatnonzero(outside & improving)
+    improving = (Lt + costs < Lh) & (Lt < Lh) & (Lh < math.inf) & usable
+    improving[old] = False
+    adds = improving.nonzero()[0]
     if adds.size == 0 and keep.size == old.size:
         return None
     new_arcs = np.concatenate((keep, adds))
@@ -504,7 +501,7 @@ def newton_flow_shift(
     min_path: list[int],
     max_path: list[int],
     max_shift: float,
-    partner: np.ndarray,
+    partner: list[int] | np.ndarray,
 ) -> float:
     """Newton step moving flow from the max-cost to the min-cost segment.
 
@@ -523,7 +520,7 @@ def newton_flow_shift(
     side.update({a: -1.0 for a in max_path})
     den = 0.0
     for a, s in side.items():
-        ps = side.get(int(partner[a]))
+        ps = side.get(partner[a])
         factor = 1.0 if ps is None else 1.0 + s * ps
         den += derivs[a] * factor
     if den <= 1e-300:
@@ -608,6 +605,7 @@ class BushSolver:
         self.x = np.zeros(expanded.n_arcs)
         self.cost = self.engine.costs(self.x)
         self._moved: dict[int, float] = {}  # arc -> flow moved, by the bush being swept
+        self._broke = 0  # the bush whose spread exceeded the bound last time
 
     def _flow_eps(self, bush: Bush) -> float:
         return 1.0e-12 * max(1.0, bush.demand)
@@ -749,6 +747,8 @@ class BushSolver:
         label at or after the current node again.  `labels` are the bush's
         labels at the current costs; they are updated in place.
         """
+        if not bush.merges.size:
+            return
         eps = self._flow_eps(bush)
         engine = self.engine
         tail, head, partner = self._tail, self._head, self._partner
@@ -756,35 +756,31 @@ class BushSolver:
         order, pos, pull, offsets = bush.order.tolist(), bush.pos, bush.pull, bush.offsets
         for i in reversed(bush.merges.tolist()):
             v = order[i]
-            if pmax[v] < 0 or pmin[v] == pmax[v]:
-                continue
-            if not (math.isfinite(L[v]) and U[v] > -math.inf):
-                continue
-            if U[v] - L[v] <= 0.0:
+            # a max predecessor gives U > -inf; U - L is -inf or nan where L = inf
+            if pmax[v] < 0 or pmin[v] == pmax[v] or not U[v] - L[v] > 0.0:
                 continue
             min_path, max_path = _trace_segments(tail, v, pmin, pmax)
-            if not max_path:
-                continue
-            max_shift = min(float(bush.flow[a]) for a in max_path)
+            max_shift = min((float(bush.flow[a]) for a in max_path), default=0.0)
             if max_shift <= 0.0:
                 continue
             segments = min_path + max_path
+            partners = [partner[a] for a in segments]
+            touched = np.array(segments + partners)
             if max_shift <= eps:
                 if not self._drain(bush, min_path, max_path, max_shift):
                     continue
             else:
-                derivs = dict(zip(segments, engine.derivatives(self.x, np.array(segments)).tolist()))
-                dx = newton_flow_shift(self.cost, derivs, min_path, max_path, max_shift, engine.partner)
+                derivs = dict(zip(segments, engine.derivatives(self.x, touched[: len(segments)]).tolist()))
+                dx = newton_flow_shift(self.cost, derivs, min_path, max_path, max_shift, partner)
                 applied = self._apply_shift(bush, min_path, max_path, dx)
                 if applied <= 0.0:
                     continue
                 if max_shift - applied <= eps:
                     self._drain(bush, min_path, max_path, max_shift - applied)
-            touched = segments + [partner[a] for a in segments]
-            self.cost[touched] = engine.costs(self.x, np.array(touched))
+            self.cost[touched] = engine.costs(self.x, touched)
             # segment arcs are bush arcs; a partner counts only when it is one
             first = min(pos[head[a]] for a in segments)
-            for a in touched[len(segments) :]:
+            for a in partners:
                 p = pos[head[a]]
                 if 0 <= p < first and a in pull[offsets[p] : offsets[p + 1]]:
                     first = p
@@ -794,18 +790,32 @@ class BushSolver:
     def wardrop_violation(self, bound: float = math.inf) -> float:
         """Max relative L/U spread over flow-carrying nodes, all bushes.
 
-        Bushes are visited in order and the visit stops at the first bush
-        whose spread exceeds `bound`; the value returned is then that
-        spread, which is still above `bound`, and `checked_gap` is None;
-        else it is the relative gap at these costs (module docstring).
+        The visit starts at the bush that exceeded `bound` last time and
+        stops at the first bush over it: the largest spread seen is then
+        returned and `checked_gap` is None.  Else the gap is computed (module
+        docstring), repairing passed bushes' labels once `_HELD` wait or the
+        visit completes, so an early stop within `_HELD` bushes repairs none.
         """
         expanded, n, usable = self.expanded, self.expanded.n_nodes, self.engine.usable
-        tail, head, cost = expanded.tail[usable], expanded.head[usable], self.cost[usable]
-        cost_list = self.cost.tolist()  # what the repair reads
-        reached = []  # per bush, its distance at each destination
+        dests = list(self.origins.values())
+        reached = [None] * len(self.bushes)  # per bush, its distance at each destination
+        held: list[tuple[int, np.ndarray]] = []  # (bush index, min labels) to repair
         worst = 0.0
         self.checked_gap = None
-        for bush, dests in zip(self.bushes, self.origins.values()):
+        def repair():
+            tail, head, cost = expanded.tail[usable], expanded.head[usable], self.cost[usable]
+            cost_list = self.cost.tolist()  # what the repair reads
+            for k, dist in held:
+                L = dist.tolist()
+                offered = dist[tail] + cost
+                broken = offered < dist[head]
+                if broken.any():
+                    _dijkstra(self._adjacency, cost_list, zip(offered[broken].tolist(), head[broken].tolist()), L)
+                reached[k] = {v: L[v] for v in (expanded.diesel_node(s) for s, _ in dests[k])}
+            held.clear()
+        first = self._broke
+        for k in [*range(first, len(self.bushes)), *range(first)]:
+            bush = self.bushes[k]
             L, U, _, _ = shortest_longest_labels(expanded, bush, self.cost)
             dist = np.fromiter(L, float, n)
             nodes = bush.order[1:]  # all but the origin
@@ -815,12 +825,12 @@ class BushSolver:
                 lo, up = lo[ok], up[ok]
                 worst = max(worst, float(((up - lo) / np.maximum(np.abs(lo), 1.0e-12)).max()))
             if worst > bound:
+                self._broke = k
                 return worst
-            offered = dist[tail] + cost
-            broken = offered < dist[head]
-            if broken.any():
-                _dijkstra(self._adjacency, cost_list, zip(offered[broken].tolist(), head[broken].tolist()), L)
-            reached.append({v: L[v] for v in (expanded.diesel_node(s) for s, _ in dests)})
+            held.append((k, dist))
+            if len(held) == _HELD:
+                repair()
+        repair()
         self.checked_gap = _gap(expanded, self.origins, reached, flow_cost(self.x, self.cost))
         return worst
 
