@@ -26,21 +26,33 @@ merges, the positions with two or more inbound arcs, in reverse topological
 order with at most one Newton shift each: a lone inbound arc is both min and
 max predecessor or carries no flow, so its head never shifts, and it is kept
 untested by `update_bush` on a bush without merges, a tree.
-A shift moves the flow of the segment arcs only, so only their costs
-and those of their traction partners are recomputed.  The labels are then
-recomputed only at the positions from the earliest head of a changed bush
-arc up to the current node; segment arcs are bush arcs, so only a partner
-needs the membership test.  This is exact: an earlier position has no
-changed inbound arc, so its labels stand, and the sweep never reads a label
-at or after the current node again.  Flows and costs come out bit for bit as
-if every cost and every label were recomputed after each shift.  After a
-bush update only added arcs can move a label (a dropped arc carried no flow
-and was no min predecessor), so the relabel starts at the earliest head of
-an added arc, and `update_bush` returns the added arcs.  Any topological
-order will do: a label pass takes each node's inbound arcs in arc-id order,
-so its labels, ties included, do not depend on the order, and the sweep and
-the relabel bounds need only that every arc runs forward.  So a bush keeps
-its order across updates, and `update_bush` re-sorts only when it must.
+
+A bush leaves out the dead electric nodes, which no usable traction arc
+touches, in or out: a train can only switch into one and straight back, so
+it would be a flowless leaf of every bush.  A node with only a usable
+electric in-arc stays, since trains switch back to diesel there.  The
+solver's adjacency has no arc into a dead node, so neither the initial trees
+nor the gap repair enter one.
+
+A visit labels its bush in full before `update_bush`, then relabels lazily.
+Labels go stale from the earliest head of an added arc (a dropped arc
+carried no flow and was no min predecessor), and after a shift from the
+earliest head of a bush arc whose cost or flow it changed: a segment arc or
+a traction partner of one, whose costs alone are recomputed.  The sweep
+reads no label above its current merge i, so it relabels positions
+[stale, i + 1) only when it is about to read merge i and stale <= i.  Below
+stale no inbound arc changed, so flows and costs come out bit for bit as if
+every cost and label were recomputed after each shift.
+
+Labels do not depend on the order, since a label pass takes each node's
+inbound arcs in arc-id order, but the sweep's order of merges does.  A bush
+keeps its order across updates, and `update_bush` re-sorts only when an
+added arc runs backward, by Kahn's algorithm from the origin, smallest index
+first.  An initial tree keeps Dijkstra's settle order and is sorted at its
+first change instead: the smallest-index Kahn order of a graph stays that of
+the graph plus arcs that all run forward in it, so this gives the order that
+sorting the tree at once would have kept.  An update that only drops arcs
+filters `pull`, which stays sorted.
 
 A shift is safeguarded by its exact objective change: the step is halved
 while that change is positive.  The change is a sum over the segment arcs,
@@ -82,8 +94,9 @@ The relative gap is computed only where the Wardrop spread is within
 tolerance, or on the last iteration; a stop needs both within tolerance, so
 every stop decision is unchanged.  It comes from the spread check's labels,
 at the costs the stop decision reads: a bush's min labels are float path
-sums over usable arcs, and the repair of `screen` from every usable arc
-that lowers one makes them its origin's distances.  Summed in
+sums over usable arcs, and the repair of `screen` from every usable arc into
+a live node that lowers one makes them its origin's distances there; a dead
+node is on no path to a destination.  Summed in
 `relative_gap`'s order, they give its gap bit for bit.  `_dijkstra` reads
 the usable out-arcs that each call site builds once with `_adjacency`.
 
@@ -187,6 +200,7 @@ class Bush:
     order[i] are pull[offsets[i]:offsets[i + 1]].  An arc a is in the bush
     when p = pos[head[a]] >= 0 and a lies in that short slice for i = p.
     `merges` lists the positions with two or more inbound arcs, ascending.
+    `unsorted` marks a tree in settle order, sorted at its first change.
     """
 
     origin: int  # expanded node index
@@ -197,16 +211,19 @@ class Bush:
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
     merges: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    unsorted: bool = False
 
-    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None) -> None:
+    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None,
+                 resort: bool = True) -> None:
         """Install a new arc set and rebuild `pull`; `order` None keeps the
-        current order, which must still be topological for `arcs`."""
+        current order, which must still be topological for `arcs`, and
+        `resort` False takes `arcs` as already in `pull` order."""
         if order is not None:
             self.order = np.array(order, dtype=np.int32)
             self.pos = np.full(expanded.n_nodes, -1, dtype=np.int32)
             self.pos[self.order] = np.arange(len(order))
         head_pos = self.pos[expanded.head[arcs]]
-        self.pull = arcs[np.lexsort((arcs, head_pos))].astype(np.int32)
+        self.pull = (arcs[np.lexsort((arcs, head_pos))] if resort else arcs).astype(np.int32)
         self.offsets = np.zeros(len(self.order) + 1, dtype=np.int32)
         inbound = np.bincount(head_pos, minlength=len(self.order))
         np.cumsum(inbound, out=self.offsets[1:])
@@ -282,11 +299,13 @@ def _adjacency(expanded: ExpandedNetwork, usable: np.ndarray) -> Adjacency:
     return [[(a, head[a]) for a in arcs if ok[a]] for arcs in expanded.out_arcs]
 
 
-def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None) -> tuple[list, list]:
+def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None,
+              settled: list | None = None) -> tuple[list, list]:
     """Label-setting shortest paths over `_adjacency` at the arc costs `cost`
     from the (label, node) pairs `seeds`, lowering `dist` (all inf when None)
     in place; cost ties keep the lowest arc id.  Seeded (0.0, source) it is
     a Dijkstra, and from labels some path reaches the repair of `screen`.
+    The nodes are appended to `settled`, when given, as they are settled.
 
     A node's predecessor is the arc that set its label here, -1 where none
     did, settled when the node is popped: a later tie, which needs an arc of
@@ -308,6 +327,8 @@ def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None)
         if d > dist[u]:
             continue
         done[u] = True
+        if settled is not None:
+            settled.append(u)
         for a, v in adjacency[u]:
             nd = d + cost[a]
             dv = dist[v]
@@ -324,22 +345,22 @@ def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None)
 
 
 def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int) -> list[int]:
-    """Topological node order of the bush with these arc ids; raises on a cycle.
+    """Topological node order of the bush with these arc ids; raises on a
+    cycle, and on a node other than the origin without inbound arcs.
 
-    Ready nodes are popped smallest-index-first so the order is reproducible.
-    The origin is the bush's only node without inbound arcs, so it comes first.
+    Kahn's algorithm from the origin, the only source, popping ready nodes
+    smallest-index-first, so the order is reproducible.
     """
     n = expanded.n_nodes
     tails, heads = expanded.tail[arcs], expanded.head[arcs]
-    in_bush = np.zeros(n, dtype=bool)
-    in_bush[tails] = in_bush[heads] = in_bush[origin] = True
     indeg = np.bincount(heads, minlength=n)
-    ready = np.flatnonzero(in_bush & (indeg == 0)).tolist()  # sorted, so a heap
+    nodes = np.count_nonzero(indeg) + 1  # the heads and the origin
     succ = heads[np.argsort(tails, kind="stable")].tolist()
     first = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=first[1:])
     first = first.tolist()
     indeg = indeg.tolist()
+    ready = [origin]
     order: list[int] = []
     while ready:
         u = heapq.heappop(ready)
@@ -348,7 +369,7 @@ def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int) -> list[
             indeg[h] -= 1
             if indeg[h] == 0:
                 heapq.heappush(ready, h)
-    if len(order) != np.count_nonzero(in_bush):
+    if len(order) != nodes:
         raise ValueError("bush contains a cycle")
     return order
 
@@ -423,15 +444,16 @@ def _initial_bush(
     origin_phys: int,
     dests: list[tuple[int, float]],
 ) -> Bush:
-    """Shortest-path tree over `_adjacency`, demand loaded all-or-nothing."""
+    """Shortest-path tree over `_adjacency`, demand loaded all-or-nothing, its
+    nodes in Dijkstra's settle order, which is topological but unsorted."""
     src = expanded.diesel_node(origin_phys)
-    dist, pred = _dijkstra(adjacency, cost, [(0.0, src)])
+    order: list[int] = []
+    dist, pred = _dijkstra(adjacency, cost, [(0.0, src)], settled=order)
     missing = [s for s, _ in dests if not math.isfinite(dist[expanded.diesel_node(s)])]
     if missing:
         raise InfeasibleAssignmentError(
             f"origin {origin_phys}: no usable path to {missing}"
         )
-    arcs = np.array(sorted(a for a in pred if a >= 0), dtype=np.int64)
     flow = np.zeros(expanded.n_arcs)
     for dest, d in dests:
         node = expanded.diesel_node(dest)
@@ -439,8 +461,8 @@ def _initial_bush(
             a = pred[node]
             flow[a] += d
             node = expanded.tail.item(a)
-    bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests))
-    bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, src))
+    bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests), unsorted=True)
+    bush.set_arcs(expanded, np.array([pred[v] for v in order[1:]], dtype=np.int64), order, resort=False)
     return bush
 
 
@@ -457,8 +479,10 @@ def update_bush(
     arc joins when L[tail] + c < L[head] with L[tail] < L[head], so between
     two bush nodes; with every min predecessor kept, the node set never
     changes.  Dropping arcs keeps an order topological, so `bush.order`
-    stays unless an added arc runs backward in it.  Then the bush is
-    re-sorted, without the backward adds on the rare tie that closes a cycle.
+    stays unless an added arc runs backward in it or the bush is a tree in
+    settle order.  Then the bush is sorted, without the backward adds on the
+    rare tie that closes a cycle (never on a tree: labels rise along each
+    add and fall along no tree arc).
     `labels` are the bush's labels at `costs`, when the caller has them.
     Returns the added arc ids, None when the arc set stayed as it was.
     """
@@ -478,17 +502,19 @@ def update_bush(
     if adds.size == 0 and keep.size == old.size:
         return None
     new_arcs = np.concatenate((keep, adds))
-    forward = bush.pos[expanded.tail[adds]] < bush.pos[expanded.head[adds]]
+    tails, heads = expanded.tail[adds], expanded.head[adds]
     order = None
-    if not forward.all():
+    if bush.unsorted or not (bush.pos[tails] < bush.pos[heads]).all():
         try:
             order = _toposort(expanded, new_arcs, bush.origin)
         except ValueError:
-            # rare tie pathology: keep only additions consistent with the old order
-            adds = adds[forward]
+            # rare tie pathology: keep only the adds that run forward in the old order
+            adds = adds[bush.pos[tails] < bush.pos[heads]]
             new_arcs = np.concatenate((keep, adds))
             order = _toposort(expanded, new_arcs, bush.origin)
-    bush.set_arcs(expanded, new_arcs, order)
+        bush.unsorted = False
+    # dropping arcs only leaves `pull` sorted
+    bush.set_arcs(expanded, new_arcs, order, resort=order is not None or adds.size > 0)
     return adds if adds.size or keep.size < old.size else None
 
 
@@ -578,7 +604,12 @@ class BushSolver:
     ):
         self.expanded = expanded
         self.engine = CostEngine(expanded, profiles, usable)
-        self._adjacency = _adjacency(expanded, self.engine.usable)
+        # no arc into a dead electric node (module docstring)
+        electric = self.engine.usable & ~expanded.non_electric
+        live = np.arange(expanded.n_nodes) % 2 == 0  # the diesel nodes
+        live[expanded.tail[electric]] = live[expanded.head[electric]] = True
+        self._into_live = self.engine.usable & live[expanded.head]
+        self._adjacency = _adjacency(expanded, self._into_live)
         self.od = od
         self.origins = od.by_origin()  # in origin order, as the bushes
         self.tol = tol
@@ -737,16 +768,11 @@ class BushSolver:
         self.cost[touched] = engine.costs(self.x, touched)
         return after
 
-    def _equilibrate_bush(self, bush: Bush, labels: Labels) -> None:
+    def _equilibrate_bush(self, bush: Bush, labels: Labels, stale: int) -> None:
         """One sweep over the bush's merge positions in reverse topological
-        order, at most one Newton shift each.
-
-        After a shift only the costs of the segment arcs and their traction
-        partners change, and only the nodes from the earliest head of such a
-        bush arc up to the current node are relabelled: the sweep reads no
-        label at or after the current node again.  `labels` are the bush's
-        labels at the current costs; they are updated in place.
-        """
+        order, at most one Newton shift each.  `labels` are the bush's labels
+        at the current costs below position `stale`; the sweep relabels them
+        lazily, in place (module docstring)."""
         if not bush.merges.size:
             return
         eps = self._flow_eps(bush)
@@ -755,6 +781,9 @@ class BushSolver:
         L, U, pmin, pmax = labels
         order, pos, pull, offsets = bush.order.tolist(), bush.pos, bush.pull, bush.offsets
         for i in reversed(bush.merges.tolist()):
+            if stale <= i:
+                shortest_longest_labels(self.expanded, bush, self.cost, labels, stale, i + 1)
+                stale = i + 1
             v = order[i]
             # a max predecessor gives U > -inf; U - L is -inf or nan where L = inf
             if pmax[v] < 0 or pmin[v] == pmax[v] or not U[v] - L[v] > 0.0:
@@ -779,13 +808,11 @@ class BushSolver:
                     self._drain(bush, min_path, max_path, max_shift - applied)
             self.cost[touched] = engine.costs(self.x, touched)
             # segment arcs are bush arcs; a partner counts only when it is one
-            first = min(pos[head[a]] for a in segments)
+            stale = min(pos[head[a]] for a in segments)
             for a in partners:
                 p = pos[head[a]]
-                if 0 <= p < first and a in pull[offsets[p] : offsets[p + 1]]:
-                    first = p
-            if first < i:
-                shortest_longest_labels(self.expanded, bush, self.cost, labels, first, i)
+                if 0 <= p < stale and a in pull[offsets[p] : offsets[p + 1]]:
+                    stale = p
 
     def wardrop_violation(self, bound: float = math.inf) -> float:
         """Max relative L/U spread over flow-carrying nodes, all bushes.
@@ -796,7 +823,7 @@ class BushSolver:
         docstring), repairing passed bushes' labels once `_HELD` wait or the
         visit completes, so an early stop within `_HELD` bushes repairs none.
         """
-        expanded, n, usable = self.expanded, self.expanded.n_nodes, self.engine.usable
+        expanded, n, usable = self.expanded, self.expanded.n_nodes, self._into_live
         dests = list(self.origins.values())
         reached = [None] * len(self.bushes)  # per bush, its distance at each destination
         held: list[tuple[int, np.ndarray]] = []  # (bush index, min labels) to repair
@@ -853,13 +880,11 @@ class BushSolver:
             for bush in self.bushes:
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
                 added = update_bush(self.expanded, bush, self.cost, usable, labels)
-                # a dropped arc carried no flow and was no min predecessor, so
-                # only added arcs move labels: relabel from the first head of
-                # one in the order
+                # stale from the first head of an added arc (module docstring)
+                stale = len(bush.order)
                 if added is not None and added.size:
-                    first = int(bush.pos[self.expanded.head[added]].min())
-                    shortest_longest_labels(self.expanded, bush, self.cost, labels, first)
-                self._equilibrate_bush(bush, labels)
+                    stale = int(bush.pos[self.expanded.head[added]].min())
+                self._equilibrate_bush(bush, labels, stale)
                 if self._moved:
                     moved, self._moved = self._moved, {}
                     steps.append((bush, np.fromiter(moved, np.int64), np.fromiter(moved.values(), float)))

@@ -126,10 +126,12 @@ def oracle_toposort(expanded, arcs, origin):
 
 def oracle_update(expanded, bush, costs, usable):
     """(arc set, order) that update_bush should leave on the bush; the bush
-    itself is not modified.  The order stays when every added arc runs
-    forward in it; otherwise the new arc set is sorted afresh, and on a cycle
-    the backward adds are dropped before sorting.  Raises ValueError where
-    update_bush must."""
+    itself is not modified.  The order stays when the arc set does, or when
+    every added arc runs forward in it and the bush is no tree fresh from
+    _initial_bush; otherwise the new arc set is sorted afresh, and on a
+    cycle the adds that run backward in the old order are dropped before
+    sorting, judged for a fresh tree against the tree's sorted order.
+    Raises ValueError where update_bush must."""
     L, _, pmin, _ = oracle_labels(expanded, bush, costs)
     arcs = bush_arcs(bush)
     keep = {a for a in arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
@@ -143,10 +145,13 @@ def oracle_update(expanded, bush, costs, usable):
         if L[t] + costs[a] < L[h] and L[t] < L[h]:
             adds.add(a)
     new_arcs = keep | adds
-    pos = {u: i for i, u in enumerate(bush.order.tolist())}
-    forward = {a for a in adds if pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]}
-    if forward == adds:
+    if new_arcs == arcs:
         return new_arcs, bush.order.tolist()
+    old_order = oracle_toposort(expanded, arcs, bush.origin) if bush.unsorted else bush.order.tolist()
+    pos = {u: i for i, u in enumerate(old_order)}
+    forward = {a for a in adds if pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]}
+    if forward == adds and not bush.unsorted:
+        return new_arcs, old_order
     try:
         order = oracle_toposort(expanded, new_arcs, bush.origin)
     except ValueError:
@@ -268,15 +273,17 @@ class AllPositionsSolver(BushSolver):
     rebuilds the merges, so `update_bush` also runs its keep test on a
     tree."""
 
-    def _equilibrate_bush(self, bush, labels):
+    def _equilibrate_bush(self, bush, labels, stale):
         bush.merges = np.arange(1, len(bush.order))
-        super()._equilibrate_bush(bush, labels)
+        super()._equilibrate_bush(bush, labels, stale)
 
 
 class FullRelabelSolver(RecordingSolver):
     """RecordingSolver whose sweep recomputes all costs, all derivatives and
     a full scalar label pass after every applied shift, and whose safeguard
-    evaluates, and books, the dict-based `shift_delta` at every halving."""
+    evaluates, and books, the dict-based `shift_delta` at every halving.
+    Its sweep labels the bush afresh, so it reads neither the given labels
+    nor the position they are stale from."""
 
     def _apply_shift(self, bush, min_path, max_path, dx):
         self._seed()
@@ -298,7 +305,7 @@ class FullRelabelSolver(RecordingSolver):
         self._book(df)
         return dx
 
-    def _equilibrate_bush(self, bush, labels):
+    def _equilibrate_bush(self, bush, labels, stale):
         engine = self.engine
         eps = self._flow_eps(bush)
         L, U, pmin, pmax = oracle_labels(self.expanded, bush, self.cost)

@@ -13,12 +13,13 @@ from railplan.equilibrium import (
     CostEngine,
     _adjacency,
     _initial_bush,
+    _toposort,
     relative_gap,
     shortest_longest_labels,
     solve_equilibrium,
     update_bush,
 )
-from railplan.network import apply_design
+from railplan.network import ArcKind, apply_design
 
 from oracles import (
     AllPositionsSolver,
@@ -26,6 +27,7 @@ from oracles import (
     RecordingSolver,
     bush_arcs,
     oracle_labels,
+    oracle_toposort,
     oracle_update,
     oracle_wardrop,
     shift_delta,
@@ -119,6 +121,56 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             assert bush.pos.tolist() == want_pos.tolist()
             inbound = np.diff(bush.offsets)
             assert bush.merges.tolist() == [p for p in range(len(bush.order)) if inbound[p] >= 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares)
+def test_forward_adds_keep_a_trees_sorted_order(seed, load, electrified_share):
+    # why update_bush may sort a tree fresh from _initial_bush at its first
+    # change only: a tree keeps its sorted order when every add runs forward
+    rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    engine = CostEngine(expanded, profiles, usable)
+    adjacency = _adjacency(expanded, engine.usable)
+    free_flow = engine.costs(np.zeros(expanded.n_arcs)).tolist()
+    for origin, dests in od.by_origin().items():
+        bush = _initial_bush(expanded, adjacency, free_flow, origin, dests)
+        tree = bush.pull.astype(np.int64)
+        order = _toposort(expanded, tree, bush.origin)
+        assert order == oracle_toposort(expanded, tree, bush.origin)
+        pos = np.full(expanded.n_nodes, -1)
+        pos[order] = np.arange(len(order))
+        tail_pos, head_pos = pos[expanded.tail], pos[expanded.head]
+        forward = np.flatnonzero((tail_pos >= 0) & (tail_pos < head_pos))
+        forward = np.setdiff1d(forward, tree)
+        adds = forward[rng.random(forward.size) < rng.uniform(0.0, 1.0)]
+        assert _toposort(expanded, np.concatenate((tree, adds)), bush.origin) == order
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares, rates=st.sampled_from(["default", "weak"]))
+def test_a_bush_holds_the_live_nodes_its_origin_reaches(seed, load, electrified_share, rates):
+    # an electric node is live when a usable traction arc touches it, in or
+    # out; the weak rates make electrified links impassable electrically
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # impassable sides
+        _, expanded, profiles, usable, od = instance(seed, load, electrified_share, RATES[rates])
+    solver = BushSolver(expanded, usable, od, profiles, max_iter=3)
+    solver.solve()
+    usable = solver.engine.usable
+    electric = {expanded.electric_node(p) for p in expanded.node_ids}
+    touched = set()
+    for a in range(expanded.n_arcs):
+        if usable[a] and expanded.kind[a] != ArcKind.SWITCH:
+            touched.update((int(expanded.tail[a]), int(expanded.head[a])))
+    for bush in solver.bushes:
+        reached, stack = {bush.origin}, [bush.origin]
+        while stack:
+            for a in expanded.out_arcs[stack.pop()]:
+                v = int(expanded.head[a])
+                if usable[a] and v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        assert set(bush.order.tolist()) == {v for v in reached if v not in electric or v in touched}
 
 
 @settings(max_examples=40, deadline=None)

@@ -378,6 +378,22 @@ def test_switching_cost_blocks_electric_when_expensive():
     assert flows[0][1] == 0.0
 
 
+def test_a_corridor_ending_at_a_yard_keeps_its_last_electric_node():
+    # links 0 -> 1 -> 2 electrified one way only: yard 2's electric node has
+    # a usable in-arc and no usable electric out-arc, and trains switch back
+    # to diesel there.  Yard 4's electric node no usable electric arc
+    # touches, so no bush holds it; node 3's no usable arc reaches.
+    rates = RateTable(fuel_cost_electric=0.3e-8, switch_cost_per_train=200.0)
+    net = line_network(n_nodes=5, yards=(0, 2, 4))
+    od = ODMatrix({(0, 4): 2.0e4})
+    expanded, _, _, solver, state, metrics = solved(net, od, {0, 2}, rates=rates)
+    (bush,) = solver.bushes
+    electric = {expanded.electric_node(i) for i in range(5)} & set(bush.order.tolist())
+    assert electric == {expanded.electric_node(i) for i in (0, 1, 2)}
+    _, e2d = expanded.switch_arcs_at[2]
+    assert metrics.converged and state.x[e2d] == 2.0e4
+
+
 def test_solver_matches_msa():
     net = two_path_network(capacity_tpd=6.0e3, long_km=95.0, short_km=45.0)
     od = ODMatrix({(0, 1): 3.0e4})
@@ -547,7 +563,7 @@ def test_dead_flow_on_dearer_segment_is_drained_in_one_sweep():
     assert solver.engine.fixed[dogleg].sum() < solver.engine.fixed[direct]
     assert solver.cost[dogleg].sum() > solver.cost[direct]
 
-    solver._equilibrate_bush(bush, shortest_longest_labels(expanded, bush, solver.cost))
+    solver._equilibrate_bush(bush, shortest_longest_labels(expanded, bush, solver.cost), len(bush.order))
     assert bush.flow[dogleg].tolist() == [0.0, 0.0]
     assert solver.x[dogleg].tolist() == [1.5e4, 1.5e4]
     seq = solver.shift_beckmann
