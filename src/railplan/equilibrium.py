@@ -476,13 +476,13 @@ def update_bush(
     """Drop spent arcs, add strictly improving ones, keep a topological order.
 
     An arc stays while it carries flow or is its head's min predecessor.  An
-    arc joins when L[tail] + c < L[head] with L[tail] < L[head], so between
-    two bush nodes; with every min predecessor kept, the node set never
-    changes.  Dropping arcs keeps an order topological, so `bush.order`
-    stays unless an added arc runs backward in it or the bush is a tree in
-    settle order.  Then the bush is sorted, without the backward adds on the
-    rare tie that closes a cycle (never on a tree: labels rise along each
-    add and fall along no tree arc).
+    arc joins when L[tail] + c < L[head] < inf, so between two bush nodes (a
+    usable arc costs at least 0, so L[tail] < L[head] too); with every min
+    predecessor kept, the node set never changes.  Dropping arcs keeps an
+    order topological, so `bush.order` stays unless an added arc runs
+    backward in it or the bush is a tree in settle order.  Then the bush is
+    sorted, without the backward adds on the rare tie that closes a cycle
+    (never on a tree: labels rise along each add and fall along no tree arc).
     `labels` are the bush's labels at `costs`, when the caller has them.
     Returns the added arc ids, None when the arc set stayed as it was.
     """
@@ -496,7 +496,7 @@ def update_bush(
         pmin = np.fromiter(labels[2], np.int64, n)
         keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
     Lt, Lh = L[expanded.tail], L[expanded.head]
-    improving = (Lt + costs < Lh) & (Lt < Lh) & (Lh < math.inf) & usable
+    improving = (Lt + costs < Lh) & (Lh < math.inf) & usable
     improving[old] = False
     adds = improving.nonzero()[0]
     if adds.size == 0 and keep.size == old.size:

@@ -1,10 +1,15 @@
 """Scenario configs, CSV formats, GeoJSON, pipelines, and the CLI."""
 
+import ast
 import csv
+import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -940,6 +945,53 @@ def test_cli_rejects_a_stored_design_over_the_budget(tmp_path, capsys, command):
     assert rc == 2
     assert "capital $40,000,000 exceeds the budget $39,000,000" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_process_entry_freezes_the_import_heap_and_writes_what_main_writes(tmp_path):
+    # the child runs the module as `python -m railplan.cli` does, and reports
+    # its exit code and how many objects the entry froze
+    cfg = write_toy(tmp_path)
+    argv = ["optimize", "--config", str(cfg), "--out-dir"]
+    child = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = {['railplan', *argv, str(tmp_path / 'entry')]!r}\n"
+        "try:\n"
+        "    runpy.run_module('railplan.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    code, frozen = map(int, run.stdout.split()[-2:])
+    assert code == 0
+    assert frozen > 0
+
+    # called from Python, main freezes nothing, so pytest's garbage stays collectable
+    frozen_here = gc.get_freeze_count()
+    assert cli.main([*argv, str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen_here
+
+    names = sorted(path.name for path in (tmp_path / "entry").iterdir())
+    assert "report.txt" in names
+    assert sorted(path.name for path in (tmp_path / "main").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
+
+
+def test_console_script_and_module_run_the_same_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    script = re.search(r'^railplan = "(.+)"$', pyproject, re.MULTILINE).group(1)
+    module, _, function = script.partition(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    )
+    assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
 
 
 def test_sweep_budget_axis(tmp_path):
