@@ -5,15 +5,17 @@ of member links (shared links once); electrifying a corridor also energizes
 reverse twin links, since the wire over a track serves both directions.
 Fitness is the total system cost of the resulting user equilibrium.
 
-A design only makes electric arcs usable on top of the all-diesel network,
-so every design's solve starts from the all-diesel equilibrium: when those
-flows still pass the relative-gap test with the design's arcs usable, they
-are the design's equilibrium and no iteration runs.  Where electric traction
-does not pay, that is nearly every design.  The all-diesel design is
-therefore solved before any other, whatever order the designs come in, so a
-design's fitness does not depend on it.  Its equilibrium is kept once as a
-`screen.StartTable`; a screen repairs the shortest paths of only the origins
-that some corridor can shorten (module docstring of `screen`).
+A design only makes its corridors' electric arcs usable on top of the
+all-diesel network: its mask holds the all-diesel mask and lies within the
+all-corridor one.  So every design's solve starts from the all-diesel
+equilibrium: when those flows still pass the relative-gap test with the
+design's arcs usable, they are the design's equilibrium and no iteration
+runs.  Where electric traction does not pay, that is nearly every design.
+The all-diesel design is therefore solved before any other, whatever order
+the designs come in, so a design's fitness does not depend on it.  Its
+equilibrium is kept once as a `screen.StartTable`; a screen repairs the
+shortest paths of only the origins that some corridor can shorten (module
+docstring of `screen`).
 """
 
 from __future__ import annotations

@@ -48,11 +48,10 @@ Labels do not depend on the order, since a label pass takes each node's
 inbound arcs in arc-id order, but the sweep's order of merges does.  A bush
 keeps its order across updates, and `update_bush` re-sorts only when an
 added arc runs backward, by Kahn's algorithm from the origin, smallest index
-first.  An initial tree keeps Dijkstra's settle order and is sorted at its
-first change instead: the smallest-index Kahn order of a graph stays that of
-the graph plus arcs that all run forward in it, so this gives the order that
-sorting the tree at once would have kept.  An update that only drops arcs
-filters `pull`, which stays sorted.
+first.  An initial tree keeps Dijkstra's settle order, which is topological
+(a node settles after the tail of its predecessor arc), and a bush needs no
+other (Dial 2006).  An update that only drops arcs filters `pull`, which
+stays sorted.
 
 A shift is safeguarded by its exact objective change: the step is halved
 while that change is positive.  The change is a sum over the segment arcs,
@@ -101,17 +100,17 @@ node is on no path to a destination.  Summed in
 the usable out-arcs that each call site builds once with `_adjacency`.
 
 A solve can be given a `start`: a converged equilibrium of the same demand on
-a network with fewer usable arcs, such as the all-diesel one for a design.
-If all the start's flow rides arcs usable here, its bushes are bushes here,
-at the same costs, so their Wardrop spread stands; only the relative gap can
-grow, since new arcs can shorten paths.  The start's flows are returned at
-iteration 0 when its spread is within this solve's tolerance and its gap,
-recomputed with this network's usable arcs, is too: they then meet the
-stopping rule of this solve.  Otherwise the solve runs cold, exactly as
-without a start.  A start that did not converge at this tolerance fails
-one of the two tests: the gap here is never below the gap it stopped at.
-The screen runs before any solver is built, against a `screen.StartTable`
-that a design search builds once (module docstring of `screen`).
+a network whose usable arcs all stay usable here, such as the all-diesel one
+for a design.  Its bushes are then bushes here, at the same costs, so their
+Wardrop spread stands; only the relative gap can grow, since new arcs can
+shorten paths.  The start's flows are returned at iteration 0 when its spread
+is within this solve's tolerance and its gap, recomputed with this network's
+usable arcs, is too: they then meet the stopping rule of this solve.
+Otherwise the solve runs cold, exactly as without a start.  A start that did
+not converge at this tolerance fails one of the two tests: the gap here is
+never below the gap it stopped at.  The screen runs before any solver is
+built, against a `screen.StartTable` that a design search builds once, for
+its masks (module docstring of `screen`).
 """
 
 from __future__ import annotations
@@ -183,11 +182,11 @@ class GapMetrics:
     relative_gap: float
     iteration: int
     beckmann: float
-    wardrop_max: float = math.inf
+    wardrop_max: float
     # both the relative gap and the Wardrop spread within tolerance
-    converged: bool = False
+    converged: bool
     # (iteration, beckmann, relative gap or None where it was not computed)
-    trace: list[tuple[int, float, float | None]] = field(default_factory=list)
+    trace: list[tuple[int, float, float | None]]
 
 
 @dataclass
@@ -200,7 +199,6 @@ class Bush:
     order[i] are pull[offsets[i]:offsets[i + 1]].  An arc a is in the bush
     when p = pos[head[a]] >= 0 and a lies in that short slice for i = p.
     `merges` lists the positions with two or more inbound arcs, ascending.
-    `unsorted` marks a tree in settle order, sorted at its first change.
     """
 
     origin: int  # expanded node index
@@ -211,7 +209,6 @@ class Bush:
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
     merges: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    unsorted: bool = False
 
     def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None,
                  resort: bool = True) -> None:
@@ -445,7 +442,7 @@ def _initial_bush(
     dests: list[tuple[int, float]],
 ) -> Bush:
     """Shortest-path tree over `_adjacency`, demand loaded all-or-nothing, its
-    nodes in Dijkstra's settle order, which is topological but unsorted."""
+    nodes in Dijkstra's settle order, a topological one (module docstring)."""
     src = expanded.diesel_node(origin_phys)
     order: list[int] = []
     dist, pred = _dijkstra(adjacency, cost, [(0.0, src)], settled=order)
@@ -461,7 +458,7 @@ def _initial_bush(
             a = pred[node]
             flow[a] += d
             node = expanded.tail.item(a)
-    bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests), unsorted=True)
+    bush = Bush(origin=src, flow=flow, demand=sum(d for _, d in dests))
     bush.set_arcs(expanded, np.array([pred[v] for v in order[1:]], dtype=np.int64), order, resort=False)
     return bush
 
@@ -471,7 +468,7 @@ def update_bush(
     bush: Bush,
     costs: np.ndarray,
     usable: np.ndarray,
-    labels: Labels | None = None,
+    labels: Labels,
 ) -> np.ndarray | None:
     """Drop spent arcs, add strictly improving ones, keep a topological order.
 
@@ -480,14 +477,11 @@ def update_bush(
     usable arc costs at least 0, so L[tail] < L[head] too); with every min
     predecessor kept, the node set never changes.  Dropping arcs keeps an
     order topological, so `bush.order` stays unless an added arc runs
-    backward in it or the bush is a tree in settle order.  Then the bush is
-    sorted, without the backward adds on the rare tie that closes a cycle
-    (never on a tree: labels rise along each add and fall along no tree arc).
-    `labels` are the bush's labels at `costs`, when the caller has them.
+    backward in it.  Then the bush is sorted, without the backward adds on
+    the rare tie that closes a cycle (never on a tree: labels rise along each
+    add and fall along no tree arc).  `labels` are the bush's at `costs`.
     Returns the added arc ids, None when the arc set stayed as it was.
     """
-    if labels is None:
-        labels = shortest_longest_labels(expanded, bush, costs)
     n = expanded.n_nodes
     L = np.fromiter(labels[0], float, n)
     old = bush.pull.astype(np.int64)  # cast once, not at every index below
@@ -504,7 +498,7 @@ def update_bush(
     new_arcs = np.concatenate((keep, adds))
     tails, heads = expanded.tail[adds], expanded.head[adds]
     order = None
-    if bush.unsorted or not (bush.pos[tails] < bush.pos[heads]).all():
+    if not (bush.pos[tails] < bush.pos[heads]).all():
         try:
             order = _toposort(expanded, new_arcs, bush.origin)
         except ValueError:
@@ -512,7 +506,6 @@ def update_bush(
             adds = adds[bush.pos[tails] < bush.pos[heads]]
             new_arcs = np.concatenate((keep, adds))
             order = _toposort(expanded, new_arcs, bush.origin)
-        bush.unsorted = False
     # dropping arcs only leaves `pull` sorted
     bush.set_arcs(expanded, new_arcs, order, resort=order is not None or adds.size > 0)
     return adds if adds.size or keep.size < old.size else None
@@ -926,8 +919,8 @@ def solve_equilibrium(
     max_iter: int = 500,
     start: StartTable | None = None,
 ) -> tuple[FlowState, GapMetrics]:
-    """One equilibrium; `start` is a converged solve to screen first (module
-    docstring)."""
+    """One equilibrium; `start` is a converged solve to screen first, on arcs
+    that `usable` holds, within its widest mask (module docstring)."""
     if start is not None:
         screened = start.screen(usable, tol)
         if screened is not None:

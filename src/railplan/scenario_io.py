@@ -635,7 +635,7 @@ def summarize_design(problem: design.DesignProblem, bits: design.Bits) -> RunRep
     )
 
 
-def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunReport:
+def optimize_run(scenario: Scenario, out_dir: str | Path) -> RunReport:
     """Full pipeline: assemble, GA search, artifacts, report."""
     problem = assemble(scenario)
     rng = np.random.default_rng(scenario.seed)
@@ -643,14 +643,13 @@ def optimize_run(scenario: Scenario, out_dir: str | Path | None = None) -> RunRe
     best, history = design.evolve(population, scenario, problem, rng)
     report = summarize_design(problem, best.bits)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_corridors(out / "corridors.csv", problem.corridors)
-        write_generations(out / "generations.csv", history)
-        write_design(out / "best_design.csv", best.selected)
-        write_solution(out, problem, problem.solution(best.bits), "electrified.geojson")
-        write_report(report, out)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_corridors(out / "corridors.csv", problem.corridors)
+    write_generations(out / "generations.csv", history)
+    write_design(out / "best_design.csv", best.selected)
+    write_solution(out, problem, problem.solution(best.bits), "electrified.geojson")
+    write_report(report, out)
     return report
 
 
@@ -712,7 +711,7 @@ def sweep(
     scenario: Scenario,
     axis: str,
     values: Iterable[float],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> tuple[list[RunReport], list[SweepRow]]:
     """One optimization per value with corridor-set overlap bookkeeping.
 
@@ -734,10 +733,7 @@ def sweep(
         raise ValidationError(f"sweep values share a label: {', '.join(clashes)}")
 
     runs = [replace(scenario, **{attr: v}) for v in values]  # validates every value before any run
-    reports = [
-        optimize_run(run, None if out_dir is None else Path(out_dir) / label)
-        for run, label in zip(runs, labels)
-    ]
+    reports = [optimize_run(run, Path(out_dir) / label) for run, label in zip(runs, labels)]
 
     base_value = getattr(scenario, attr)
     base_idx = values.index(base_value) if base_value in values else 0
@@ -761,8 +757,7 @@ def sweep(
             )
         )
         prev = sel
-    if out_dir is not None:
-        write_sweep(rows, Path(out_dir) / "sweep_report.csv")
+    write_sweep(rows, Path(out_dir) / "sweep_report.csv")
     return reports, rows
 
 
@@ -792,8 +787,8 @@ def stored_design(problem: design.DesignProblem, path: str | Path) -> design.Bit
 
 def assign_run(
     scenario: Scenario,
-    design_file: str | Path | None = None,
-    out_dir: str | Path | None = None,
+    design_file: str | Path | None,
+    out_dir: str | Path,
 ) -> design.Solution:
     """Solve one equilibrium, with the design stored at `design_file`
     electrified (none: all diesel), the way every design is solved
@@ -801,6 +796,5 @@ def assign_run(
     problem = assemble(scenario)
     bits = stored_design(problem, design_file) if design_file else (0,) * len(problem.corridors)
     solution = problem.solution(bits)
-    if out_dir is not None:
-        write_solution(out_dir, problem, solution, "flows.geojson")
+    write_solution(out_dir, problem, solution, "flows.geojson")
     return solution

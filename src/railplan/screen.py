@@ -25,8 +25,9 @@ in a labelling as above: its labels only fall to path sums, a node that fell
 relaxes its out-arcs at its final label, and an arc out of a node that did
 not fall is a start arc, which D leaves nothing to lower, or was compared.
 Summed in `relative_gap`'s origin and destination order, the distances give
-its gap bit for bit.  Where an arc usable in the start is not usable here,
-distances can grow, and the screen calls `relative_gap` itself.
+its gap bit for bit.  A mask that drops a start arc, under which distances
+could grow, raises `ValueError` too: no design search makes one, since every
+design's mask holds the all-diesel one (module docstring of `design`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .equilibrium import (
     _dijkstra,
     _gap,
     flow_cost,
-    relative_gap,
 )
 from .network import ExpandedNetwork
 
@@ -56,11 +56,13 @@ class StartTable:
         od: ODMatrix,
         state: FlowState,
         metrics: GapMetrics,
-        usable: np.ndarray | None,
+        usable: np.ndarray,
         widest: np.ndarray,
     ):
-        self.expanded, self.od, self.state, self.metrics = expanded, od, state, metrics
-        self.usable = np.ones(expanded.n_arcs, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
+        self.expanded, self.state, self.metrics = expanded, state, metrics
+        self.usable = np.asarray(usable, dtype=bool)
+        if np.any(state.x[~self.usable] > 0.0):
+            raise ValueError("the start's flows leave its usable arcs")
         self.widest = np.asarray(widest, dtype=bool) | self.usable
         self.cost = state.cost
         self.tstt = flow_cost(state.x, self.cost)
@@ -74,15 +76,12 @@ class StartTable:
             self.closed.append(None if any(low[v] != d for v, d in kept.items()) else kept)
         self.dist = self.dist[[kept is None for kept in self.closed]]
 
-    def screen(self, usable: np.ndarray | None, tol: float) -> tuple[FlowState, GapMetrics] | None:
+    def screen(self, usable: np.ndarray, tol: float) -> tuple[FlowState, GapMetrics] | None:
         """The start's flows at iteration 0 when they meet the stopping rule
         of a solve with these usable arcs and `tol`, else None."""
         state, metrics = self.state, self.metrics
-        usable = np.ones(self.expanded.n_arcs, dtype=bool) if usable is None else np.asarray(usable, dtype=bool)
-        if metrics.wardrop_max > tol or np.any(state.x[~usable] > 0.0):
-            return None
         gap = self.relative_gap(usable)
-        if gap > tol:
+        if metrics.wardrop_max > tol or gap > tol:
             return None
         return FlowState(x=state.x.copy(), cost=self.cost.copy()), GapMetrics(
             relative_gap=gap,
@@ -95,10 +94,8 @@ class StartTable:
 
     def relative_gap(self, usable: np.ndarray) -> float:
         """`relative_gap` of the start's flows with these usable arcs."""
-        if np.any(usable & ~self.widest):
-            raise ValueError("usable arcs outside the widest mask of this start")
-        if np.any(self.usable & ~usable):
-            return relative_gap(self.expanded, usable, self.cost, self.state.x, self.od)
+        if np.any(self.usable & ~usable) or np.any(usable & ~self.widest):
+            raise ValueError("usable arcs must hold this start's and lie within its widest mask")
         repaired = self._repaired(usable)
         dists = (next(repaired) if kept is None else kept for kept in self.closed)
         return _gap(self.expanded, self.origins, dists, self.tstt)

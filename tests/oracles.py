@@ -127,11 +127,9 @@ def oracle_toposort(expanded, arcs, origin):
 def oracle_update(expanded, bush, costs, usable):
     """(arc set, order) that update_bush should leave on the bush; the bush
     itself is not modified.  The order stays when the arc set does, or when
-    every added arc runs forward in it and the bush is no tree fresh from
-    _initial_bush; otherwise the new arc set is sorted afresh, and on a
-    cycle the adds that run backward in the old order are dropped before
-    sorting, judged for a fresh tree against the tree's sorted order.
-    Raises ValueError where update_bush must."""
+    every added arc runs forward in it; otherwise the new arc set is sorted
+    afresh, and on a cycle the adds that run backward in the old order are
+    dropped before sorting.  Raises ValueError where update_bush must."""
     L, _, pmin, _ = oracle_labels(expanded, bush, costs)
     arcs = bush_arcs(bush)
     keep = {a for a in arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
@@ -147,10 +145,10 @@ def oracle_update(expanded, bush, costs, usable):
     new_arcs = keep | adds
     if new_arcs == arcs:
         return new_arcs, bush.order.tolist()
-    old_order = oracle_toposort(expanded, arcs, bush.origin) if bush.unsorted else bush.order.tolist()
+    old_order = bush.order.tolist()
     pos = {u: i for i, u in enumerate(old_order)}
     forward = {a for a in adds if pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]}
-    if forward == adds and not bush.unsorted:
+    if forward == adds:
         return new_arcs, old_order
     try:
         order = oracle_toposort(expanded, new_arcs, bush.origin)

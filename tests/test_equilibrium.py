@@ -31,7 +31,7 @@ from railplan.equilibrium import (
     update_bush,
     _toposort,
 )
-from railplan.network import Node, PhysicalLink, RailNetwork, apply_design
+from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, apply_design
 
 from oracles import RecordingSolver, bush_arcs, jacobian, msa_reference
 from synth import (
@@ -247,7 +247,8 @@ def test_update_bush_fixed_point_and_acyclic(two_path_net):
     expanded, _, usable, solver, _, metrics = solved(two_path_net, od)
     assert metrics.relative_gap <= 1e-8
     for bush in solver.bushes:
-        assert update_bush(expanded, bush, solver.cost, usable) is None  # unchanged
+        labels = shortest_longest_labels(expanded, bush, solver.cost)
+        assert update_bush(expanded, bush, solver.cost, usable, labels) is None  # unchanged
         g = nx.DiGraph()
         g.add_nodes_from(bush.order.tolist())
         g.add_edges_from(
@@ -260,12 +261,17 @@ def test_update_bush_fixed_point_and_acyclic(two_path_net):
             assert pos[int(expanded.tail[a])] < pos[int(expanded.head[a])]
 
 
-@pytest.mark.parametrize("backward", [False, True])
-def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward):
+@pytest.mark.parametrize(
+    "backward, fresh",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-fresh", "True-fresh"],
+)
+def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward, fresh):
     # Bush 0 -> {0->1 or 2->1, 0->2} on the diesel arcs of the two-path
     # network, laid out 0, 2, 1 when 2->1 is in it and 0, 1, 2 otherwise;
     # at these costs the missing arc joins, forward in the first layout and
-    # backward in the second.
+    # backward in the second.  The bush is set by hand, or is a tree fresh
+    # from _initial_bush, whose settle order is the layout.
     expanded, _ = assembled_instance(two_path_network())
     usable = apply_design(expanded, set())
     direct, to_mid, mid_to = (expanded.pair_of[l][0] for l in (0, 2, 4))
@@ -274,11 +280,20 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward)
     costs[direct] = 10.0 if backward else 1.0
     kept, added = (direct, mid_to) if backward else (mid_to, direct)
     order = [n0, n1, n2] if backward else [n0, n2, n1]
-    flow = np.zeros(expanded.n_arcs)
-    flow[[to_mid, kept]] = 1.0
-    arcs = np.array(sorted([to_mid, kept]))
-    bush = Bush(origin=n0, flow=flow, demand=1.0)
-    bush.set_arcs(expanded, arcs, order)
+    if fresh:
+        settle = np.full(expanded.n_arcs, 5.0)  # the missing arc and the reverse links dear
+        settle[kept] = 1.0
+        settle[to_mid] = 2.0 if backward else 1.0
+        diesel = usable & (expanded.kind != ArcKind.SWITCH)
+        bush = equilibrium._initial_bush(expanded, equilibrium._adjacency(expanded, diesel),
+                                         settle.tolist(), 0, [(1, 1.0)])
+        assert bush.order.tolist() == order and bush_arcs(bush) == {to_mid, kept}
+    else:
+        flow = np.zeros(expanded.n_arcs)
+        flow[[to_mid, kept]] = 1.0
+        arcs = np.array(sorted([to_mid, kept]))
+        bush = Bush(origin=n0, flow=flow, demand=1.0)
+        bush.set_arcs(expanded, arcs, order)
 
     calls = []
 
@@ -288,8 +303,9 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward)
             raise AssertionError("forward adds keep the order")
         return _toposort(*args)
 
+    labels = shortest_longest_labels(expanded, bush, costs)
     monkeypatch.setattr(equilibrium, "_toposort", toposort)
-    assert update_bush(expanded, bush, costs, usable).tolist() == [added]
+    assert update_bush(expanded, bush, costs, usable, labels).tolist() == [added]
     assert bush_arcs(bush) == {to_mid, kept, added}
     assert len(calls) == int(backward)
     assert bush.order.tolist() == ([n0, n2, n1] if backward else order)

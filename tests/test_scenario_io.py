@@ -895,7 +895,7 @@ def test_assign_run_solves_a_design_as_the_problem_does(tmp_path, pays):
     else:
         cfg = write_toy(tmp_path)
     write_design(tmp_path / "design.csv", [0])
-    solution = assign_run(load_scenario(cfg), tmp_path / "design.csv")
+    solution = assign_run(load_scenario(cfg), tmp_path / "design.csv", tmp_path / "out")
 
     problem = assemble(load_scenario(cfg))
     expected = problem.solution((1,))
@@ -920,7 +920,7 @@ def test_equal_runs_write_byte_identical_artifacts(tmp_path):
     (tmp_path / "links.csv").write_text(THREE_ROUTE_LINKS_CSV)
     scenario = load_scenario(cfg)
     for command, run in (
-        ("assign", lambda out: assign_run(scenario, out_dir=out)),
+        ("assign", lambda out: assign_run(scenario, None, out)),
         ("optimize", lambda out: optimize_run(scenario, out)),
     ):
         first, second = tmp_path / command / "first", tmp_path / command / "second"
@@ -1010,9 +1010,9 @@ def test_sweep_budget_axis(tmp_path):
     assert (out / "budget_1e+11").is_dir()
 
     with pytest.raises(ValidationError, match="axis"):
-        sweep(scenario, "weather", [1.0])
+        sweep(scenario, "weather", [1.0], out)
     with pytest.raises(ValidationError, match="at least one"):
-        sweep(scenario, "budget", [])
+        sweep(scenario, "budget", [], out)
 
 
 def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys):

@@ -3,6 +3,7 @@ start is returned at iteration 0 when it passes the gap test under the new
 arcs, and the solve is exactly the cold one otherwise.  The screen's gap,
 repaired from the start's distance table, is `relative_gap` bit for bit."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,9 @@ import railplan.equilibrium as equilibrium
 import railplan.screen as screen
 from railplan.corridors import candidate_corridors
 from railplan.costmodel import ElectrificationRates, RateTable, electrification_costs
+from railplan.design import DesignProblem
 from railplan.equilibrium import (
     CostEngine,
-    InfeasibleAssignmentError,
     ODMatrix,
     relative_gap,
     solve_equilibrium,
@@ -103,15 +104,17 @@ def test_design_failing_the_screen_is_solved_cold():
     assert got[1].iteration > 0
     assert_same_solve(got, solve_equilibrium(expanded, usable, od, profiles, tol=TOL))
 
-    # flow on arcs that are not usable here is never screened
+    # a mask that drops arcs of the start is no design's, and neither is a
+    # start whose flows leave its own usable arcs
     electric = StartTable(expanded, od, *got, usable, usable)
     all_diesel = apply_design(expanded, ())
     assert np.any(got[0].x[~all_diesel] > 0.0)
-    assert electric.screen(all_diesel, TOL) is None
-    assert_same_solve(
-        solve_equilibrium(expanded, all_diesel, od, profiles, tol=TOL, start=electric),
-        solve_equilibrium(expanded, all_diesel, od, profiles, tol=TOL),
-    )
+    with pytest.raises(ValueError, match="hold this start's"):
+        electric.screen(all_diesel, TOL)
+    with pytest.raises(ValueError, match="hold this start's"):
+        solve_equilibrium(expanded, all_diesel, od, profiles, tol=TOL, start=electric)
+    with pytest.raises(ValueError, match="leave its usable arcs"):
+        StartTable(expanded, od, *got, all_diesel, usable)
 
 
 def test_unconverged_start_screens_nothing(monkeypatch):
@@ -196,40 +199,60 @@ def test_screen_gap_is_relative_gap_bit_for_bit(seed, load, pays):
     widest = corridor_union(expanded, net, corridors)  # as DesignProblem.start builds it
     (state, metrics), start = all_diesel_start(expanded, profiles, od, widest, max_iter=100)
     x = state.x
+    costs = CostEngine(expanded, profiles).costs(x)
     for k in range(4):
         picked = [c for c in corridors if rng.random() < 0.5]
         electrified = net.with_reverse_twins({lid for c in picked for lid in c.link_ids})
-        mask = apply_design(expanded, electrified)
-        if k % 2:  # idle arcs of the start not usable here: distances can grow
-            idle = np.flatnonzero(mask & (x == 0.0))
-            mask[idle[rng.random(idle.size) < 0.2]] = False
-        engine = CostEngine(expanded, profiles, mask)
-        usable = engine.usable
-        try:
-            want = relative_gap(expanded, usable, engine.costs(x), x, od)
-        except InfeasibleAssignmentError:
-            with pytest.raises(InfeasibleAssignmentError):
-                start.relative_gap(usable)
+        mask = apply_design(expanded, electrified)  # as DesignProblem._solve builds it
+        if k % 2:  # an idle arc of the start not usable here: no design's mask
+            mask[rng.choice(np.flatnonzero(start.usable & (x == 0.0)))] = False
+            with pytest.raises(ValueError, match="hold this start's"):
+                start.relative_gap(mask)
+            with pytest.raises(ValueError, match="hold this start's"):
+                start.screen(mask, TOL)
             continue
-        assert start.relative_gap(usable) == want
+        want = relative_gap(expanded, mask, costs, x, od)
+        assert start.relative_gap(mask) == want
         # the decision of a start re-solved through relative_gap
-        accept = metrics.wardrop_max <= TOL and not np.any(x[~usable] > 0.0) and want <= TOL
-        screened = start.screen(usable, TOL)
+        accept = metrics.wardrop_max <= TOL and want <= TOL
+        screened = start.screen(mask, TOL)
         assert (screened is not None) == accept
         if screened is not None:
             assert screened[0].x.tolist() == x.tolist()
-            assert screened[0].cost.tolist() == engine.costs(x).tolist()
+            assert screened[0].cost.tolist() == costs.tolist()
             assert (screened[1].iteration, screened[1].relative_gap) == (0, want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pays=st.booleans())
+def test_a_design_search_screens_only_masks_its_start_takes(seed, pays):
+    rng, net, od, expanded, profiles, corridors, _ = corridor_instance(seed, PAYS if pays else None)
+    assume(corridors)
+    problem = DesignProblem(
+        expanded, profiles, corridors, electrification_costs(net, ElectrificationRates()), math.inf, od, tol=TOL
+    )
+    start, masks = problem.start(), []
+    screen_one = start.screen
+    start.screen = lambda usable, tol: masks.append(usable.copy()) or screen_one(usable, tol)
+    designs = {tuple(int(b) for b in rng.random(len(corridors)) < rng.uniform()) for _ in range(6)}
+    designs.add((1,) * len(corridors))
+    for bits in designs:
+        problem.evaluate(bits)
+    assert len(masks) == sum(any(bits) for bits in designs)
+    all_diesel = apply_design(expanded, ())
+    for mask in masks:
+        assert not np.any(all_diesel & ~mask)
+        assert not np.any(mask & ~start.widest)
+
+
 def assert_screen_matches_relative_gap(start, expanded, profiles, od, mask):
-    """The screen's gap and decision under `mask`, against `relative_gap`."""
-    engine = CostEngine(expanded, profiles, mask)
-    usable, x = engine.usable, start.state.x
-    want = relative_gap(expanded, usable, engine.costs(x), x, od)
-    assert start.relative_gap(usable) == want
-    accept = start.metrics.wardrop_max <= TOL and not np.any(x[~usable] > 0.0) and want <= TOL
-    assert (start.screen(usable, TOL) is not None) == accept
+    """The screen's gap and decision under the design mask `mask`, against
+    `relative_gap`."""
+    x = start.state.x
+    want = relative_gap(expanded, mask, CostEngine(expanded, profiles).costs(x), x, od)
+    assert start.relative_gap(mask) == want
+    accept = start.metrics.wardrop_max <= TOL and want <= TOL
+    assert (start.screen(mask, TOL) is not None) == accept
 
 
 def test_open_and_closed_origins_give_relative_gap_bit_for_bit():
@@ -264,3 +287,5 @@ def test_a_mask_outside_the_widest_one_is_rejected():
     assert np.any(usable & ~start.widest)
     with pytest.raises(ValueError, match="widest"):
         start.relative_gap(usable)
+    with pytest.raises(ValueError, match="widest"):
+        start.screen(usable, TOL)
