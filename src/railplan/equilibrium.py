@@ -27,12 +27,28 @@ order with at most one Newton shift each: a lone inbound arc is both min and
 max predecessor or carries no flow, so its head never shifts, and it is kept
 untested by `update_bush` on a bush without merges, a tree.
 
+A full pass on a tree, on labels made fresh for it, is a straight loop:
+each position's one inbound arc sets L[head] = L[tail] + c and pred_min,
+with no comparison.  It writes what the general loop writes: the tail of
+every bush arc has a finite label, so while the arc's cost is finite the
+minimum over one candidate is that candidate.  (A cost overflowed to inf
+would give pred_min where the general loop leaves -1, at a node with
+L = inf, which no flow shift reads.)  The fresh lists already hold U = -inf
+and pred_max -1 at every node but the origin, which is no head, so the loop
+skips their resets.  Given labels take the general loop.
+
 A bush leaves out the dead electric nodes, which no usable traction arc
 touches, in or out: a train can only switch into one and straight back, so
 it would be a flowless leaf of every bush.  A node with only a usable
 electric in-arc stays, since trains switch back to diesel there.  The
 solver's adjacency has no arc into a dead node, so neither the initial trees
-nor the gap repair enter one.
+nor the gap repair enter one.  The same usable arcs into live nodes, listed
+once per solver, are the only arcs `update_bush` tests for joining: a bush
+holds every live node its origin reaches, so an arc into a node off the bush
+starts at one its origin does not reach, with L = inf, and never joins.
+Dropping the L[head] < inf term of the full rule is exact while costs are
+finite: a cost overflowed to inf can leave a bush node at L = inf, which a
+candidate from a finite tail then joins.
 
 A visit labels its bush in full before `update_bush`, then relabels lazily.
 Labels go stale from the earliest head of an added arc (a dropped arc
@@ -359,13 +375,14 @@ def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int) -> list[
     indeg = indeg.tolist()
     ready = [origin]
     order: list[int] = []
+    pop, push, append = heapq.heappop, heapq.heappush, order.append
     while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
+        u = pop(ready)
+        append(u)
         for h in succ[first[u] : first[u + 1]]:
             indeg[h] -= 1
             if indeg[h] == 0:
-                heapq.heappush(ready, h)
+                push(ready, h)
     if len(order) != nodes:
         raise ValueError("bush contains a cycle")
     return order
@@ -395,13 +412,20 @@ def shortest_longest_labels(
     Returns lists (L, U, pred_min, pred_max); nodes without flow-carrying
     inbound arcs keep U = -inf and never seed a flow shift.
 
+    Labels made here on a tree take a straight pass instead, L[head] =
+    L[tail] + c and pred_min its one inbound arc: with a finite tail label
+    and cost, the minimum over that one candidate is these bits, and the
+    new lists hold U = -inf and pred_max -1 already.  Given labels take the
+    general loop, which resets them.
+
     Given `labels` from an earlier call on this bush, only the nodes at
     positions start..stop-1 of bush.order are relabelled, in place; the
     others keep their labels.  Each relabelled node is rebuilt from its
     inbound arcs alone, so the result is exact when no arc into an earlier
     node was added, or changed cost or flow, since that call.
     """
-    if labels is None:
+    fresh = labels is None
+    if fresh:
         n = expanded.n_nodes
         labels = ([math.inf] * n, [-math.inf] * n, [-1] * n, [-1] * n)
         labels[0][bush.origin] = 0.0
@@ -416,17 +440,22 @@ def shortest_longest_labels(
     if not heads:
         return labels
     arcs, tails, cs = seg.tolist(), expanded.tail[seg].tolist(), costs[seg].tolist()
-    # an unreached tail has L = inf and U = -inf, so its candidates never win
     inf, ninf = math.inf, -math.inf
-    v, lv, am = heads[0], inf, -1
-    for h, a, t, c in zip(heads, arcs, tails, cs):
-        if h != v:
-            L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
-            v, lv, am = h, inf, -1
-        nl = L[t] + c
-        if nl < lv:
-            lv, am = nl, a
-    L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
+    if fresh and not bush.merges.size:  # a tree: one inbound arc per head, its tail labelled
+        for h, a, t, c in zip(heads, arcs, tails, cs):
+            L[h] = L[t] + c
+            pmin[h] = a
+    else:
+        # an unreached tail has L = inf and U = -inf, so its candidates never win
+        v, lv, am = heads[0], inf, -1
+        for h, a, t, c in zip(heads, arcs, tails, cs):
+            if h != v:
+                L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
+                v, lv, am = h, inf, -1
+            nl = L[t] + c
+            if nl < lv:
+                lv, am = nl, a
+        L[v], U[v], pmin[v], pmax[v] = lv, ninf, am, -1
     for i in (bush.flow[seg] > 0.0).nonzero()[0].tolist():
         h, nu = heads[i], U[tails[i]] + cs[i]
         if nu > U[h]:
@@ -467,7 +496,7 @@ def update_bush(
     expanded: ExpandedNetwork,
     bush: Bush,
     costs: np.ndarray,
-    usable: np.ndarray,
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray],
     labels: Labels,
 ) -> np.ndarray | None:
     """Drop spent arcs, add strictly improving ones, keep a topological order.
@@ -475,7 +504,14 @@ def update_bush(
     An arc stays while it carries flow or is its head's min predecessor.  An
     arc joins when L[tail] + c < L[head] < inf, so between two bush nodes (a
     usable arc costs at least 0, so L[tail] < L[head] too); with every min
-    predecessor kept, the node set never changes.  Dropping arcs keeps an
+    predecessor kept, the node set never changes.  Only `candidates`, the
+    solver's usable arcs into live nodes as (arc ids ascending, their tails,
+    their heads), are tested, and by L[tail] + c < L[head] alone: a bush arc
+    never passes, since L[head] is the minimum of those same sums over its
+    inbound arcs, and the bush holds every live node its origin reaches, so
+    a candidate into a node off it has a tail at L = inf (module docstring).
+    With finite costs every bush node has a finite label, so the adds are
+    those of the full rule, in ascending id.  Dropping arcs keeps an
     order topological, so `bush.order` stays unless an added arc runs
     backward in it.  Then the bush is sorted, without the backward adds on
     the rare tie that closes a cycle (never on a tree: labels rise along each
@@ -489,14 +525,13 @@ def update_bush(
     if bush.merges.size:
         pmin = np.fromiter(labels[2], np.int64, n)
         keep = old[(bush.flow[old] > 0.0) | (pmin[expanded.head[old]] == old)]
-    Lt, Lh = L[expanded.tail], L[expanded.head]
-    improving = (Lt + costs < Lh) & (Lh < math.inf) & usable
-    improving[old] = False
-    adds = improving.nonzero()[0]
+    arcs, tails, heads = candidates
+    joins = L[tails] + costs[arcs] < L[heads]
+    adds = arcs[joins]
     if adds.size == 0 and keep.size == old.size:
         return None
     new_arcs = np.concatenate((keep, adds))
-    tails, heads = expanded.tail[adds], expanded.head[adds]
+    tails, heads = tails[joins], heads[joins]
     order = None
     if not (bush.pos[tails] < bush.pos[heads]).all():
         try:
@@ -601,8 +636,10 @@ class BushSolver:
         electric = self.engine.usable & ~expanded.non_electric
         live = np.arange(expanded.n_nodes) % 2 == 0  # the diesel nodes
         live[expanded.tail[electric]] = live[expanded.head[electric]] = True
-        self._into_live = self.engine.usable & live[expanded.head]
-        self._adjacency = _adjacency(expanded, self._into_live)
+        into_live = self.engine.usable & live[expanded.head]
+        self._adjacency = _adjacency(expanded, into_live)
+        arcs = np.flatnonzero(into_live)  # the arcs update_bush tests for joining
+        self._candidates = arcs, expanded.tail[arcs], expanded.head[arcs]
         self.od = od
         self.origins = od.by_origin()  # in origin order, as the bushes
         self.tol = tol
@@ -816,14 +853,15 @@ class BushSolver:
         docstring), repairing passed bushes' labels once `_HELD` wait or the
         visit completes, so an early stop within `_HELD` bushes repairs none.
         """
-        expanded, n, usable = self.expanded, self.expanded.n_nodes, self._into_live
+        expanded, n = self.expanded, self.expanded.n_nodes
         dests = list(self.origins.values())
         reached = [None] * len(self.bushes)  # per bush, its distance at each destination
         held: list[tuple[int, np.ndarray]] = []  # (bush index, min labels) to repair
         worst = 0.0
         self.checked_gap = None
         def repair():
-            tail, head, cost = expanded.tail[usable], expanded.head[usable], self.cost[usable]
+            arcs, tail, head = self._candidates
+            cost = self.cost[arcs]
             cost_list = self.cost.tolist()  # what the repair reads
             for k, dist in held:
                 L = dist.tolist()
@@ -855,7 +893,6 @@ class BushSolver:
         return worst
 
     def solve(self) -> tuple[FlowState, GapMetrics]:
-        usable = self.engine.usable
         free_flow = self.engine.costs(np.zeros(self.expanded.n_arcs)).tolist()
         for origin, dests in self.origins.items():
             bush = _initial_bush(self.expanded, self._adjacency, free_flow, origin, dests)
@@ -872,7 +909,7 @@ class BushSolver:
             steps = []
             for bush in self.bushes:
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
-                added = update_bush(self.expanded, bush, self.cost, usable, labels)
+                added = update_bush(self.expanded, bush, self.cost, self._candidates, labels)
                 # stale from the first head of an added arc (module docstring)
                 stale = len(bush.order)
                 if added is not None and added.size:

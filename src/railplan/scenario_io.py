@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -435,6 +434,52 @@ def load_design(path: str | Path) -> list[int]:
 # --- GeoJSON ------------------------------------------------------------------------
 
 
+# The file is the text of json.dump(collection, fh, indent=2), written by hand
+# one feature at a time: json.dump to a file always runs json's pure-Python
+# encoder, about three times slower here, and the feature layout never varies.
+# Each value is filled in by its name in the feature, so a renamed key fails
+# loudly instead of shifting values.
+_GEOJSON_HEAD = '{\n  "type": "FeatureCollection",\n  "features": ['
+_GEOJSON_FEATURE = """
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "LineString",
+        "coordinates": [
+          [
+            %(x0)s,
+            %(y0)s
+          ],
+          [
+            %(x1)s,
+            %(y1)s
+          ]
+        ]
+      },
+      "properties": {
+        "link_id": %(link_id)s,
+        "length_km": %(length_km)s,
+        "electrified": %(electrified)s,
+        "diesel_tons": %(diesel_tons)s,
+        "electric_tons": %(electric_tons)s
+      }
+    }"""
+
+
+def _json_scalar(value) -> str:
+    """A number or bool as json writes it: a float by `float.__repr__`, or
+    as NaN, Infinity or -Infinity, an int by `int.__repr__`."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0.0 else "-Infinity"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{value!r} is not a JSON number")
+
+
 def emit_geojson(
     electrified_links: set[int],
     net: RailNetwork,
@@ -463,11 +508,16 @@ def emit_geojson(
                 },
             }
         )
-    collection = {"type": "FeatureCollection", "features": features}
     if path is not None:
         with open(path, "w") as fh:  # streamed: the indented text is never built whole
-            json.dump(collection, fh, indent=2)
-    return collection
+            fh.write(_GEOJSON_HEAD)
+            for k, feature in enumerate(features):
+                (x0, y0), (x1, y1) = feature["geometry"]["coordinates"]
+                values = dict(feature["properties"], x0=x0, y0=y0, x1=x1, y1=y1)
+                text = _GEOJSON_FEATURE % {name: _json_scalar(v) for name, v in values.items()}
+                fh.write(("," if k else "") + text)
+            fh.write("\n  ]\n}" if features else "]\n}")
+    return {"type": "FeatureCollection", "features": features}
 
 
 def validate_geojson(obj: dict) -> None:
@@ -635,9 +685,13 @@ def summarize_design(problem: design.DesignProblem, bits: design.Bits) -> RunRep
     )
 
 
-def optimize_run(scenario: Scenario, out_dir: str | Path) -> RunReport:
-    """Full pipeline: assemble, GA search, artifacts, report."""
-    problem = assemble(scenario)
+def optimize_run(
+    scenario: Scenario, out_dir: str | Path, problem: design.DesignProblem | None = None
+) -> RunReport:
+    """Full pipeline: assemble, GA search, artifacts, report.  `problem`,
+    when given, is the unsolved `assemble(scenario)`, posed already."""
+    if problem is None:
+        problem = assemble(scenario)
     rng = np.random.default_rng(scenario.seed)
     population = design.seed_population(scenario, problem, rng)
     best, history = design.evolve(population, scenario, problem, rng)
@@ -718,7 +772,9 @@ def sweep(
     The base run is the one matching the scenario's own setting when present,
     else the first value.  nested_wrt_prev records whether the previous run's
     corridor set is contained in this one (the interesting question on a
-    monotone budget sweep).
+    monotone budget sweep).  The budget changes no loaded input, so a budget
+    sweep assembles once and gives each run a copy of the problem with its
+    budget and empty caches.
     """
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; pick from {sorted(_SWEEP_AXES)}")
@@ -733,7 +789,11 @@ def sweep(
         raise ValidationError(f"sweep values share a label: {', '.join(clashes)}")
 
     runs = [replace(scenario, **{attr: v}) for v in values]  # validates every value before any run
-    reports = [optimize_run(run, Path(out_dir) / label) for run, label in zip(runs, labels)]
+    posed = assemble(scenario) if attr == "budget" else None
+    reports = [
+        optimize_run(run, Path(out_dir) / label, None if posed is None else replace(posed, budget=run.budget))
+        for run, label in zip(runs, labels)
+    ]
 
     base_value = getattr(scenario, attr)
     base_idx = values.index(base_value) if base_value in values else 0

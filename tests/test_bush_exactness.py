@@ -5,8 +5,10 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from railplan import equilibrium
 from railplan.costmodel import RateTable
 from railplan.equilibrium import (
     BushSolver,
@@ -81,6 +83,7 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
     rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
     engine = CostEngine(expanded, profiles, usable)
     adjacency = _adjacency(expanded, engine.usable)
+    candidates = BushSolver(expanded, usable, od, profiles)._candidates
     free_flow = engine.costs(np.zeros(expanded.n_arcs)).tolist()
     for origin, dests in od.by_origin().items():
         bush = _initial_bush(expanded, adjacency, free_flow, origin, dests)
@@ -101,7 +104,7 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
 
             before = bush_arcs(bush)
             want_arcs, want_order = oracle_update(expanded, bush, costs, engine.usable)
-            added = update_bush(expanded, bush, costs, engine.usable, got)
+            added = update_bush(expanded, bush, costs, candidates, got)
             assert bush_arcs(bush) == want_arcs
             assert bush.order.tolist() == want_order
             assert (added is not None) == (want_arcs != before)
@@ -121,6 +124,77 @@ def test_labels_and_bush_update_match_scalar_oracle(seed, load, electrified_shar
             assert bush.pos.tolist() == want_pos.tolist()
             inbound = np.diff(bush.offsets)
             assert bush.merges.tolist() == [p for p in range(len(bush.order)) if inbound[p] >= 2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, load=loads, electrified_share=electrified_shares)
+def test_tree_label_passes_match_oracle_fresh_or_reused(seed, load, electrified_share):
+    # every full pass the solver makes on a bush without merges
+    rng, expanded, profiles, usable, od = instance(seed, load, electrified_share)
+    label_pass = equilibrium.shortest_longest_labels
+    checked = [0]
+
+    def checked_pass(expanded, bush, costs, labels=None, start=1, stop=None):
+        got = label_pass(expanded, bush, costs, labels, start, stop)
+        if labels is None and not bush.merges.size:
+            for want, have in zip(oracle_labels(expanded, bush, costs), got):
+                assert want.tolist() == have
+            checked[0] += 1
+        return got
+
+    solver = BushSolver(expanded, usable, od, profiles, max_iter=20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "shortest_longest_labels", checked_pass)
+        solver.solve()
+    assert checked[0] >= len(solver.bushes)  # the first pass on each initial tree
+
+    # a full pass on a tree's labels from a pass at other costs and flows,
+    # whose U and pred_max it must reset
+    free_flow = solver.engine.costs(np.zeros(expanded.n_arcs)).tolist()
+    for origin, dests in od.by_origin().items():
+        bush = _initial_bush(expanded, solver._adjacency, free_flow, origin, dests)
+        arcs = bush.pull.astype(np.int64)
+        labels = None
+        for _ in range(3):
+            costs = rng.uniform(0.5, 5.0, expanded.n_arcs)
+            bush.flow[arcs] = np.where(rng.random(arcs.size) < 0.6, rng.uniform(0.0, 1.0e4, arcs.size), 0.0)
+            labels = shortest_longest_labels(expanded, bush, costs, labels)
+            for want, have in zip(oracle_labels(expanded, bush, costs), labels):
+                assert want.tolist() == have
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, load=loads)
+def test_update_over_candidates_matches_three_term_rule(seed, load):
+    # a design that leaves some electric nodes live and others dead; the
+    # oracle tests every usable arc, into dead nodes too
+    _, expanded, profiles, usable, od = instance(seed, load, 0.5)
+    solver = BushSolver(expanded, usable, od, profiles, max_iter=10)
+    engine = solver.engine
+    electric = {expanded.electric_node(p) for p in expanded.node_ids}
+    touched = set()
+    for a in np.flatnonzero(engine.usable & (expanded.kind == ArcKind.ELECTRIC)).tolist():
+        touched.update((int(expanded.tail[a]), int(expanded.head[a])))
+    assume(electric & touched and electric - touched)
+    update = equilibrium.update_bush
+    calls = [0]
+
+    def checked_update(expanded, bush, costs, candidates, labels):
+        before = bush_arcs(bush)
+        want_arcs, want_order = oracle_update(expanded, bush, costs, engine.usable)
+        added = update(expanded, bush, costs, candidates, labels)
+        assert bush_arcs(bush) == want_arcs
+        assert bush.order.tolist() == want_order
+        assert (added is not None) == (want_arcs != before)
+        if added is not None:
+            assert added.tolist() == sorted(want_arcs - before)
+        calls[0] += 1
+        return added
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "update_bush", checked_update)
+        solver.solve()
+    assert calls[0] >= len(solver.bushes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,9 +256,10 @@ def test_partial_label_pass_matches_oracle(seed, load, electrified_share, data):
     costs = engine.costs(np.zeros(expanded.n_arcs))
     origin, dests = next(iter(od.by_origin().items()))
     bush = _initial_bush(expanded, _adjacency(expanded, engine.usable), costs.tolist(), origin, dests)
+    candidates = BushSolver(expanded, usable, od, profiles)._candidates
     for _ in range(2):  # grow the bush so that nodes have several inbound arcs
         costs = rng.uniform(0.5, 5.0, expanded.n_arcs)
-        update_bush(expanded, bush, costs, engine.usable, shortest_longest_labels(expanded, bush, costs))
+        update_bush(expanded, bush, costs, candidates, shortest_longest_labels(expanded, bush, costs))
     arcs = bush.pull.astype(np.int64)
     bush.flow[arcs] = np.where(rng.random(arcs.size) < 0.6, rng.uniform(0.0, 1.0e4, arcs.size), 0.0)
     costs = rng.integers(1, 4, expanded.n_arcs).astype(float)

@@ -248,7 +248,7 @@ def test_update_bush_fixed_point_and_acyclic(two_path_net):
     assert metrics.relative_gap <= 1e-8
     for bush in solver.bushes:
         labels = shortest_longest_labels(expanded, bush, solver.cost)
-        assert update_bush(expanded, bush, solver.cost, usable, labels) is None  # unchanged
+        assert update_bush(expanded, bush, solver.cost, solver._candidates, labels) is None  # unchanged
         g = nx.DiGraph()
         g.add_nodes_from(bush.order.tolist())
         g.add_edges_from(
@@ -272,7 +272,7 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward,
     # at these costs the missing arc joins, forward in the first layout and
     # backward in the second.  The bush is set by hand, or is a tree fresh
     # from _initial_bush, whose settle order is the layout.
-    expanded, _ = assembled_instance(two_path_network())
+    expanded, profiles = assembled_instance(two_path_network())
     usable = apply_design(expanded, set())
     direct, to_mid, mid_to = (expanded.pair_of[l][0] for l in (0, 2, 4))
     n0, n1, n2 = (expanded.diesel_node(i) for i in range(3))
@@ -305,7 +305,8 @@ def test_update_bush_sorts_only_when_an_add_runs_backward(monkeypatch, backward,
 
     labels = shortest_longest_labels(expanded, bush, costs)
     monkeypatch.setattr(equilibrium, "_toposort", toposort)
-    assert update_bush(expanded, bush, costs, usable, labels).tolist() == [added]
+    candidates = BushSolver(expanded, usable, ODMatrix({}), profiles)._candidates
+    assert update_bush(expanded, bush, costs, candidates, labels).tolist() == [added]
     assert bush_arcs(bush) == {to_mid, kept, added}
     assert len(calls) == int(backward)
     assert bush.order.tolist() == ([n0, n2, n1] if backward else order)

@@ -13,12 +13,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from railplan import cli
+from railplan import cli, scenario_io
 from railplan.corridors import Corridor, corridor_cost
 from railplan.equilibrium import solve_equilibrium
-from railplan.network import SignalClass, apply_design
+from railplan.network import Node, PhysicalLink, RailNetwork, SignalClass, apply_design
 from railplan.scenario_io import (
     Scenario,
     SweepRow,
@@ -615,6 +616,33 @@ def test_geojson_emit_and_validate(tmp_path):
     assert by_id[0]["geometry"]["coordinates"] == [[-100.0, 40.0], [-99.6, 40.0]]
 
 
+# non-finite, signed-zero, subnormal and extreme floats; ints beyond 64 bits
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 0.1, -123.456]
+SPECIAL_INTS = [0, -1, 2**63, -(2**64) - 1, 10**40]
+
+
+def test_geojson_layout_is_jsons_on_every_number(tmp_path):
+    for value in [*SPECIAL_FLOATS, *SPECIAL_INTS, True, False, np.float64(-0.0), np.float64(math.inf)]:
+        assert scenario_io._json_scalar(value) == json.dumps(value), value
+    with pytest.raises(TypeError):  # as json.dumps: a numpy int is no JSON number
+        scenario_io._json_scalar(np.int64(1))
+
+    # the writer reads ids, coordinates, lengths and flows as they are
+    floats = iter(SPECIAL_FLOATS * 4)
+    nodes = {k: Node(k, next(floats), next(floats)) for k in range(4)}
+    ids = [*SPECIAL_INTS, 7]
+    links = {lid: PhysicalLink(lid, k % 4, (k + 1) % 4, length_km=next(floats)) for k, lid in enumerate(ids)}
+    flows = {lid: (next(floats), next(floats)) for lid in ids[:-1]}  # link 7 takes the default
+    for name, electrified, net in (
+        ("special", {2**63, 7, 0}, RailNetwork(nodes, links)),
+        ("empty", set(), RailNetwork({}, {})),
+    ):
+        out = tmp_path / f"{name}.geojson"
+        doc = emit_geojson(electrified, net, flows, out)
+        assert out.read_text() == json.dumps(doc, indent=2)
+    assert out.read_text() == '{\n  "type": "FeatureCollection",\n  "features": []\n}'
+
+
 def test_validate_geojson_rejects_malformed():
     good = {
         "type": "FeatureCollection",
@@ -1013,6 +1041,36 @@ def test_sweep_budget_axis(tmp_path):
         sweep(scenario, "weather", [1.0], out)
     with pytest.raises(ValidationError, match="at least one"):
         sweep(scenario, "budget", [], out)
+
+
+def test_budget_sweep_assembles_once_and_writes_what_separate_runs_write(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    scenario = load_scenario(cfg)
+    values = [0.5 * scenario.budget, scenario.budget, 2.0 * scenario.budget]
+    assembled = []
+
+    def counted(run):
+        assembled.append(run)
+        return assemble(run)
+
+    monkeypatch.setattr(scenario_io, "assemble", counted)
+    shared, _ = sweep(scenario, "budget", values, tmp_path / "shared")
+    assert len(assembled) == 1
+    # the same sweep with each run assembling its own problem
+    run_alone = scenario_io.optimize_run
+    monkeypatch.setattr(scenario_io, "optimize_run", lambda run, out_dir, problem=None: run_alone(run, out_dir))
+    alone, _ = sweep(scenario, "budget", values, tmp_path / "alone")
+    assert len(assembled) == 1 + 1 + len(values)  # the sweep's own, unused here, and one per run
+    assert shared == alone
+    assert [r.solves for r in shared] == [r.solves for r in alone]  # each run keeps its own cache
+    files = sorted(p.relative_to(tmp_path / "shared") for p in (tmp_path / "shared").rglob("*") if p.is_file())
+    assert Path("sweep_report.csv") in files
+    assert {name.parent for name in files if name.name == "electrified.geojson"} == {
+        Path(f"budget_{v:g}") for v in values
+    }
+    assert files == sorted(p.relative_to(tmp_path / "alone") for p in (tmp_path / "alone").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes(), name
 
 
 def test_sweep_rejects_values_sharing_a_directory(tmp_path, capsys):
