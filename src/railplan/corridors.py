@@ -61,8 +61,8 @@ def candidate_corridors(
     """Corridor set over candidate links (module docstring).
 
     weights is the routing metric per link (free-flow cost or length);
-    link_costs the electrification capital per link.  Yards unreachable from
-    every other yard are flagged and skipped.
+    link_costs the electrification capital per link.  A yard that no
+    corridor starts or ends at is flagged.
     """
     yards = net.yards()
     yard_set = set(yards)
@@ -79,14 +79,10 @@ def candidate_corridors(
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for y in yards:
         reach = _lex_dijkstra(adjacency, y)
-        connected = False
         for t in yards:
             p = reach.get(t)
             if p:  # the source's own path is empty
                 paths[(y, t)] = p
-                connected = True
-        if not connected and len(yards) > 1:
-            warnings.warn(f"yard {y}: unreachable from every other yard; skipped")
 
     kept: dict[frozenset[frozenset[int]], tuple[tuple[int, ...], int, int]] = {}
     for (a, b), path in sorted(paths.items()):
@@ -100,6 +96,10 @@ def candidate_corridors(
             kept[key] = (path, a, b)
 
     rows = sorted(kept.values(), key=lambda r: (r[1], r[2], r[0]))
+    ends = {y for _, a, b in rows for y in (a, b)}
+    for y in yards:
+        if len(yards) > 1 and y not in ends:
+            warnings.warn(f"yard {y}: no corridor starts or ends at it")
     corridors = []
     for i, (path, a, b) in enumerate(rows):
         corridors.append(

@@ -16,13 +16,18 @@ the designs come in, so a design's fitness does not depend on it.  Its
 equilibrium is kept once as a `screen.StartTable`; a screen repairs the
 shortest paths of only the origins that some corridor can shorten (module
 docstring of `screen`).
+
+The GA's draws come from `pcg64.Generator`, numpy's `default_rng(seed)`
+stream in pure Python, so a seed gives the designs it gave under numpy
+without importing numpy's random package.  The GA reads every draw as a
+Python value, so a numpy `Generator` passed in gives the same designs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +42,9 @@ from .equilibrium import (
 )
 from .network import ExpandedNetwork, RailNetwork, apply_design
 from .screen import StartTable
+
+if TYPE_CHECKING:
+    from .pcg64 import Generator
 
 Bits = tuple[int, ...]
 
@@ -291,12 +299,14 @@ def _greedy_fill(problem: DesignProblem, density: np.ndarray) -> Bits:
 def seed_population(
     config: GAConfig,
     problem: DesignProblem,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
 ) -> list[Bits]:
     """Initial genomes: a greedy density fill (first one pure, the rest with
     jittered densities so seeds differ) topped up with repaired random picks."""
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        from .pcg64 import Generator
+
+        rng = Generator(config.seed)
     n = len(problem.corridors)
     if n == 0:
         return [()] * config.population
@@ -322,7 +332,7 @@ def evolve(
     population: list[Bits],
     config: GAConfig,
     problem: DesignProblem,
-    rng: np.random.Generator | None = None,
+    rng: Generator | None = None,
 ) -> tuple[EvaluatedDesign, list[tuple[int, float, float, float, float]]]:
     """Generational GA: tournament of 2, uniform crossover, bit mutation,
     budget repair, elitism.  Returns the winner, the cheapest design from the
@@ -331,7 +341,9 @@ def evolve(
     budget_used, electrified_km).
     """
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        from .pcg64 import Generator
+
+        rng = Generator(config.seed)
     n = len(problem.corridors)
     p_mut = config.mutation if config.mutation >= 0.0 else (1.0 / n if n else 0.0)
     genomes = [tuple(g) for g in population]
@@ -360,13 +372,11 @@ def evolve(
             a = genomes[tournament(evals)]
             b = genomes[tournament(evals)]
             if rng.random() < config.crossover:
-                picks = rng.random(n) < 0.5
-                child = tuple(a[k] if picks[k] else b[k] for k in range(n))
+                child = tuple(x if u < 0.5 else y for x, y, u in zip(a, b, rng.random(n)))
             else:
                 child = a
             if p_mut > 0.0:
-                flips = rng.random(n) < p_mut
-                child = tuple(int(c) ^ int(f) for c, f in zip(child, flips))
+                child = tuple(int(c) ^ int(u < p_mut) for c, u in zip(child, rng.random(n)))
             next_genomes.append(repair(child, problem))
         genomes = next_genomes
     assert best is not None

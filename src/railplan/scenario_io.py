@@ -690,9 +690,11 @@ def optimize_run(
 ) -> RunReport:
     """Full pipeline: assemble, GA search, artifacts, report.  `problem`,
     when given, is the unsolved `assemble(scenario)`, posed already."""
+    from .pcg64 import Generator  # here, so that commands that search no design never import it
+
     if problem is None:
         problem = assemble(scenario)
-    rng = np.random.default_rng(scenario.seed)
+    rng = Generator(scenario.seed)
     population = design.seed_population(scenario, problem, rng)
     best, history = design.evolve(population, scenario, problem, rng)
     report = summarize_design(problem, best.bits)

@@ -565,8 +565,6 @@ def oracle_corridors(net, weights, link_costs):
         others = [t for t in yards if t != y]
         full.update({(y, t): reach_full[t] for t in others if t in reach_full})
         pruned.update({(y, t): reach_pruned[t] for t in others if t in reach_pruned})
-        if len(yards) > 1 and not any(t in reach_full for t in others):
-            warnings.warn(f"yard {y}: unreachable from every other yard; skipped")
     kept = {}
     for (a, b), path in sorted(full.items()):
         if pruned.get((a, b)) != path:
@@ -575,6 +573,9 @@ def oracle_corridors(net, weights, link_costs):
         if key not in kept or path < kept[key][0]:
             kept[key] = (path, a, b)
     rows = sorted(kept.values(), key=lambda r: (r[1], r[2], r[0]))
+    for y in yards:
+        if len(yards) > 1 and not any(y in (a, b) for _, a, b in rows):
+            warnings.warn(f"yard {y}: no corridor starts or ends at it")
     return [
         Corridor(i, path, a, b, net.total_length_km(path), corridor_cost(path, link_costs))
         for i, (path, a, b) in enumerate(rows)

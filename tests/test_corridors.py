@@ -112,6 +112,25 @@ def test_isolated_yard_warns():
     assert [(c.yard_a, c.yard_b) for c in corridors] == [(0, 1)]
 
 
+def test_yard_reached_only_one_way_is_not_flagged():
+    # the one-way chain 0 -> 1 -> 2: yard 2 reaches no yard, but corridor
+    # (0, 2) ends at it, so no yard is flagged
+    nodes = [
+        Node(0, 40.0, -100.0, is_yard=True),
+        Node(1, 40.0, -99.0),
+        Node(2, 40.0, -98.0, is_yard=True),
+    ]
+    links = [
+        PhysicalLink(0, 0, 1, length_km=90.0, curve_radius_m=20000.0, capacity_tpd=5e4),
+        PhysicalLink(1, 1, 2, length_km=90.0, curve_radius_m=20000.0, capacity_tpd=5e4),
+    ]
+    net = RailNetwork.build(nodes, links)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corridors = candidate_corridors(net, unit_weights(net), capital(net))
+    assert [(c.yard_a, c.yard_b, c.link_ids) for c in corridors] == [(0, 2, (0, 1))]
+
+
 def test_nonpositive_weight_rejected(line_net):
     weights = unit_weights(line_net)
     weights[3] = 0.0

@@ -23,6 +23,7 @@ from railplan.design import (
 )
 from railplan.equilibrium import FlowState, ODMatrix
 from railplan.network import Node, PhysicalLink, RailNetwork, apply_design, expand
+from railplan.pcg64 import Generator
 
 from oracles import brute_force
 from synth import grid3x3_network, line_network
@@ -222,6 +223,28 @@ def test_evolve_reaches_brute_force_optimum():
     best_costs = [row[1] for row in history]
     assert all(a >= b for a, b in zip(best_costs, best_costs[1:]))
     assert problem.union_cost(best.bits) <= problem.budget
+
+
+def test_default_stream_searches_as_numpys_default_rng():
+    # one stream shared by seeding and evolution, as optimize_run does, and a
+    # fresh stream of the config's seed per call, as rng=None gives; seven
+    # corridors, so the two searches solve different designs
+    def run(first, second):
+        net = line_network(n_nodes=8, yards=tuple(range(8)))
+        od = ODMatrix({(0, 7): 2.0e4, (1, 5): 3.0e4, (6, 2): 1.0e4})
+        problem = build_problem(net, od, budget=1.0)
+        problem.budget = 3.0 * problem.corridors[0].cost_usd
+        config = GAConfig(population=8, generations=4, seed=3)
+        population = seed_population(config, problem, first)
+        best, history = evolve(population, config, problem, second)
+        return population, best, history, [e.bits for e in problem.solved]
+
+    ours, theirs = Generator(3), np.random.default_rng(3)
+    shared = run(ours, ours)
+    assert shared == run(theirs, theirs)
+    fresh = run(None, None)
+    assert fresh == run(np.random.default_rng(3), np.random.default_rng(3))
+    assert shared != fresh
 
 
 def test_negative_mutation_means_one_over_corridors():

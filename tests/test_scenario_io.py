@@ -1009,6 +1009,33 @@ def test_process_entry_freezes_the_import_heap_and_writes_what_main_writes(tmp_p
         assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, imported, absent",
+    [
+        ("optimize", "railplan.pcg64", {"numpy.random", "hashlib"}),
+        ("assign", "railplan.equilibrium", {"railplan.pcg64", "numpy.random", "hashlib"}),
+    ],
+)
+def test_commands_import_no_more_than_they_use(tmp_path, command, imported, absent):
+    # a child process, since this suite imports numpy.random itself; the
+    # design search draws from railplan.pcg64, which nothing else imports
+    cfg = write_toy(tmp_path)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "railplan.cli", command, "--config", str(cfg),
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    modules = {
+        line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert imported in modules
+    assert not modules & absent
+
+
 def test_console_script_and_module_run_the_same_entry():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     script = re.search(r'^railplan = "(.+)"$', pyproject, re.MULTILINE).group(1)
