@@ -14,28 +14,17 @@ reference (`tests/oracles.py`).
 Each bush stores a pull adjacency: its arc ids sorted by (topological
 position of the head, arc id), with one offset per position.  It is the
 bush's only arc set, and the order and its inverse are int32 arrays, so a
-bush holds no Python object per arc or node.  An arc is in the bush when its
-head has a position p and it lies in the slice of p, a few arc ids in
-ascending order.  A label pass is one flat loop over a slice for the min
-labels, written when the head changes, and one over its few flow-carrying
-arcs for the max labels.  Every bush node but the origin keeps an inbound
-arc, since `update_bush` keeps each min predecessor, so the first loop writes
-every position of the slice; both meet the arcs in the same order as a loop
-per node would, so ties resolve as they would there.  A sweep visits the
-merges, the positions with two or more inbound arcs, in reverse topological
-order with at most one Newton shift each: a lone inbound arc is both min and
-max predecessor or carries no flow, so its head never shifts, and it is kept
-untested by `update_bush` on a bush without merges, a tree.
-
-A full pass on a tree, on labels made fresh for it, is a straight loop:
-each position's one inbound arc sets L[head] = L[tail] + c and pred_min,
-with no comparison.  It writes what the general loop writes: the tail of
-every bush arc has a finite label, so while the arc's cost is finite the
-minimum over one candidate is that candidate.  (A cost overflowed to inf
-would give pred_min where the general loop leaves -1, at a node with
-L = inf, which no flow shift reads.)  The fresh lists already hold U = -inf
-and pred_max -1 at every node but the origin, which is no head, so the loop
-skips their resets.  Given labels take the general loop.
+bush holds no Python object per arc or node (`Bush`).  A label pass is one
+flat loop over a slice for the min labels, written when the head changes, and
+one over its few flow-carrying arcs for the max labels.  Every bush node but
+the origin keeps an inbound arc, since `update_bush` keeps each min
+predecessor, so the first loop writes every position of the slice; both meet
+the arcs in the same order as a loop per node would, so ties resolve as they
+would there.  A sweep visits the merges, the positions with two or more
+inbound arcs, in reverse topological order with at most one Newton shift
+each: a lone inbound arc is both min and max predecessor or carries no flow,
+so its head never shifts, and it is kept untested by `update_bush` on a bush
+without merges, a tree.
 
 A bush leaves out the dead electric nodes, which no usable traction arc
 touches, in or out: a train can only switch into one and straight back, so
@@ -63,11 +52,10 @@ every cost and label were recomputed after each shift.
 Labels do not depend on the order, since a label pass takes each node's
 inbound arcs in arc-id order, but the sweep's order of merges does.  A bush
 keeps its order across updates, and `update_bush` re-sorts only when an
-added arc runs backward, by Kahn's algorithm from the origin, smallest index
-first.  An initial tree keeps Dijkstra's settle order, which is topological
-(a node settles after the tail of its predecessor arc), and a bush needs no
-other (Dial 2006).  An update that only drops arcs filters `pull`, which
-stays sorted.
+added arc runs backward, by (min label, node index) as far as the arcs allow.
+An initial tree keeps Dijkstra's settle order, by label, so adds, which rise
+in label, mostly run forward (Bar-Gera 2002, Dial 2006).  An update that only
+drops arcs filters `pull`, which stays sorted.
 
 A shift is safeguarded by its exact objective change: the step is halved
 while that change is positive.  The change is a sum over the segment arcs,
@@ -226,8 +214,8 @@ class Bush:
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
     merges: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray, order: list[int] | None = None,
-                 resort: bool = True) -> None:
+    def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray,
+                 order: np.ndarray | list[int] | None = None, resort: bool = True) -> None:
         """Install a new arc set and rebuild `pull`; `order` None keeps the
         current order, which must still be topological for `arcs`, and
         `resort` False takes `arcs` as already in `pull` order."""
@@ -357,25 +345,33 @@ def _dijkstra(adjacency: Adjacency, cost: list, seeds, dist: list | None = None,
 # --- bush construction and labels ----------------------------------------------
 
 
-def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int) -> list[int]:
-    """Topological node order of the bush with these arc ids; raises on a
-    cycle, and on a node other than the origin without inbound arcs.
-
-    Kahn's algorithm from the origin, the only source, popping ready nodes
-    smallest-index-first, so the order is reproducible.
-    """
+def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int, L: np.ndarray) -> np.ndarray:
+    """Topological node order of the bush with these arc ids: the origin,
+    then by (min label L, node index) as far as the arcs allow.  That is
+    the sorted order where every arc runs forward in it, else Kahn's
+    algorithm from the origin, popping the ready node of smallest (L,
+    index), which gives the sorted order wherever it is topological.
+    Raises on a cycle or a node other than the origin without in-arcs."""
     n = expanded.n_nodes
     tails, heads = expanded.tail[arcs], expanded.head[arcs]
     indeg = np.bincount(heads, minlength=n)
-    nodes = np.count_nonzero(indeg) + 1  # the heads and the origin
+    indeg[origin] = 0  # ranked first, so an arc into it fails the test
+    nodes = indeg.nonzero()[0]
+    order = np.concatenate(([origin], nodes[np.lexsort((nodes, L[nodes]))]))
+    m = len(order)
+    rank = np.full(n, m, dtype=np.int64)  # so does a tail off the bush
+    rank[order] = np.arange(m)
+    tails, heads = rank[tails], rank[heads]
+    if (tails < heads).all():
+        return order
+    # Kahn in rank space: the smallest key is the smallest rank
     succ = heads[np.argsort(tails, kind="stable")].tolist()
-    first = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=first[1:])
-    first = first.tolist()
-    indeg = indeg.tolist()
-    ready = [origin]
-    order: list[int] = []
-    pop, push, append = heapq.heappop, heapq.heappush, order.append
+    first = np.zeros(m + 2, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=m + 1), out=first[1:])
+    first, indeg = first.tolist(), np.bincount(heads, minlength=m).tolist()
+    ready = [0] if indeg[0] == 0 else []
+    taken: list[int] = []
+    pop, push, append = heapq.heappop, heapq.heappush, taken.append
     while ready:
         u = pop(ready)
         append(u)
@@ -383,9 +379,9 @@ def _toposort(expanded: ExpandedNetwork, arcs: np.ndarray, origin: int) -> list[
             indeg[h] -= 1
             if indeg[h] == 0:
                 push(ready, h)
-    if len(order) != nodes:
+    if len(taken) != m:
         raise ValueError("bush contains a cycle")
-    return order
+    return order[taken]
 
 
 Labels = tuple[list[float], list[float], list[int], list[int]]
@@ -414,9 +410,11 @@ def shortest_longest_labels(
 
     Labels made here on a tree take a straight pass instead, L[head] =
     L[tail] + c and pred_min its one inbound arc: with a finite tail label
-    and cost, the minimum over that one candidate is these bits, and the
-    new lists hold U = -inf and pred_max -1 already.  Given labels take the
-    general loop, which resets them.
+    and cost, the minimum over that one candidate is these bits (a cost
+    overflowed to inf sets pred_min where the general loop leaves -1, at a
+    node with L = inf that no shift reads), and the new lists hold U = -inf
+    and pred_max -1 already.  Given labels take the general loop, which
+    resets them.
 
     Given `labels` from an earlier call on this bush, only the nodes at
     positions start..stop-1 of bush.order are relabelled, in place; the
@@ -513,9 +511,11 @@ def update_bush(
     With finite costs every bush node has a finite label, so the adds are
     those of the full rule, in ascending id.  Dropping arcs keeps an
     order topological, so `bush.order` stays unless an added arc runs
-    backward in it.  Then the bush is sorted, without the backward adds on
-    the rare tie that closes a cycle (never on a tree: labels rise along each
-    add and fall along no tree arc).  `labels` are the bush's at `costs`.
+    backward in it.  Then the bush is sorted by min label, and again without
+    the backward adds where a kept flow-carrying arc against the labels
+    closes a cycle (63 of 278 sorts on seed-1 `assign-congested`; never on a
+    tree: labels rise along each add and fall along no tree arc).  `labels`
+    are the bush's at `costs`.
     Returns the added arc ids, None when the arc set stayed as it was.
     """
     n = expanded.n_nodes
@@ -535,12 +535,11 @@ def update_bush(
     order = None
     if not (bush.pos[tails] < bush.pos[heads]).all():
         try:
-            order = _toposort(expanded, new_arcs, bush.origin)
+            order = _toposort(expanded, new_arcs, bush.origin, L)
         except ValueError:
-            # rare tie pathology: keep only the adds that run forward in the old order
             adds = adds[bush.pos[tails] < bush.pos[heads]]
             new_arcs = np.concatenate((keep, adds))
-            order = _toposort(expanded, new_arcs, bush.origin)
+            order = _toposort(expanded, new_arcs, bush.origin, L)
     # dropping arcs only leaves `pull` sorted
     bush.set_arcs(expanded, new_arcs, order, resort=order is not None or adds.size > 0)
     return adds if adds.size or keep.size < old.size else None

@@ -97,8 +97,9 @@ def oracle_labels(expanded, bush, costs):
     return L, U, pmin, pmax
 
 
-def oracle_toposort(expanded, arcs, origin):
-    """Kahn's algorithm on dicts, smallest ready node first; raises on a cycle."""
+def oracle_toposort(expanded, arcs, origin, L):
+    """Kahn's algorithm on dicts from the origin, the ready node of smallest
+    (L, index) first; raises on a cycle and on a second source."""
     nodes = {origin}
     for a in arcs:
         nodes.add(int(expanded.tail[a]))
@@ -109,16 +110,15 @@ def oracle_toposort(expanded, arcs, origin):
         t, h = int(expanded.tail[a]), int(expanded.head[a])
         indeg[h] += 1
         out[t].append(h)
-    ready = [u for u, k in sorted(indeg.items()) if k == 0]
-    heapq.heapify(ready)
+    ready = [(float(L[origin]), origin)] if indeg[origin] == 0 else []
     order = []
     while ready:
-        u = heapq.heappop(ready)
+        _, u = heapq.heappop(ready)
         order.append(u)
         for h in out[u]:
             indeg[h] -= 1
             if indeg[h] == 0:
-                heapq.heappush(ready, h)
+                heapq.heappush(ready, (float(L[h]), h))
     if len(order) != len(nodes):
         raise ValueError("bush contains a cycle")
     return order
@@ -128,8 +128,8 @@ def oracle_update(expanded, bush, costs, usable):
     """(arc set, order) that update_bush should leave on the bush; the bush
     itself is not modified.  The order stays when the arc set does, or when
     every added arc runs forward in it; otherwise the new arc set is sorted
-    afresh, and on a cycle the adds that run backward in the old order are
-    dropped before sorting.  Raises ValueError where update_bush must."""
+    afresh by its min labels, and on a cycle the adds that run backward in
+    the old order are dropped before sorting.  Raises ValueError where update_bush must."""
     L, _, pmin, _ = oracle_labels(expanded, bush, costs)
     arcs = bush_arcs(bush)
     keep = {a for a in arcs if bush.flow[a] > 0.0 or pmin[expanded.head[a]] == a}
@@ -151,10 +151,10 @@ def oracle_update(expanded, bush, costs, usable):
     if forward == adds:
         return new_arcs, old_order
     try:
-        order = oracle_toposort(expanded, new_arcs, bush.origin)
+        order = oracle_toposort(expanded, new_arcs, bush.origin, L)
     except ValueError:
         new_arcs = keep | forward
-        order = oracle_toposort(expanded, new_arcs, bush.origin)
+        order = oracle_toposort(expanded, new_arcs, bush.origin, L)
     return new_arcs, order
 
 

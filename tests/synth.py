@@ -7,7 +7,7 @@ import numpy as np
 
 from railplan.costmodel import RateTable, TrainConsist, build_profiles, yard_switch_costs
 from railplan.equilibrium import ODMatrix
-from railplan.network import Node, PhysicalLink, RailNetwork, expand
+from railplan.network import Node, PhysicalLink, RailNetwork, apply_design, expand
 
 
 def bidirectional(pairs, lengths, **common):
@@ -140,3 +140,18 @@ def assembled_instance(net: RailNetwork, consist=None, rates=None):
     profiles = build_profiles(net, consist, rates)
     expanded = expand(net, yard_switch_costs(net, rates, consist))
     return expanded, profiles
+
+
+def stall_instance(seed: int):
+    """(expanded, profiles, usable, od) of the stall recipe at `seed`: an
+    overloaded random network of 12-30 nodes, half its links electrified,
+    under the electric-pays rates when seed % 4 is 2 or 3."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 31))
+    net = random_network(rng, n_nodes=n, extra_links=int(rng.integers(n // 2, 2 * n)),
+                         yard_count=int(rng.integers(0, 6)), capacity_range=(1.0e3, 5.0e3))
+    od = random_od(rng, net, pairs=int(rng.integers(3, 3 * n)))
+    pays = RateTable(fuel_cost_electric=0.3e-8, switch_cost_per_train=200.0)
+    expanded, profiles = assembled_instance(net, rates=pays if seed % 4 in (2, 3) else None)
+    electrified = {lid for lid in sorted(net.links) if rng.random() < 0.5}
+    return expanded, profiles, apply_design(expanded, electrified), od

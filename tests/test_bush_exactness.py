@@ -3,6 +3,7 @@ of oracles.py on random and overloaded networks."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,15 +211,71 @@ def test_forward_adds_keep_a_trees_sorted_order(seed, load, electrified_share):
     for origin, dests in od.by_origin().items():
         bush = _initial_bush(expanded, adjacency, free_flow, origin, dests)
         tree = bush.pull.astype(np.int64)
-        order = _toposort(expanded, tree, bush.origin)
-        assert order == oracle_toposort(expanded, tree, bush.origin)
+        L = np.array(shortest_longest_labels(expanded, bush, np.array(free_flow))[0])
+        order = _toposort(expanded, tree, bush.origin, L).tolist()
+        assert order == oracle_toposort(expanded, tree, bush.origin, L)
         pos = np.full(expanded.n_nodes, -1)
         pos[order] = np.arange(len(order))
         tail_pos, head_pos = pos[expanded.tail], pos[expanded.head]
         forward = np.flatnonzero((tail_pos >= 0) & (tail_pos < head_pos))
         forward = np.setdiff1d(forward, tree)
         adds = forward[rng.random(forward.size) < rng.uniform(0.0, 1.0)]
-        assert _toposort(expanded, np.concatenate((tree, adds)), bush.origin) == order
+        assert _toposort(expanded, np.concatenate((tree, adds)), bush.origin, L).tolist() == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, tied=st.booleans())
+def test_toposort_matches_label_keyed_kahn_oracle(seed, tied):
+    # random bushes on a bare arc table, some nodes off the bush: arcs that
+    # all run forward in the (L, index) order take the sort, arcs against
+    # the labels the Kahn pass; a cycle and a second source raise on both
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    inside = rng.permutation(n)[: int(rng.integers(2, n))]  # a bush's nodes, the origin first
+    origin = int(inside[0])
+    L = np.full(n, math.inf)
+    L[inside] = rng.integers(0, 4, inside.size) if tied else rng.uniform(0.0, 5.0, inside.size)
+    L[origin] = 0.0
+    by_label = [origin, *sorted(inside[1:].tolist(), key=lambda v: (L[v], v))]
+
+    def bush(order):  # a tree in `order` plus extra arcs forward in it
+        pairs = [(order[int(rng.integers(i))], v) for i, v in enumerate(order) if i]
+        for _ in range(int(rng.integers(0, 2 * len(order)))):
+            i, j = sorted(rng.choice(len(order), 2, replace=False).tolist())
+            pairs.append((order[i], order[j]))
+        return pairs
+
+    def check(pairs):
+        tail, head = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+        expanded = SimpleNamespace(n_nodes=n, tail=tail, head=head)
+        arcs = rng.permutation(len(pairs))
+        try:
+            want = oracle_toposort(expanded, arcs, origin, L)
+        except ValueError:
+            with pytest.raises(ValueError, match="cycle"):
+                _toposort(expanded, arcs, origin, L)
+            return None
+        got = _toposort(expanded, arcs, origin, L)
+        assert got.tolist() == want
+        return want
+
+    forward = bush(by_label)
+    assert check(forward) == by_label
+    shuffled = [origin, *rng.permutation(inside[1:]).tolist()]
+    against = bush(shuffled)
+    order = check(against)
+    if any(by_label.index(t) > by_label.index(h) for t, h in against):
+        assert order != by_label
+    # a cycle through an arc back to an ancestor (or to the node itself)
+    v = shuffled[-1]
+    up = dict((h, t) for t, h in against[: len(shuffled) - 1])
+    ancestors = [v]
+    while ancestors[-1] != origin:
+        ancestors.append(up[ancestors[-1]])
+    assert check(against + [(v, ancestors[int(rng.integers(len(ancestors)))])]) is None
+    outside = sorted(set(range(n)) - set(inside.tolist()))
+    if outside:
+        assert check(forward + [(outside[0], v)]) is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -39,6 +39,7 @@ from synth import (
     line_network,
     random_network,
     random_od,
+    stall_instance,
     two_path_network,
 )
 
@@ -572,7 +573,8 @@ def test_dead_flow_on_dearer_segment_is_drained_in_one_sweep():
     flow[direct] = demand  # demand - 1e-13 rounds to demand
     flow[dogleg] = 1.0e-13
     bush = Bush(origin=origin, flow=flow, demand=demand)
-    bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, origin))
+    # equal labels: the order of _toposort is by node index
+    bush.set_arcs(expanded, arcs, _toposort(expanded, arcs, origin, np.zeros(expanded.n_nodes)))
     solver.bushes = [bush]
     solver.x = flow.copy()
     solver.x[dogleg] += 1.5e4  # other origins' flow
@@ -602,6 +604,16 @@ def test_congested_instance_converges():
     assert len(net.links) == 138
     assert metrics.converged
     assert metrics.iteration < 500
+
+
+@pytest.mark.parametrize("seed", [1, 8, 161])
+def test_stall_recipe_converges(seed):
+    # overloaded random networks whose bushes, ordered by node index, kept
+    # losing the same improving arcs to cycles and stopped at max_iter with
+    # gaps of 4.4e-3 (seed 1), 1.6e-2 (8) and 1.9e-3 (161)
+    expanded, profiles, usable, od = stall_instance(seed)
+    _, metrics = solve_equilibrium(expanded, usable, od, profiles, tol=1.0e-6, max_iter=500)
+    assert metrics.converged and metrics.iteration < 500
 
 
 def test_partial_label_passes_cover_a_non_empty_range(monkeypatch):
