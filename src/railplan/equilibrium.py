@@ -80,18 +80,34 @@ halving; the flow would then never leave the dearer segment, and the
 Wardrop spread, which counts any flow above 0, would never close.  To first
 order the change is -diff * dx, with diff > 0 the segment cost difference.
 
-Each iteration ends with one step along its own flow change, against the
-linear tail where bushes sharing arcs push flow back and forth over them.
-The sweep's moves are summed per bush, sparsely, into d_b; t_max is the
-largest t keeping every bush flow + t d_b >= 0 (0, so no step, when an arc
-at 0 would go negative).  With d the sum of the d_b, g(t) = cost(x + t d) . d
-is the objective's slope along d (the interaction is symmetric), read on the
-arcs of d and their partners.  t is t_max where g(t_max) <= 0, else the root
-of g, bisected until the bracket stops shrinking in floats; there is no step
-where g(0) >= 0.  The step is kept only when `CostEngine.beckmann` strictly
-falls.  Flows stay non-negative and
-conserving, and the unchanged stopping rule is checked after the step on the
-flows as they are, so a stop still means spread and gap within tolerance.
+Each iteration ends with one step along a direction p, against the linear
+tail where bushes sharing arcs push flow back and forth over them.  The
+sweep's moves are summed per bush, sparsely, into d_b, with d their sum.
+q_b, kept on the bush, is the last step taken on it, and q the sum of the
+q_b.  The step is along p_b = d_b + beta q_b, so along p = d + beta q, with
+beta = max(0, -(d . Hq) / (q . Hq)) making p conjugate to q under the
+objective's Hessian H (conjugate direction Frank-Wolfe, Mitradjieva and
+Lindberg 2013).  H is symmetric as the interaction is: (Hq)_a = c'(X_a)
+(q_a + q_partner) on a traction arc, X_a the pair total, and 0 on a switch
+arc, so q . Hq >= 0.  Clipping beta at 0 restarts at p = d where the
+conjugate part would turn back against the last step; an unclipped beta
+took more iterations where measured, and lets components of p nearly
+cancel.  q is cleared when no step is taken, so that p is d, with the bits
+of a step along d alone, and q_b is dropped as soon as `update_bush`
+changes bush b's arc set, so it never holds an arc outside the bush.  t_max
+is the largest t keeping every bush flow + t p_b >= 0 (0, so no step, when
+an arc at 0 would go negative; a ratio overflowed to inf bounds nothing).
+g(t) = cost(x + t p) . p is the objective's slope along p (the interaction
+is symmetric), read on the arcs of p and their partners.  t is t_max where
+g(t_max) <= 0, else the root of g, bisected until the bracket stops
+shrinking in floats; there is no step where g(0) >= 0.  The step is kept
+only when `CostEngine.beckmann` strictly falls, so the objective never
+rises.  Each d_b, a sum of moves between two segments with the same ends,
+conserves flow at every node, and so does each q_b, a multiple of an
+earlier p_b on the same arc set; so every p_b conserves flow on its bush's
+arcs, and t_max keeps each bush flow non-negative.  The unchanged stopping
+rule is checked after the step on the flows as they are, so a stop still
+means spread and gap within tolerance.
 
 The relative gap is computed only where the Wardrop spread is within
 tolerance, or on the last iteration; a stop needs both within tolerance, so
@@ -193,7 +209,7 @@ class GapMetrics:
     trace: list[tuple[int, float, float | None]]
 
 
-@dataclass
+@dataclass(eq=False)
 class Bush:
     """Acyclic per-origin subnetwork plus this origin's arc flows.
 
@@ -213,6 +229,9 @@ class Bush:
     pull: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
     offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int32))
     merges: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    # (arc ids, flow change) of the last extrapolation step taken, while the
+    # arc set stays as it was then (`BushSolver._extrapolate`)
+    step: tuple[np.ndarray, np.ndarray] | None = None
 
     def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray,
                  order: np.ndarray | list[int] | None = None, resort: bool = True) -> None:
@@ -513,7 +532,7 @@ def update_bush(
     order topological, so `bush.order` stays unless an added arc runs
     backward in it.  Then the bush is sorted by min label, and again without
     the backward adds where a kept flow-carrying arc against the labels
-    closes a cycle (63 of 278 sorts on seed-1 `assign-congested`; never on a
+    closes a cycle (61 of 270 sorts on seed-1 `assign-congested`; never on a
     tree: labels rise along each add and fall along no tree arc).  `labels`
     are the bush's at `costs`.
     Returns the added arc ids, None when the arc set stayed as it was.
@@ -757,20 +776,29 @@ class BushSolver:
             moved[a] = moved.get(a, 0.0) - dx
 
     def _extrapolate(self, steps: list[tuple[Bush, np.ndarray, np.ndarray]], beckmann: float) -> float:
-        """Step along this iteration's moves, (bush, arc ids, flow moved) per
-        bush, when the objective `beckmann` strictly falls (module docstring);
-        returns the objective after, `beckmann` when no step is taken."""
-        t_max = math.inf
-        for bush, arcs, d_b in steps:
-            out = d_b < 0.0
-            if out.any():
-                t_max = min(t_max, float((bush.flow[arcs[out]] / -d_b[out]).min()))
-        if not 0.0 < t_max < math.inf:
-            return beckmann
+        """Step along this iteration's moves, (bush, arc ids, flow moved d_b)
+        per bush, made conjugate to the last step taken, when the objective
+        `beckmann` strictly falls (module docstring); returns the objective
+        after, `beckmann` when no step is taken.  A step taken keeps the flow
+        change lo * p_b it made on a bush as that bush's `step`, its q_b; no
+        step taken keeps none."""
         engine = self.engine
         direction = np.zeros_like(self.x)
         for _, arcs, d_b in steps:
             direction[arcs] += d_b
+        last = [bush for bush in self.bushes if bush.step is not None]
+        if last:
+            steps = self._conjugate(steps, last, direction)
+            for bush in last:  # kept only when this step is taken
+                bush.step = None
+        t_max = math.inf
+        with np.errstate(over="ignore"):  # a nearly cancelled p_b bounds nothing
+            for bush, arcs, p_b in steps:
+                out = p_b < 0.0
+                if out.any():
+                    t_max = min(t_max, float((bush.flow[arcs[out]] / -p_b[out]).min()))
+        if not 0.0 < t_max < math.inf:
+            return beckmann
         idx = np.flatnonzero(direction)
         base, slope = engine.pair_total(self.x, idx), engine.pair_total(direction, idx)
         fixed, kc, cap, d = engine.fixed[idx], engine.kc[idx], engine.cap[idx], direction[idx]
@@ -791,11 +819,49 @@ class BushSolver:
         if not after < beckmann:
             self.x[idx] = before
             return beckmann
-        for bush, arcs, d_b in steps:  # at t_max, rounding can leave -ulp on a bounding arc
-            bush.flow[arcs] = np.maximum(bush.flow[arcs] + lo * d_b, 0.0)
+        for bush, arcs, p_b in steps:  # at t_max, rounding can leave -ulp on a bounding arc
+            step = lo * p_b
+            bush.flow[arcs] = np.maximum(bush.flow[arcs] + step, 0.0)
+            bush.step = arcs, step
         touched = np.concatenate((idx, engine.partner[idx]))
         self.cost[touched] = engine.costs(self.x, touched)
         return after
+
+    def _conjugate(self, steps: list[tuple[Bush, np.ndarray, np.ndarray]], last: list[Bush],
+                   direction: np.ndarray) -> list[tuple[Bush, np.ndarray, np.ndarray]]:
+        """The parts p_b = d_b + beta q_b of the direction p = d + beta q,
+        with q the sum of the bushes' last steps, `direction` d on entry and
+        p on return; `steps` itself where beta is 0 (module docstring)."""
+        engine = self.engine
+        q = np.zeros_like(self.x)
+        for bush in last:
+            arcs, q_b = bush.step
+            q[arcs] += q_b
+        near = q != 0.0
+        near[engine.partner[near]] = True
+        both = near.nonzero()[0]
+        hq = engine.derivatives(self.x, both) * engine.pair_total(q, both)  # H q on q's arcs and partners
+        qhq, dhq = float(q[both] @ hq), float(direction[both] @ hq)
+        beta = -dhq / qhq if dhq < 0.0 < qhq else 0.0
+        if not 0.0 < beta < math.inf:
+            return steps
+        direction += beta * q
+        # merge d_b and beta q_b bush by bush, on dense scratch
+        value, in_d = np.zeros_like(self.x), np.zeros(len(self.x), dtype=bool)
+        parts = []
+        for bush, arcs, d_b in steps:
+            if bush.step is not None:
+                q_arcs, q_b = bush.step
+                value[q_arcs] = beta * q_b
+                value[arcs] += d_b
+                in_d[arcs] = True
+                arcs = np.concatenate((arcs, q_arcs[~in_d[q_arcs]]))
+                d_b = value[arcs]
+                value[arcs], in_d[arcs] = 0.0, False
+            parts.append((bush, arcs, d_b))
+        moved = {bush for bush, _, _ in steps}
+        parts += [(bush, bush.step[0], beta * bush.step[1]) for bush in last if bush not in moved]
+        return parts
 
     def _equilibrate_bush(self, bush: Bush, labels: Labels, stale: int) -> None:
         """One sweep over the bush's merge positions in reverse topological
@@ -909,6 +975,8 @@ class BushSolver:
             for bush in self.bushes:
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
                 added = update_bush(self.expanded, bush, self.cost, self._candidates, labels)
+                if added is not None:  # the last step may hold a dropped arc
+                    bush.step = None
                 # stale from the first head of an added arc (module docstring)
                 stale = len(bush.order)
                 if added is not None and added.size:
