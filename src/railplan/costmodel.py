@@ -178,7 +178,7 @@ def grade_resistance(train_mass_t: float, grade: float, rates: RateTable) -> flo
 
 
 def curve_resistance(train_mass_t: float, curve_radius_m: float, rates: RateTable) -> float:
-    if curve_radius_m <= rates.curve_arg_m:
+    if not curve_radius_m > rates.curve_arg_m:  # NaN fails too
         raise ValueError(
             f"curve radius {curve_radius_m} m must exceed {rates.curve_arg_m} m"
         )

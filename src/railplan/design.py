@@ -17,10 +17,11 @@ equilibrium is kept once as a `screen.StartTable`; a screen repairs the
 shortest paths of only the origins that some corridor can shorten (module
 docstring of `screen`).
 
-The GA's draws come from `pcg64.Generator`, numpy's `default_rng(seed)`
-stream in pure Python, so a seed gives the designs it gave under numpy
-without importing numpy's random package.  The GA reads every draw as a
-Python value, so a numpy `Generator` passed in gives the same designs.
+The GA draws from the one `pcg64.Generator` that its caller passes to
+`seed_population` and then to `evolve`: numpy's `default_rng(seed)` stream in
+pure Python, so a seed gives the designs it gave under numpy without importing
+numpy's random package.  The GA reads every draw as a Python value, so a numpy
+`Generator` passed in gives the same designs.
 """
 
 from __future__ import annotations
@@ -299,14 +300,10 @@ def _greedy_fill(problem: DesignProblem, density: np.ndarray) -> Bits:
 def seed_population(
     config: GAConfig,
     problem: DesignProblem,
-    rng: Generator | None = None,
+    rng: Generator,
 ) -> list[Bits]:
     """Initial genomes: a greedy density fill (first one pure, the rest with
     jittered densities so seeds differ) topped up with repaired random picks."""
-    if rng is None:
-        from .pcg64 import Generator
-
-        rng = Generator(config.seed)
     n = len(problem.corridors)
     if n == 0:
         return [()] * config.population
@@ -332,7 +329,7 @@ def evolve(
     population: list[Bits],
     config: GAConfig,
     problem: DesignProblem,
-    rng: Generator | None = None,
+    rng: Generator,
 ) -> tuple[EvaluatedDesign, list[tuple[int, float, float, float, float]]]:
     """Generational GA: tournament of 2, uniform crossover, bit mutation,
     budget repair, elitism.  Returns the winner, the cheapest design from the
@@ -340,10 +337,6 @@ def evolve(
     ties there, and per-generation history rows (gen, best, mean,
     budget_used, electrified_km).
     """
-    if rng is None:
-        from .pcg64 import Generator
-
-        rng = Generator(config.seed)
     n = len(problem.corridors)
     p_mut = config.mutation if config.mutation >= 0.0 else (1.0 / n if n else 0.0)
     genomes = [tuple(g) for g in population]

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
-MIN_CURVE_RADIUS_M = 15.24  # arcsin argument bound of the curve formula
 DEFAULT_MIN_RADIUS_M = 300.0
 DEFAULT_MAX_RADIUS_M = 1.0e5
 
@@ -179,11 +178,8 @@ class RailNetwork:
         for l in link_map.values():
             if l.curve_radius_m is None:
                 l.curve_radius_m = curve_radius_from_alpha(l.alpha, a_lo, a_hi)
-            if not l.curve_radius_m > MIN_CURVE_RADIUS_M:  # NaN fails too
-                raise ValueError(
-                    f"link {l.id}: curve radius {l.curve_radius_m} m must exceed "
-                    f"{MIN_CURVE_RADIUS_M} m"
-                )
+            if not l.curve_radius_m > 0.0:  # NaN fails too
+                raise ValueError(f"link {l.id}: curve radius {l.curve_radius_m} m must be positive")
 
         twins: dict[tuple[int, int], list[int]] = {}
         for l in link_map.values():
@@ -270,9 +266,6 @@ class ExpandedNetwork:
 
     def diesel_node(self, phys_id: int) -> int:
         return 2 * self.node_index[phys_id]
-
-    def electric_node(self, phys_id: int) -> int:
-        return 2 * self.node_index[phys_id] + 1
 
     def node_label(self, idx: int) -> str:
         side = "D" if idx % 2 == 0 else "E"

@@ -437,8 +437,8 @@ def load_design(path: str | Path) -> list[int]:
 # The file is the text of json.dump(collection, fh, indent=2), written by hand
 # one feature at a time: json.dump to a file always runs json's pure-Python
 # encoder, about three times slower here, and the feature layout never varies.
-# Each value is filled in by its name in the feature, so a renamed key fails
-# loudly instead of shifting values.
+# Each value is filled in by name, so a renamed key fails loudly instead of
+# shifting values.
 _GEOJSON_HEAD = '{\n  "type": "FeatureCollection",\n  "features": ['
 _GEOJSON_FEATURE = """
     {
@@ -484,40 +484,23 @@ def emit_geojson(
     electrified_links: set[int],
     net: RailNetwork,
     flows: Mapping[int, tuple[float, float]],
-    path: str | Path | None = None,
-) -> dict:
-    """FeatureCollection with one LineString per physical link."""
-    features = []
-    for lid in sorted(net.links):
-        link = net.links[lid]
-        tail, head = net.nodes[link.tail], net.nodes[link.head]
-        xd, xe = flows.get(lid, (0.0, 0.0))
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[tail.lon, tail.lat], [head.lon, head.lat]],
-                },
-                "properties": {
-                    "link_id": lid,
-                    "length_km": link.length_km,
-                    "electrified": lid in electrified_links,
-                    "diesel_tons": xd,
-                    "electric_tons": xe,
-                },
-            }
-        )
-    if path is not None:
-        with open(path, "w") as fh:  # streamed: the indented text is never built whole
-            fh.write(_GEOJSON_HEAD)
-            for k, feature in enumerate(features):
-                (x0, y0), (x1, y1) = feature["geometry"]["coordinates"]
-                values = dict(feature["properties"], x0=x0, y0=y0, x1=x1, y1=y1)
-                text = _GEOJSON_FEATURE % {name: _json_scalar(v) for name, v in values.items()}
-                fh.write(("," if k else "") + text)
-            fh.write("\n  ]\n}" if features else "]\n}")
-    return {"type": "FeatureCollection", "features": features}
+    path: str | Path,
+) -> None:
+    """Write a FeatureCollection with one LineString per physical link."""
+    with open(path, "w") as fh:  # streamed: the indented text is never built whole
+        fh.write(_GEOJSON_HEAD)
+        for k, lid in enumerate(sorted(net.links)):
+            link = net.links[lid]
+            tail, head = net.nodes[link.tail], net.nodes[link.head]
+            xd, xe = flows.get(lid, (0.0, 0.0))
+            values = dict(
+                x0=tail.lon, y0=tail.lat, x1=head.lon, y1=head.lat,
+                link_id=lid, length_km=link.length_km, electrified=lid in electrified_links,
+                diesel_tons=xd, electric_tons=xe,
+            )
+            text = _GEOJSON_FEATURE % {name: _json_scalar(v) for name, v in values.items()}
+            fh.write(("," if k else "") + text)
+        fh.write("\n  ]\n}" if net.links else "]\n}")
 
 
 def validate_geojson(obj: dict) -> None:
@@ -580,7 +563,8 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
     elec = replace(
         elec, ppi_capital=elec.ppi_capital * scenario.electrification_cost_multiplier
     )
-    network = load_network(scenario.path(scenario.node_file), scenario.path(scenario.link_file))
+    link_path = scenario.path(scenario.link_file)
+    network = load_network(scenario.path(scenario.node_file), link_path)
     od_path = scenario.path(scenario.od_file)
     od = load_od(od_path)
     if scenario.demand_multiplier != 1.0:
@@ -590,8 +574,8 @@ def assemble(scenario: Scenario) -> design.DesignProblem:
         raise ValidationError(f"{od_path}: OD references unknown nodes {sorted(unknown)}")
     bent = [l for _, l in sorted(network.links.items()) if not l.curve_radius_m > rates.curve_arg_m]
     if bent:  # the curve resistance takes arcsin(curve_arg_m / radius)
-        raise ValidationError(
-            f"{rates_path}: curve_arg_m {rates.curve_arg_m} m must be below every curve radius; "
+        raise ValidationError(  # under the default rates the links file is at fault
+            f"{rates_path or link_path}: curve_arg_m {rates.curve_arg_m} m must be below every curve radius; "
             f"link {bent[0].id} has {bent[0].curve_radius_m} m"
         )
 

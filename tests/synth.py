@@ -133,6 +133,10 @@ def random_od(rng: np.random.Generator, net: RailNetwork, pairs: int = 3,
     return ODMatrix(demand)
 
 
+def electric_node(expanded, phys_id: int) -> int:
+    return 2 * expanded.node_index[phys_id] + 1
+
+
 def assembled_instance(net: RailNetwork, consist=None, rates=None):
     """(expanded, profiles) for a network under the given or default rates."""
     consist = consist or TrainConsist()

@@ -57,6 +57,7 @@ from railplan.equilibrium import (
     solve_equilibrium,
 )
 from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, apply_design, expand
+from railplan.pcg64 import Generator
 from railplan.scenario_io import load_scenario, sweep, validate_geojson
 
 
@@ -406,8 +407,9 @@ def test_criterion_09_ga_near_optimal():
         start = time.perf_counter()
         best_exhaustive = brute_force(problem)
         config = GAConfig(population=20, generations=15, seed=11)
-        seeds = seed_population(config, problem)
-        best_ga, _ = evolve(seeds, config, problem)
+        rng = Generator(config.seed)  # one stream, as optimize_run draws
+        seeds = seed_population(config, problem, rng)
+        best_ga, _ = evolve(seeds, config, problem, rng)
         wall = time.perf_counter() - start
         worst_ratio = max(worst_ratio, best_ga.total_cost / best_exhaustive.total_cost)
         worst_wall = max(worst_wall, wall)

@@ -35,7 +35,7 @@ from oracles import (
     oracle_wardrop,
     shift_delta,
 )
-from synth import assembled_instance, random_network, random_od
+from synth import assembled_instance, electric_node, random_network, random_od
 
 CAPACITY = {"moderate": (2.0e4, 8.0e4), "overloaded": (1.0e3, 5.0e3)}
 
@@ -172,7 +172,7 @@ def test_update_over_candidates_matches_three_term_rule(seed, load):
     _, expanded, profiles, usable, od = instance(seed, load, 0.5)
     solver = BushSolver(expanded, usable, od, profiles, max_iter=10)
     engine = solver.engine
-    electric = {expanded.electric_node(p) for p in expanded.node_ids}
+    electric = {electric_node(expanded, p) for p in expanded.node_ids}
     touched = set()
     for a in np.flatnonzero(engine.usable & (expanded.kind == ArcKind.ELECTRIC)).tolist():
         touched.update((int(expanded.tail[a]), int(expanded.head[a])))
@@ -289,7 +289,7 @@ def test_a_bush_holds_the_live_nodes_its_origin_reaches(seed, load, electrified_
     solver = BushSolver(expanded, usable, od, profiles, max_iter=3)
     solver.solve()
     usable = solver.engine.usable
-    electric = {expanded.electric_node(p) for p in expanded.node_ids}
+    electric = {electric_node(expanded, p) for p in expanded.node_ids}
     touched = set()
     for a in range(expanded.n_arcs):
         if usable[a] and expanded.kind[a] != ArcKind.SWITCH:

@@ -123,6 +123,8 @@ def test_curve_radius_floor(rates):
         curve_resistance(5000.0, 15.24, rates)
     with pytest.raises(ValueError):
         curve_resistance(5000.0, 10.0, rates)
+    with pytest.raises(ValueError):
+        curve_resistance(5000.0, math.nan, rates)
 
 
 def test_flange_air_link_overrides(rates, consist):

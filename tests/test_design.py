@@ -152,7 +152,7 @@ def test_repair_random_never_exceeds_budget():
 def test_seed_population_greedy_first():
     problem, unit = yard_line_problem(budget_corridors=2.0)
     config = GAConfig(population=10, seed=1)
-    population = seed_population(config, problem)
+    population = seed_population(config, problem, Generator(config.seed))
     assert len(population) == 10
     # densest corridor first (link0 carries 5e4), then the id-order zero ties
     assert population[0] == (1, 1, 0)
@@ -165,7 +165,7 @@ def test_seed_population_no_corridors():
     od = ODMatrix({(0, 2): 1.0e4})
     problem = build_problem(net, od, budget=1e9)
     assert problem.corridors == []
-    population = seed_population(GAConfig(population=4), problem)
+    population = seed_population(GAConfig(population=4), problem, Generator(0))
     assert population == [(), (), (), ()]
 
 
@@ -226,25 +226,30 @@ def test_evolve_reaches_brute_force_optimum():
 
 
 def test_default_stream_searches_as_numpys_default_rng():
-    # one stream shared by seeding and evolution, as optimize_run does, and a
-    # fresh stream of the config's seed per call, as rng=None gives; seven
-    # corridors, so the two searches solve different designs
-    def run(first, second):
+    # one stream shared by seeding and evolution, as optimize_run does
+    def run(rng):
         net = line_network(n_nodes=8, yards=tuple(range(8)))
         od = ODMatrix({(0, 7): 2.0e4, (1, 5): 3.0e4, (6, 2): 1.0e4})
         problem = build_problem(net, od, budget=1.0)
         problem.budget = 3.0 * problem.corridors[0].cost_usd
         config = GAConfig(population=8, generations=4, seed=3)
-        population = seed_population(config, problem, first)
-        best, history = evolve(population, config, problem, second)
+        population = seed_population(config, problem, rng)
+        best, history = evolve(population, config, problem, rng)
         return population, best, history, [e.bits for e in problem.solved]
 
-    ours, theirs = Generator(3), np.random.default_rng(3)
-    shared = run(ours, ours)
-    assert shared == run(theirs, theirs)
-    fresh = run(None, None)
-    assert fresh == run(np.random.default_rng(3), np.random.default_rng(3))
-    assert shared != fresh
+    assert run(Generator(3)) == run(np.random.default_rng(3))
+
+
+def test_the_caller_passes_the_stream():
+    # the GA has no stream of its own: the seeding and the evolution draw
+    # from the one their caller makes
+    problem, _ = yard_line_problem(budget_corridors=2.0)
+    config = GAConfig(population=8, generations=2, seed=3)
+    with pytest.raises(TypeError):
+        seed_population(config, problem)
+    population = seed_population(config, problem, Generator(3))
+    with pytest.raises(TypeError):
+        evolve(population, config, problem)
 
 
 def test_negative_mutation_means_one_over_corridors():

@@ -36,6 +36,7 @@ from railplan.network import ArcKind, Node, PhysicalLink, RailNetwork, apply_des
 from oracles import RecordingSolver, bush_arcs, jacobian, msa_reference
 from synth import (
     assembled_instance,
+    electric_node,
     line_network,
     random_network,
     random_od,
@@ -406,8 +407,8 @@ def test_a_corridor_ending_at_a_yard_keeps_its_last_electric_node():
     od = ODMatrix({(0, 4): 2.0e4})
     expanded, _, _, solver, state, metrics = solved(net, od, {0, 2}, rates=rates)
     (bush,) = solver.bushes
-    electric = {expanded.electric_node(i) for i in range(5)} & set(bush.order.tolist())
-    assert electric == {expanded.electric_node(i) for i in (0, 1, 2)}
+    electric = {electric_node(expanded, i) for i in range(5)} & set(bush.order.tolist())
+    assert electric == {electric_node(expanded, i) for i in (0, 1, 2)}
     _, e2d = expanded.switch_arcs_at[2]
     assert metrics.converged and state.x[e2d] == 2.0e4
 

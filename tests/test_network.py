@@ -32,7 +32,7 @@ from oracles import (
     oracle_electric_tonnage_share,
     oracle_flow_rows,
 )
-from synth import random_network
+from synth import electric_node, random_network
 
 
 def simple_link(lid=0, tail=0, head=1, **kw):
@@ -130,8 +130,10 @@ def test_build_rejects_bad_inputs():
         RailNetwork.build([a, b], [simple_link(0, capacity_tpd=-1.0)])
     with pytest.raises(ValueError, match="grade"):
         RailNetwork.build([a, b], [simple_link(0, grade=0.12)])
-    with pytest.raises(ValueError, match="radius"):
-        RailNetwork.build([a, b], [simple_link(0, curve_radius_m=10.0)])
+    for radius in (0.0, math.nan):  # the rates' curve_arg_m bounds it further
+        with pytest.raises(ValueError, match="radius"):
+            RailNetwork.build([a, b], [simple_link(0, curve_radius_m=radius)])
+    RailNetwork.build([a, b], [simple_link(0, curve_radius_m=math.inf)])  # a straight link
     with pytest.raises(ValueError, match="non-yard"):
         RailNetwork.build([Node(0, 40.0, -100.0, switching_cost=100.0), b], [])
     with pytest.raises(ValueError, match="negative switching"):
@@ -197,8 +199,8 @@ def test_expansion_shape_and_ids(line_net):
         offset += 2
         assert ex.kind[d2e] is ArcKind.SWITCH is ex.kind[e2d]
         assert ex.tail[d2e] == ex.diesel_node(yard)
-        assert ex.head[d2e] == ex.electric_node(yard)
-        assert ex.tail[e2d] == ex.electric_node(yard)
+        assert ex.head[d2e] == electric_node(ex, yard)
+        assert ex.tail[e2d] == electric_node(ex, yard)
         assert ex.head[e2d] == ex.diesel_node(yard)
         assert ex.fixed_cost[d2e] == 0.5 == ex.fixed_cost[e2d]
         assert ex.link[d2e] == -1 == ex.link[e2d]
@@ -309,7 +311,7 @@ def test_arc_table_matches_the_per_arc_reference(seed, tmp_path_factory):
 def test_node_labels(line_net):
     ex = expand(line_net, 0.5)
     assert ex.node_label(ex.diesel_node(3)) == "3:D"
-    assert ex.node_label(ex.electric_node(3)) == "3:E"
+    assert ex.node_label(electric_node(ex, 3)) == "3:E"
 
 
 def test_aggregate_flows_round_trip(line_net):

@@ -401,6 +401,21 @@ def test_curve_arg_reaching_a_curve_radius_names_the_file_key_and_link(tmp_path,
     assert all(word in err for word in ("rates.cfg", "curve_arg_m", "link 2 has 4500.0 m")), err
 
 
+def test_curve_radius_is_judged_against_the_rates_curve_arg(tmp_path, capsys):
+    # a 12 m curve prices under curve_arg_m = 10
+    cfg = write_toy(tmp_path, extra_cfg="rates_file = rates.cfg\n")
+    (tmp_path / "links.csv").write_text(LINKS_CSV.replace("1,2,50,0.0,20000", "1,2,50,0.0,12"))
+    (tmp_path / "rates.cfg").write_text("curve_arg_m = 10\n")
+    assert cli.main(["costs", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    # a 10 m curve is refused under the default 15.24 m, naming the links
+    # file, the key and the link
+    cfg = write_toy(tmp_path)
+    (tmp_path / "links.csv").write_text(LINKS_CSV.replace("1,2,50,0.0,20000", "1,2,50,0.0,10"))
+    assert cli.main(["costs", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in ("links.csv", "curve_arg_m", "link 2 has 10.0 m")), err
+
+
 def test_self_loop_link_is_rejected(tmp_path, capsys):
     cfg = write_toy(tmp_path)
     (tmp_path / "links.csv").write_text(LINKS_CSV + "4,1,1,20,0.0,20000,50000,low,1\n")
@@ -597,16 +612,38 @@ def test_load_network_rejects_meaningless_inputs(tmp_path, capsys, name, column,
 # --- geojson --------------------------------------------------------------------------
 
 
+def geojson_reference(electrified, net, flows):
+    """The collection whose json.dumps(indent=2) text `emit_geojson` writes."""
+    features = []
+    for lid in sorted(net.links):
+        link = net.links[lid]
+        tail, head = net.nodes[link.tail], net.nodes[link.head]
+        xd, xe = flows.get(lid, (0.0, 0.0))
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": [[tail.lon, tail.lat], [head.lon, head.lat]]},
+            "properties": {
+                "link_id": lid,
+                "length_km": link.length_km,
+                "electrified": lid in electrified,
+                "diesel_tons": xd,
+                "electric_tons": xe,
+            },
+        })
+    return {"type": "FeatureCollection", "features": features}
+
+
 def test_geojson_emit_and_validate(tmp_path):
     cfg = write_toy(tmp_path)
     bundle = assemble(load_scenario(cfg))
     flows = {lid: (1000.0 * lid, 10.0) for lid in bundle.network.links}
     out = tmp_path / "net.geojson"
-    doc = emit_geojson({0, 1}, bundle.network, flows, out)
-    validate_geojson(doc)
+    assert emit_geojson({0, 1}, bundle.network, flows, out) is None
     # the byte format that artifact comparisons rely on
-    assert out.read_text() == json.dumps(doc, indent=2)
-    reread = json.loads(out.read_text())
+    text = out.read_text()
+    assert text == json.dumps(geojson_reference({0, 1}, bundle.network, flows), indent=2)
+    assert text == json.dumps(json.loads(text), indent=2)
+    reread = json.loads(text)
     validate_geojson(reread)
     assert len(reread["features"]) == len(bundle.network.links)
     by_id = {f["properties"]["link_id"]: f for f in reread["features"]}
@@ -638,8 +675,10 @@ def test_geojson_layout_is_jsons_on_every_number(tmp_path):
         ("empty", set(), RailNetwork({}, {})),
     ):
         out = tmp_path / f"{name}.geojson"
-        doc = emit_geojson(electrified, net, flows, out)
-        assert out.read_text() == json.dumps(doc, indent=2)
+        emit_geojson(electrified, net, flows, out)
+        text = out.read_text()
+        assert text == json.dumps(geojson_reference(electrified, net, flows), indent=2)
+        assert text == json.dumps(json.loads(text), indent=2)
     assert out.read_text() == '{\n  "type": "FeatureCollection",\n  "features": []\n}'
 
 
