@@ -27,7 +27,7 @@ numpy's random package.  The GA reads every draw as a Python value, so a numpy
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -228,6 +228,17 @@ class DesignProblem:
                 saving = np.where(both, p.diesel_fuel_per_ton - p.electric_fuel_per_ton, 0.0)
             self._scores = _per_capital_dollar(self, dict(zip(p.link_ids, saving.tolist())).__getitem__)
         return self._scores
+
+    def with_budget(self, budget: float) -> DesignProblem:
+        """This problem under another budget, sharing what is made from the
+        all-diesel solve alone, which no budget changes: the kept solution
+        and its cache entry, the `StartTable` and the corridor scores, made
+        here first where they are not yet.  No other design is cached."""
+        start, scores = self.start(), self.corridor_scores()
+        other = replace(self, budget=budget)
+        other._baseline, other._start, other._scores = self._baseline, start, scores
+        other._cache[self._baseline.evaluated.bits] = self._baseline.evaluated
+        return other
 
     def solution(self, bits: Bits) -> Solution:
         """Full solution of a design: the kept all-diesel one once it is

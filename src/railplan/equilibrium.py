@@ -109,6 +109,14 @@ arcs, and t_max keeps each bush flow non-negative.  The unchanged stopping
 rule is checked after the step on the flows as they are, so a stop still
 means spread and gap within tolerance.
 
+A bush whose visit changed nothing, no arc added or dropped and no flow
+moved, rests through the next sweep, and is visited in the one after: the
+other bushes' moves change its costs, so a rest of one sweep is all that an
+idle visit vouches for (longer rests cost iterations where measured).  It
+rests only from the sweep: the spread check labels it like every bush, so a
+stop still certifies them all, and the step still reads its q_b, as after an
+idle visit.
+
 The relative gap is computed only where the Wardrop spread is within
 tolerance, or on the last iteration; a stop needs both within tolerance, so
 every stop decision is unchanged.  It comes from the spread check's labels,
@@ -232,6 +240,8 @@ class Bush:
     # (arc ids, flow change) of the last extrapolation step taken, while the
     # arc set stays as it was then (`BushSolver._extrapolate`)
     step: tuple[np.ndarray, np.ndarray] | None = None
+    # its last visit changed nothing, so the next sweep passes it over
+    rest: bool = False
 
     def set_arcs(self, expanded: ExpandedNetwork, arcs: np.ndarray,
                  order: np.ndarray | list[int] | None = None, resort: bool = True) -> None:
@@ -973,6 +983,9 @@ class BushSolver:
         for iteration in range(1, self.max_iter + 1):
             steps = []
             for bush in self.bushes:
+                if bush.rest:  # for one sweep only (module docstring)
+                    bush.rest = False
+                    continue
                 labels = shortest_longest_labels(self.expanded, bush, self.cost)
                 added = update_bush(self.expanded, bush, self.cost, self._candidates, labels)
                 if added is not None:  # the last step may hold a dropped arc
@@ -985,6 +998,8 @@ class BushSolver:
                 if self._moved:
                     moved, self._moved = self._moved, {}
                     steps.append((bush, np.fromiter(moved, np.int64), np.fromiter(moved.values(), float)))
+                else:
+                    bush.rest = added is None
             beckmann = self._extrapolate(steps, self.engine.beckmann(self.x))
             if beckmann > prev_beckmann + 1.0e-9 * max(1.0, abs(prev_beckmann)):
                 raise AssertionError("objective increased across an iteration")

@@ -673,7 +673,8 @@ def optimize_run(
     scenario: Scenario, out_dir: str | Path, problem: design.DesignProblem | None = None
 ) -> RunReport:
     """Full pipeline: assemble, GA search, artifacts, report.  `problem`,
-    when given, is the unsolved `assemble(scenario)`, posed already."""
+    when given, is `assemble(scenario)`, posed already, with at most the
+    all-diesel design solved (`DesignProblem.with_budget`)."""
     from .pcg64 import Generator  # here, so that commands that search no design never import it
 
     if problem is None:
@@ -759,8 +760,8 @@ def sweep(
     else the first value.  nested_wrt_prev records whether the previous run's
     corridor set is contained in this one (the interesting question on a
     monotone budget sweep).  The budget changes no loaded input, so a budget
-    sweep assembles once and gives each run a copy of the problem with its
-    budget and empty caches.
+    sweep assembles once and solves the all-diesel equilibrium once: each
+    run gets `DesignProblem.with_budget`.
     """
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"unknown sweep axis {axis!r}; pick from {sorted(_SWEEP_AXES)}")
@@ -777,7 +778,7 @@ def sweep(
     runs = [replace(scenario, **{attr: v}) for v in values]  # validates every value before any run
     posed = assemble(scenario) if attr == "budget" else None
     reports = [
-        optimize_run(run, Path(out_dir) / label, None if posed is None else replace(posed, budget=run.budget))
+        optimize_run(run, Path(out_dir) / label, None if posed is None else posed.with_budget(run.budget))
         for run, label in zip(runs, labels)
     ]
 

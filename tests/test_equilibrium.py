@@ -617,6 +617,44 @@ def test_stall_recipe_converges(seed):
     assert metrics.converged and metrics.iteration < 500
 
 
+def test_a_bush_whose_visit_changed_nothing_rests_one_sweep(monkeypatch):
+    # idle: update_bush added and dropped no arc, and the sweep moved no flow
+    rng = np.random.default_rng(1)
+    net = random_network(rng, n_nodes=50, extra_links=40, yard_count=2,
+                         capacity_range=(1.0e4, 4.0e4))
+    od = random_od(rng, net, pairs=40)
+    expanded, profiles = assembled_instance(net)
+    sweeps = [[]]  # per iteration, [bush, idle] per visit
+    update = equilibrium.update_bush
+
+    def recorded(expanded, bush, *args):
+        added = update(expanded, bush, *args)
+        sweeps[-1].append([bush, added is None])
+        return added
+
+    class Watched(BushSolver):
+        def _equilibrate_bush(self, bush, labels, stale):
+            super()._equilibrate_bush(bush, labels, stale)
+            sweeps[-1][-1][1] &= not self._moved
+
+        def _extrapolate(self, steps, beckmann):  # once per iteration, after the sweep
+            sweeps.append([])
+            return super()._extrapolate(steps, beckmann)
+
+    monkeypatch.setattr(equilibrium, "update_bush", recorded)
+    solver = Watched(expanded, apply_design(expanded, set()), od, profiles)
+    _, metrics = solver.solve()
+    sweeps = sweeps[: metrics.iteration]
+    visited = [{bush for bush, _ in sweep} for sweep in sweeps]
+    idle = [{bush for bush, quiet in sweep if quiet} for sweep in sweeps]
+    assert metrics.converged and visited[0] == set(solver.bushes)
+    assert sum(len(idle[k]) for k in range(len(sweeps) - 2)) > 0
+    for k in range(len(sweeps) - 1):
+        assert visited[k + 1] == set(solver.bushes) - idle[k]
+        if k + 2 < len(sweeps):
+            assert idle[k] <= visited[k + 2]
+
+
 def test_partial_label_passes_cover_a_non_empty_range(monkeypatch):
     # an update that only dropped arcs, or a shift whose earliest touched
     # head sits at or after the current node, leaves no label to redo

@@ -1088,6 +1088,45 @@ def test_console_script_and_module_run_the_same_entry():
     assert [ast.unparse(statement) for statement in block.body] == [f"{function}()"]
 
 
+def test_a_budget_sweep_solves_the_all_diesel_equilibrium_once(tmp_path, monkeypatch):
+    # the budget changes neither the all-diesel equilibrium nor the screen
+    # table and corridor scores made from it, so the runs share them
+    from dataclasses import replace
+
+    from railplan import design
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    gen = subprocess.run(
+        [sys.executable, "perfbench/gen.py", "--workload", "optimize-small", "--seed", "1",
+         "--out", str(tmp_path / "small")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert gen.returncode == 0, gen.stderr
+    scenario = load_scenario(tmp_path / "small" / "scenario.cfg")
+    solve, tables, cold = design.solve_equilibrium, design.StartTable, []
+
+    def counted(*args, start=None, **kwargs):
+        if start is None:  # the all-diesel design, the only one solved without a start
+            cold.append(args)
+        return solve(*args, start=start, **kwargs)
+
+    built = []
+
+    def table(*args):
+        built.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(design, "solve_equilibrium", counted)
+    monkeypatch.setattr(design, "StartTable", table)
+    reports, _ = sweep(scenario, "budget", [1.3e9, 1.4e9, 1.5e9], tmp_path / "sweep")
+    assert len(cold) == len(built) == 1
+    monkeypatch.undo()
+    # each run still counts the all-diesel solve among its own
+    assert optimize_run(replace(scenario, budget=1.4e9), tmp_path / "alone") == reports[1]
+
+
 def test_sweep_budget_axis(tmp_path):
     cfg = write_toy(tmp_path)
     scenario = load_scenario(cfg)

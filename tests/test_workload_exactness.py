@@ -53,8 +53,10 @@ def solver(cls, problem):
 # arcs and 215 sorts on assign-congested (416,507 and 214,201 arcs before).
 # Steps conjugate to the last step taken cut iterations 16 -> 15 and 89 ->
 # 75: 386,025 arcs and 168 sorts on assign-medium, 178,329 arcs and 209
-# sorts on assign-congested.
-WORK_BOUNDS = {"assign-medium": (387_000, 168), "assign-congested": (179_000, 209)}
+# sorts on assign-congested.  A bush whose visit changed nothing rests one
+# sweep, 311 of 1,620 visits and 79 of 2,100: 324,178 and 174,309 arcs, the
+# same sorts and iterations.
+WORK_BOUNDS = {"assign-medium": (325_000, 168), "assign-congested": (175_000, 209)}
 
 
 @pytest.mark.parametrize("name", ["assign-medium", "assign-congested"])
